@@ -1,27 +1,21 @@
 """Quantities derived from a fitted scaling law.
 
-Covers the two operating regimes of the saturating power law and the
-crossover between them, the marginal value of additional data, the
-data-equivalence factor between two conditions sharing an exponent, and
-Monte Carlo estimation of the exponent's sampling variability under
-multiplicative loss noise.
+Covers the two operating regimes of the saturating power law (the loss
+floor and the transition size ``1/c`` where the data-limited and
+capacity-limited approximations steepen equally), the marginal value of
+additional data, the data-equivalence factor between two conditions sharing
+an exponent, and Monte Carlo estimation of the exponent's sampling
+variability under multiplicative loss noise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observation, JointLawParams, PowerLaw, eval_joint_law, eval_law
-from .errors import (
-    DomainError,
-    ExponentMismatchError,
-    MonteCarloError,
-    SchemaError,
-    SingularityError,
-)
+from .core import Observation, PowerLaw
+from .errors import DomainError, ExponentMismatchError, MonteCarloError, SingularityError
 from .fitting import FitConfig, fit_single
 
 # Replicate losses are redrawn while non-positive, up to this many attempts
@@ -78,7 +72,9 @@ def asymptotic_loss(law: PowerLaw) -> float:
 def transition_point(law: PowerLaw) -> float | None:
     """Dataset size ``1/c`` where the curve crosses from the data-limited
     into the capacity-limited regime; None when ``c`` is zero (the curve
-    never saturates)."""
+    never saturates).  There the data-limited approximation ``alpha*d**-p``
+    and the capacity-limited linearization ``alpha*c**p + alpha*p*c**(p-1)/d``
+    have slopes of equal magnitude, ``(c*d)**(p-1) = 1``, for every ``p``."""
     if law.c == 0:
         return None
     return 1.0 / law.c
@@ -116,70 +112,6 @@ def data_equivalence_factor(law1: PowerLaw, law2: PowerLaw) -> float:
             f"exponents differ ({law1.p} vs {law2.p}); factor requires a shared exponent"
         )
     return float((law1.alpha / law2.alpha) ** (1.0 / law1.p))
-
-
-# ---------------------------------------------------------------------------
-# Regime approximations and their crossover
-# ---------------------------------------------------------------------------
-
-
-def data_limited_derivative(law: PowerLaw, d_millions):
-    """Derivative of the data-limited approximation ``alpha * d**-p``."""
-    d = np.asarray(d_millions, dtype=float)
-    return -law.alpha * law.p * d ** -(law.p + 1.0)
-
-
-def capacity_limited_derivative(law: PowerLaw, d_millions):
-    """Derivative of the capacity-limited linearization
-    ``alpha*c**p + alpha*p*c**(p-1)/d``."""
-    d = np.asarray(d_millions, dtype=float)
-    return -law.alpha * law.p * law.c ** (law.p - 1.0) * d**-2.0
-
-
-def regime_derivative_crossing(
-    law: PowerLaw, lo_factor: float = 0.01, hi_factor: float = 100.0
-) -> float | None:
-    """Dataset size where the two regime approximations steepen equally.
-
-    Searches ``d in [lo_factor/c, hi_factor/c]`` for the point where the
-    magnitudes of :func:`data_limited_derivative` and
-    :func:`capacity_limited_derivative` cross, refining by bisection on the
-    difference of their log magnitudes.  Returns None when the curves do
-    not cross in the window (for ``p = 1`` they coincide everywhere).
-
-    Raises:
-        DomainError: ``c`` is zero, so there is no capacity-limited regime.
-    """
-    if law.c == 0:
-        raise DomainError("law has no capacity-limited regime (c = 0)")
-
-    def log_gap(d):
-        return float(
-            np.log(np.abs(data_limited_derivative(law, d)))
-            - np.log(np.abs(capacity_limited_derivative(law, d)))
-        )
-
-    lo = lo_factor / law.c
-    hi = hi_factor / law.c
-    f_lo, f_hi = log_gap(lo), log_gap(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        return None
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        f_mid = log_gap(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi / lo < 1 + 1e-12:
-            break
-    return math.sqrt(lo * hi)
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +179,3 @@ def mc_uncertainty(
         quantiles=(q05, q50, q95),
         n_converged=len(arr),
     )
-
-
-def predict(law, d_millions, n_enc: int | None = None, n_dec: int | None = None):
-    """Predicted loss at a query point, dispatching on the law type.
-
-    A :class:`PowerLaw` takes only a dataset size; a
-    :class:`JointLawParams` additionally requires both parameter counts.
-
-    Raises:
-        SchemaError: Parameter counts passed with a plain power law, or
-            missing for a joint law.
-    """
-    if isinstance(law, PowerLaw):
-        if n_enc is not None or n_dec is not None:
-            raise SchemaError("parameter counts are meaningless for a plain power law")
-        return eval_law(law, d_millions)
-    if isinstance(law, JointLawParams):
-        if n_enc is None or n_dec is None:
-            raise SchemaError("joint-law queries need both parameter counts")
-        return eval_joint_law(law, n_enc, n_dec, d_millions)
-    raise SchemaError(f"cannot predict from {type(law).__name__}")

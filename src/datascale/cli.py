@@ -15,7 +15,8 @@ so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
+import os
 import sys
 
 from . import __version__
@@ -47,6 +48,7 @@ from .reports import (
     build_fit_report,
     build_joint_report,
     build_linear_report,
+    build_mc_report,
     build_shared_report,
     build_tail_report,
     dumps_report,
@@ -68,19 +70,21 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fit_config(args) -> FitConfig:
+def _fit_config(args, seed: int) -> FitConfig:
     return FitConfig(
         loss_space=args.loss_space,
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
         n_restarts=args.n_restarts,
-        seed=args.seed,
+        seed=seed,
     )
 
 
-def _add_fit_options(parser: argparse.ArgumentParser) -> None:
+def _add_fit_options(
+    parser: argparse.ArgumentParser, seed_help: str = "seed for restart perturbations"
+) -> None:
     parser.add_argument("--input", required=True, help="observation CSV")
-    parser.add_argument("--seed", type=int, required=True, help="seed for restart perturbations")
+    parser.add_argument("--seed", type=int, required=True, help=seed_help)
     parser.add_argument("--loss-space", choices=("log", "linear"), default="log")
     parser.add_argument("--max-iters", type=int, default=2000)
     parser.add_argument("--rel-tol", type=float, default=1e-10)
@@ -131,7 +135,7 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_fit(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
     obs = _select_condition(table, args.condition)
-    cfg = _fit_config(args)
+    cfg = _fit_config(args, args.seed)
     result = fit_single(obs, cfg)
     _emit(dumps_report(build_fit_report(result, obs, cfg, args.input)), args.output)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -140,7 +144,7 @@ def cmd_fit(args) -> int:
 def cmd_fit_shared(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
     groups = table.by_condition()
-    cfg = _fit_config(args)
+    cfg = _fit_config(args, args.seed)
     result = fit_shared(groups, cfg)
     _emit(dumps_report(build_shared_report(result, groups, cfg, args.input)), args.output)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -148,7 +152,7 @@ def cmd_fit_shared(args) -> int:
 
 def cmd_fit_joint(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
-    cfg = _fit_config(args)
+    cfg = _fit_config(args, args.seed)
     hold_out = [_parse_shape(s) for s in args.hold_out or []]
     fixed = (args.beta, args.p_e, args.p_d, args.l_inf)
     result = fit_joint(table.rows, fixed, cfg, hold_out=hold_out)
@@ -162,7 +166,7 @@ def cmd_fit_joint(args) -> int:
 def cmd_fit_tail(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
     obs = _select_condition(table, args.condition)
-    cfg = _fit_config(args)
+    cfg = _fit_config(args, args.seed)
     result = fit_tail(obs, args.d_min, cfg)
     subset = [o for o in obs if o.d_millions >= args.d_min]
     _emit(
@@ -173,10 +177,8 @@ def cmd_fit_tail(args) -> int:
 
 
 def cmd_fit_linear(args) -> int:
-    import csv
-
     xs, ys = [], []
-    with open(args.input, encoding="utf-8", newline="") as fh:
+    with open(args.input, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for column in (args.x_column, args.y_column):
@@ -234,7 +236,7 @@ def cmd_analyze(args) -> int:
         }
     else:
         payload = block(law_from_report(report, args.condition))
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(dumps_report(payload), args.output)
     return EXIT_OK
 
 
@@ -251,31 +253,9 @@ def cmd_report(args) -> int:
 def cmd_mc(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
     obs = _select_condition(table, args.condition)
-    cfg_fit = FitConfig(
-        loss_space=args.loss_space,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        n_restarts=args.n_restarts,
-        seed=args.fit_seed,
-    )
     cfg_mc = McConfig(noise_frac=args.noise_frac, n_reps=args.n_reps, seed=args.seed)
-    summary = mc_uncertainty(obs, cfg_fit, cfg_mc)
-    payload = {
-        "schema": 1,
-        "kind": "mc",
-        "mean_p": summary.mean_p,
-        "std_p": summary.std_p,
-        "quantiles": {
-            "q05": summary.quantiles[0],
-            "q50": summary.quantiles[1],
-            "q95": summary.quantiles[2],
-        },
-        "n_converged": summary.n_converged,
-        "n_reps": args.n_reps,
-        "noise_frac": args.noise_frac,
-        "provenance": {"input": args.input, "seed": args.seed, "tool_version": __version__},
-    }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    summary = mc_uncertainty(obs, _fit_config(args, args.fit_seed), cfg_mc)
+    _emit(dumps_report(build_mc_report(summary, cfg_mc, args.input)), args.output)
     return EXIT_OK
 
 
@@ -309,7 +289,14 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_output_is_not_input(args) -> None:
+    # read_pairs streams the input, so writing over it would empty it first.
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise SchemaError(f"--output {args.output} is the input file; write to another path")
+
+
 def cmd_corpus_corrupt(args) -> int:
+    _check_output_is_not_input(args)
     if args.kind != "pair_shuffle" and args.side is None:
         raise SchemaError(f"--side is required for kind {args.kind}")
     prob = DEFAULT_PROBS[args.kind] if args.prob is None else args.prob
@@ -328,11 +315,13 @@ def cmd_corpus_corrupt(args) -> int:
 
 
 def cmd_corpus_filter(args) -> int:
+    _check_output_is_not_input(args)
     write_pairs(args.output, filter_top_fraction(list(read_pairs(args.input)), args.fraction))
     return EXIT_OK
 
 
 def cmd_corpus_sample(args) -> int:
+    _check_output_is_not_input(args)
     write_pairs(args.output, sample_subset(read_pairs(args.input), args.size, args.seed))
     return EXIT_OK
 
@@ -409,18 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("mc", help="Monte Carlo uncertainty of the fitted exponent")
-    p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, required=True, help="Monte Carlo master seed")
+    _add_fit_options(p, seed_help="Monte Carlo master seed")
     p.add_argument("--noise-frac", type=float, default=0.02)
     p.add_argument("--n-reps", type=int, default=1000)
     p.add_argument("--condition")
-    p.add_argument("--raw-counts", action="store_true")
-    p.add_argument("--loss-space", choices=("log", "linear"), default="log")
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--n-restarts", type=int, default=8)
     p.add_argument("--fit-seed", type=int, default=0, help="seed for each replicate's fit")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("simulate", help="generate synthetic observations from a law")

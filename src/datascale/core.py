@@ -16,11 +16,12 @@ accept scalars or numpy arrays for the dataset size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 METRICS = ("log_perplexity", "bleu")
 
@@ -35,9 +36,10 @@ class Observation:
 
     Args:
         condition: Label of the training setup the point belongs to.
-        d_millions: Dataset size in millions of sentence pairs (> 0).
-        loss: Measured value; test log-perplexity in nats/token for the
-            default metric, or a BLEU score.
+        d_millions: Dataset size in millions of sentence pairs (> 0 and
+            finite).
+        loss: Measured value (finite); test log-perplexity in nats/token
+            for the default metric, or a BLEU score.
         n_enc: Encoder parameter count, if known.
         n_dec: Decoder parameter count, if known.  Must be given together
             with ``n_enc`` or not at all.
@@ -54,8 +56,10 @@ class Observation:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise DomainError(f"unknown metric {self.metric!r}")
-        if not self.d_millions > 0:
-            raise DomainError(f"d_millions must be positive, got {self.d_millions}")
+        if not (self.d_millions > 0 and math.isfinite(self.d_millions)):
+            raise DomainError(f"d_millions must be positive and finite, got {self.d_millions}")
+        if not math.isfinite(self.loss):
+            raise DomainError(f"loss must be finite, got {self.loss}")
         if self.metric == "log_perplexity" and not self.loss > 0:
             raise DomainError(f"loss must be positive, got {self.loss}")
         if (self.n_enc is None) != (self.n_dec is None):
@@ -161,9 +165,6 @@ class LinearFit:
         if not 0 <= self.r2 <= 1:
             raise DomainError(f"r2 must lie in [0, 1], got {self.r2}")
 
-    def predict(self, x):
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
 
 def _as_positive_d(d_millions):
     """Validate and return dataset sizes as a float array (or scalar flag)."""
@@ -188,39 +189,6 @@ def eval_law(law: PowerLaw, d_millions):
     d = _as_positive_d(d_millions)
     out = law.alpha * (1.0 / d + law.c) ** law.p
     return float(out) if np.isscalar(d_millions) else out
-
-
-def eval_law_gradient(law: PowerLaw, d_millions):
-    """Partial derivatives of :func:`eval_law` with respect to (alpha, c, p).
-
-    With ``base = 1/d + c`` the components are::
-
-        dL/dalpha = base ** p
-        dL/dc     = alpha * p * base ** (p - 1)
-        dL/dp     = alpha * base ** p * ln(base)
-
-    Args:
-        law: Law at which to differentiate.
-        d_millions: Scalar or array of dataset sizes.
-
-    Returns:
-        Tuple ``(dL/dalpha, dL/dc, dL/dp)`` matching the input shape.
-
-    Raises:
-        SingularityError: If ``1/d + c`` vanishes (unreachable for finite
-            positive ``d`` and valid laws, but guarded for degenerate input).
-    """
-    d = _as_positive_d(d_millions)
-    base = 1.0 / d + law.c
-    if np.any(base <= 0):
-        raise SingularityError("1/d + c vanished; gradient undefined")
-    pow_p = base**law.p
-    d_alpha = pow_p
-    d_c = law.alpha * law.p * base ** (law.p - 1.0)
-    d_p = law.alpha * pow_p * np.log(base)
-    if np.isscalar(d_millions):
-        return (float(d_alpha), float(d_c), float(d_p))
-    return (d_alpha, d_c, d_p)
 
 
 def capacity_constant(params: JointLawParams, n_e: int, n_d: int) -> float:

@@ -11,15 +11,14 @@ smooth reparameterizations:
 * ``p = 2 * sigmoid(t)``, confining the exponent to (0, 2].
 
 The optimizer is a damped Gauss-Newton loop with adaptive (Marquardt-style)
-damping, driven by the analytic derivatives from :mod:`datascale.core`.
-Each fit runs from a data-driven seed plus log-normally perturbed restarts;
-the lowest objective wins, ties broken by lowest restart index, so results
-are bit-reproducible for a fixed :class:`FitConfig`.
+damping, driven by analytic Jacobians.  Each fit runs from a data-driven
+seed plus log-normally perturbed restarts (:func:`_restart_points`); the
+lowest objective wins, ties broken by lowest restart index, so results are
+bit-reproducible for a fixed :class:`FitConfig`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .core import (
     JointLawParams,
     capacity_constant,
     eval_law,
-    eval_law_gradient,
 )
 from .errors import (
     DomainError,
@@ -86,9 +84,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a single-condition power-law fit."""
+    """Outcome of a single-condition power-law or tail-law fit."""
 
-    law: PowerLaw
+    law: PowerLaw | TailLaw
     objective: float
     residuals: list[float]
     converged: bool
@@ -128,62 +126,6 @@ class JointFitResult:
     @property
     def p(self) -> float:
         return self.params.p
-
-
-@dataclass(frozen=True)
-class TailFitResult:
-    """Outcome of fitting the large-data tail law."""
-
-    law: TailLaw
-    objective: float
-    residuals: list[float]
-    converged: bool
-    n_iters: int
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Exhaustive-search grid over power-law coefficients.
-
-    Axis values are ``n`` evenly spaced points across each inclusive range
-    (a single point when ``n == 1``).
-    """
-
-    alpha_range: tuple[float, float]
-    c_range: tuple[float, float]
-    p_range: tuple[float, float]
-    n_alpha: int
-    n_c: int
-    n_p: int
-    loss_space: str = "log"
-
-    def __post_init__(self):
-        if self.loss_space not in LOSS_SPACES:
-            raise DomainError(f"unknown loss space {self.loss_space!r}")
-        if min(self.n_alpha, self.n_c, self.n_p) < 1:
-            raise DomainError("grid needs at least one point per axis")
-        if not 0 < self.alpha_range[0] <= self.alpha_range[1]:
-            raise DomainError("alpha range must be positive and ordered")
-        if not 0 <= self.c_range[0] <= self.c_range[1]:
-            raise DomainError("c range must be non-negative and ordered")
-        if not 0 < self.p_range[0] <= self.p_range[1] <= 2:
-            raise DomainError("p range must lie in (0, 2] and be ordered")
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.linspace(*self.alpha_range, self.n_alpha),
-            np.linspace(*self.c_range, self.n_c),
-            np.linspace(*self.p_range, self.n_p),
-        )
-
-
-@dataclass(frozen=True)
-class GridOracleResult:
-    """Best grid point found by :func:`grid_oracle`."""
-
-    law: PowerLaw
-    objective: float
-    n_evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +235,20 @@ def _run_restarts(residual, jacobian, seeds, cfg: FitConfig):
     return best
 
 
-def _perturbed(rng: np.random.Generator, values: list[float]) -> list[float]:
-    factors = np.exp(rng.normal(0.0, 0.5, size=len(values)))
-    return [v * f for v, f in zip(values, factors)]
+def _restart_points(base, lower, upper, cfg: FitConfig) -> np.ndarray:
+    """Initial points of the ``max(1, n_restarts)`` restarts, one per row.
+
+    Row 0 is ``base``; each later row multiplies ``base`` by log-normal
+    factors (one ``normal(0, 0.5)`` draw per entry from a generator seeded
+    by ``cfg.seed``).  Every row is clipped to ``[lower, upper]``; the
+    data-driven seeds already lie in those boxes, so row 0 stays ``base``.
+    """
+    base = np.asarray(base, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    points = [base]
+    for _ in range(1, max(1, cfg.n_restarts)):
+        points.append(base * np.exp(rng.normal(0.0, 0.5, size=len(base))))
+    return np.clip(points, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +271,22 @@ def _single_group_arrays(obs: list[Observation]) -> tuple[np.ndarray, np.ndarray
     return d, y
 
 
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """Least-squares ``(slope, intercept)`` of ``y`` on ``x``; None when all
+    ``x`` are equal."""
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    if sxx == 0:
+        return None
+    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+    return slope, float(y.mean() - slope * x.mean())
+
+
+# Restart boxes of alpha, c and p for the power-law fitters.
+_ALPHA_BOX = (1e-8, 1e8)
+_C_BOX = (ZERO_CAPACITY, 1e6)
+_P_BOX = (1e-3, 1.999)
+
+
 def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Data-driven seed: OLS of log loss on log 1/d over the smallest half of
     the sizes (where the 1/d term dominates), then the capacity implied by
@@ -327,24 +296,11 @@ def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     idx = order[:k]
     x_small = -np.log(d[idx])
     y_small = np.log(y[idx])
-    denom = float(np.sum((x_small - x_small.mean()) ** 2))
-    if denom > 0:
-        slope = float(np.sum((x_small - x_small.mean()) * (y_small - y_small.mean())) / denom)
-        intercept = float(y_small.mean() - slope * x_small.mean())
-    else:
-        slope, intercept = 0.3, float(y_small.mean())
+    slope, intercept = _ols(x_small, y_small) or (0.3, float(y_small.mean()))
     p0 = min(max(slope, 0.01), 1.99)
     alpha0 = min(max(math.exp(intercept), 1e-8), 1e8)
     c0 = min(max((float(y.min()) / alpha0) ** (1.0 / p0), ZERO_CAPACITY), 1e6)
     return alpha0, c0, p0
-
-
-def _clamp_seed(alpha: float, c: float, p: float) -> tuple[float, float, float]:
-    return (
-        min(max(alpha, 1e-8), 1e8),
-        min(max(c, ZERO_CAPACITY), 1e6),
-        min(max(p, 1e-3), 1.999),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +319,22 @@ def _power_law_residual_fns(d, y, loss_space):
         return y - m
 
     def jacobian(theta):
+        # Columns: dm/d(internal) = (dm/dalpha * alpha, dm/dc * c, dm/dp * dp/dt)
+        # with dm/dalpha = base**p, dm/dc = alpha * p * base**(p-1) and
+        # dm/dp = alpha * base**p * ln(base), where base = 1/d + c.
         alpha, c, p = _law_from_internal(theta)
-        law = PowerLaw(alpha, max(c, 0.0), min(p, 2.0))
-        g_alpha, g_c, g_p = eval_law_gradient(law, d)
+        base = 1.0 / d + c
+        pow_p = base**p
         cols = np.stack(
-            [g_alpha * alpha, g_c * c, g_p * _dp_dt(p)],
+            [
+                pow_p * alpha,
+                alpha * p * base ** (p - 1.0) * c,
+                alpha * pow_p * np.log(base) * _dp_dt(p),
+            ],
             axis=1,
         )
         if loss_space == "log":
-            m = eval_law(law, d)
-            cols = cols / m[:, None]
+            cols = cols / (alpha * pow_p)[:, None]
         return -cols
 
     return residual, jacobian
@@ -404,21 +366,15 @@ def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResul
     d, y = _single_group_arrays(obs)
     residual, jacobian = _power_law_residual_fns(d, y, cfg.loss_space)
 
-    alpha0, c0, p0 = _seed_power_law(d, y)
-    rng = np.random.default_rng(cfg.seed)
-    seeds = []
-    for restart in range(max(1, cfg.n_restarts)):
-        if restart == 0:
-            trio = (alpha0, c0, p0)
-        else:
-            trio = _clamp_seed(*_perturbed(rng, [alpha0, c0, p0]))
-        seeds.append(_law_to_internal(*trio))
+    lower, upper = zip(_ALPHA_BOX, _C_BOX, _P_BOX)
+    points = _restart_points(_seed_power_law(d, y), lower, upper, cfg)
+    seeds = [_law_to_internal(*point) for point in points]
 
     theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
     alpha, c, p = _law_from_internal(theta)
     if c < ZERO_CAPACITY:
         c = 0.0
-    law = PowerLaw(alpha, c, min(p, 2.0))
+    law = PowerLaw(alpha, c, p)
     r = _residuals_for_law(law, d, y, cfg.loss_space)
     return FitResult(
         law=law,
@@ -441,8 +397,12 @@ def fit_shared(
 
     Minimizes the pooled squared residual over ``{p}`` plus a per-condition
     ``(alpha, c)`` pair, a single optimization over ``1 + 2k`` parameters.
-    With exactly one group this reduces to :func:`fit_single` up to
-    optimizer tolerance.
+    The first start takes each condition's own :func:`fit_single` seed for
+    ``(alpha, c)`` and the mean of their exponent seeds for ``p``; every
+    restart perturbs all ``1 + 2k`` values.  The reported objective is
+    recomputed condition by condition from the final laws.  With exactly
+    one group the optimum agrees with :func:`fit_single` up to optimizer
+    tolerance, not bit for bit.
 
     Args:
         groups: Map from condition label to that condition's observations;
@@ -500,35 +460,16 @@ def fit_shared(
             J = J / m[:, None]
         return -J
 
-    per_group_seed = {label: _seed_power_law(*arrays[label]) for label in labels}
-    p0 = float(np.mean([per_group_seed[label][2] for label in labels]))
-
-    def pack(p, pairs):
-        theta = np.empty(1 + 2 * k)
-        theta[0] = _law_to_internal(1.0, 1.0, p)[2]
-        for i, (alpha, c) in enumerate(pairs):
-            internal = _law_to_internal(alpha, c, p)
-            theta[1 + 2 * i] = internal[0]
-            theta[2 + 2 * i] = internal[1]
-        return theta
-
-    rng = np.random.default_rng(cfg.seed)
-    seeds = []
-    for restart in range(max(1, cfg.n_restarts)):
-        if restart == 0:
-            pairs = [(per_group_seed[label][0], per_group_seed[label][1]) for label in labels]
-            seeds.append(pack(p0, pairs))
-        else:
-            values = [p0]
-            for label in labels:
-                values.extend(per_group_seed[label][:2])
-            perturbed = _perturbed(rng, values)
-            p_r = min(max(perturbed[0], 1e-3), 1.999)
-            pairs = []
-            for i in range(k):
-                alpha_r, c_r, _ = _clamp_seed(perturbed[1 + 2 * i], perturbed[2 + 2 * i], p_r)
-                pairs.append((alpha_r, c_r))
-            seeds.append(pack(p_r, pairs))
+    # Seed: every condition's own (alpha, c) seed under the mean of their p seeds.
+    group_seeds = [_seed_power_law(*arrays[label]) for label in labels]
+    base = [np.mean([seed[2] for seed in group_seeds])]
+    for alpha, c, _ in group_seeds:
+        base += [alpha, c]
+    lower, upper = zip(_P_BOX, *[_ALPHA_BOX, _C_BOX] * k)
+    seeds = [
+        np.array([_law_to_internal(1.0, 1.0, point[0])[2], *map(math.log, point[1:])])
+        for point in _restart_points(base, lower, upper, cfg)
+    ]
 
     theta, _, converged, _ = _run_restarts(residual, jacobian, seeds, cfg)
     p, alphas, cs = unpack(theta)
@@ -541,10 +482,10 @@ def fit_shared(
     for label in labels:
         alpha, c = per_condition[label]
         d, y = arrays[label]
-        r = _residuals_for_law(PowerLaw(alpha, c, min(p, 2.0)), d, y, cfg.loss_space)
+        r = _residuals_for_law(PowerLaw(alpha, c, p), d, y, cfg.loss_space)
         objective += float(r @ r)
     return SharedFitResult(
-        p=min(p, 2.0), per_condition=per_condition, objective=objective, converged=converged
+        p=p, per_condition=per_condition, objective=objective, converged=converged
     )
 
 
@@ -634,21 +575,12 @@ def fit_joint(
         return -J
 
     alpha0, _, p0 = _seed_power_law(d, y)
-    rng = np.random.default_rng(cfg.seed)
-    seeds = []
-    for restart in range(max(1, cfg.n_restarts)):
-        if restart == 0:
-            pair = (alpha0, p0)
-        else:
-            alpha_r, p_r = _perturbed(rng, [alpha0, p0])
-            pair = (min(max(alpha_r, 1e-8), 1e8), min(max(p_r, 1e-3), 1.999))
-        internal = _law_to_internal(pair[0], 1.0, pair[1])
-        seeds.append(np.array([internal[0], internal[2]]))
+    lower, upper = zip(_ALPHA_BOX, _P_BOX)
+    points = _restart_points([alpha0, p0], lower, upper, cfg)
+    seeds = [_law_to_internal(alpha, 1.0, p)[[0, 2]] for alpha, p in points]
 
     theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
-    a, t = theta
-    alpha = math.exp(min(max(a, -_LOG_BOX), _LOG_BOX))
-    p = min(2.0 * float(_sigmoid(t)), 2.0)
+    _, alpha, p, _, _ = model(theta)
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):
@@ -679,9 +611,7 @@ def fit_joint(
 # ---------------------------------------------------------------------------
 
 
-def fit_tail(
-    obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig()
-) -> TailFitResult:
+def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit ``gamma * (1/d)**q + b`` to observations with ``d >= d_min``.
 
     Raises:
@@ -717,28 +647,13 @@ def fit_tail(
             J = J / m[:, None]
         return -J
 
-    # Seed by OLS of loss on 1/d (exact for q = 1), then perturbed restarts.
+    # Seed by OLS of loss on 1/d (exact for q = 1), clipped into the
+    # (gamma, q, b) box that the perturbed restarts are clipped to as well.
     inv_d = 1.0 / d
-    denom = float(np.sum((inv_d - inv_d.mean()) ** 2))
-    slope = float(np.sum((inv_d - inv_d.mean()) * (y - y.mean())) / denom) if denom > 0 else 1.0
-    intercept = float(y.mean() - slope * inv_d.mean())
-    gamma0 = min(max(slope, 1e-8), 1e8)
-    b0 = min(max(intercept, ZERO_CAPACITY), 1e8)
-    q0 = 1.0
-
-    rng = np.random.default_rng(cfg.seed)
-    seeds = []
-    for restart in range(max(1, cfg.n_restarts)):
-        if restart == 0:
-            trio = (gamma0, q0, b0)
-        else:
-            gamma_r, q_r, b_r = _perturbed(rng, [gamma0, q0, b0])
-            trio = (
-                min(max(gamma_r, 1e-8), 1e8),
-                min(max(q_r, 1e-3), 10.0),
-                min(max(b_r, ZERO_CAPACITY), 1e8),
-            )
-        seeds.append(np.log(np.array(trio)))
+    slope, intercept = _ols(inv_d, y) or (1.0, float(y.mean() - inv_d.mean()))
+    lower, upper = (1e-8, 1e-3, ZERO_CAPACITY), (1e8, 10.0, 1e8)
+    seed = np.clip([slope, 1.0, intercept], lower, upper)
+    seeds = [np.log(point) for point in _restart_points(seed, lower, upper, cfg)]
 
     theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
     gamma, q, b = unpack(theta)
@@ -747,7 +662,7 @@ def fit_tail(
     law = TailLaw(gamma=gamma, q=q, b=b)
     m = gamma * d**-q + b
     r = (ln_y - np.log(m)) if log_space else (y - m)
-    return TailFitResult(
+    return FitResult(
         law=law,
         objective=float(r @ r),
         residuals=[float(v) for v in r],
@@ -775,11 +690,10 @@ def fit_linear(x, y) -> LinearFit:
         raise SchemaError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise InsufficientDataError("need at least 2 points")
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0:
+    line = _ols(x, y)
+    if line is None:
         raise RankError("all x values are identical")
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
+    slope, intercept = line
     ss_res = float(np.sum((y - slope * x - intercept) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0:
@@ -787,35 +701,3 @@ def fit_linear(x, y) -> LinearFit:
     else:
         r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return LinearFit(slope=slope, intercept=intercept, r2=r2)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force verification oracle
-# ---------------------------------------------------------------------------
-
-
-def grid_oracle(obs: list[Observation], grid: GridSpec) -> GridOracleResult:
-    """Exhaustively evaluate the fit objective over a coefficient grid.
-
-    Intended as an independent upper bound on :func:`fit_single` in tests:
-    the optimizer's objective must never exceed the best grid point's.
-    Every grid point is evaluated exactly once (``n_evaluations`` counts
-    them), and ties keep the earliest point in iteration order.
-    """
-    if not obs:
-        raise InsufficientDataError("no observations given")
-    d = np.array([o.d_millions for o in obs], dtype=float)
-    y = np.array([o.loss for o in obs], dtype=float)
-    alphas, cs, ps = grid.axes()
-    best_law = None
-    best_obj = math.inf
-    n_evaluations = 0
-    for alpha, c, p in itertools.product(alphas, cs, ps):
-        law = PowerLaw(float(alpha), float(c), float(p))
-        r = _residuals_for_law(law, d, y, grid.loss_space)
-        obj = float(r @ r)
-        n_evaluations += 1
-        if obj < best_obj:
-            best_obj = obj
-            best_law = law
-    return GridOracleResult(law=best_law, objective=best_obj, n_evaluations=n_evaluations)

@@ -32,9 +32,6 @@ class ObservationTable:
             groups.setdefault(row.condition, []).append(row)
         return groups
 
-    def conditions(self) -> list[str]:
-        return sorted(self.by_condition())
-
 
 _REQUIRED = ("condition", "loss")
 _OPTIONAL = ("n_enc", "n_dec", "metric", "replicate")
@@ -50,10 +47,10 @@ def _parse_float(value: str, column: str, line: int) -> float:
 def _parse_count(value: str, column: str, line: int) -> int | None:
     if value is None or value.strip() == "":
         return None
-    try:
-        return int(float(value))
-    except ValueError:
-        raise ParseError(f"non-numeric {column} {value!r}", line=line) from None
+    count = _parse_float(value, column, line)
+    if not count.is_integer():
+        raise ParseError(f"{column} must be a whole number, got {value!r}", line=line)
+    return int(count)
 
 
 def load_observations(path, raw_counts: bool = False) -> ObservationTable:
@@ -66,15 +63,16 @@ def load_observations(path, raw_counts: bool = False) -> ObservationTable:
             the column must be ``d_millions``.
 
     Raises:
-        ParseError: Missing columns, non-numeric fields, non-positive sizes
-            or losses, or duplicate ``(condition, d_millions)`` rows not
+        ParseError: Missing columns, non-numeric or non-finite fields,
+            non-positive sizes or losses, fractional parameter counts, or
+            duplicate ``(condition, d_millions)`` rows not
             disambiguated by a ``replicate`` column.  Messages carry the
             1-based line number (the header is line 1).
     """
     size_column = "d" if raw_counts else "d_millions"
     rows: list[Observation] = []
     seen: set[tuple] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError("empty file", line=1)

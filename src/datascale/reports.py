@@ -14,16 +14,10 @@ import json
 import math
 
 from . import __version__
-from .analysis import asymptotic_loss, marginal_value, transition_point
+from .analysis import McConfig, McSummary, asymptotic_loss, marginal_value, transition_point
 from .core import Observation, JointLawParams, PowerLaw, eval_joint_law, eval_law
 from .errors import SchemaError
-from .fitting import (
-    FitConfig,
-    FitResult,
-    JointFitResult,
-    SharedFitResult,
-    TailFitResult,
-)
+from .fitting import FitConfig, FitResult, JointFitResult, SharedFitResult
 
 SCHEMA_VERSION = 1
 
@@ -144,7 +138,7 @@ def build_joint_report(
 
 
 def build_tail_report(
-    result: TailFitResult,
+    result: FitResult,
     obs: list[Observation],
     d_min: float,
     cfg: FitConfig,
@@ -174,6 +168,21 @@ def build_linear_report(fit, x, y, input_path: str, x_name: str, y_name: str) ->
         "y_column": y_name,
         "points": [[float(a), float(b)] for a, b in zip(x, y)],
         "provenance": _provenance(input_path, None),
+    }
+
+
+def build_mc_report(summary: McSummary, cfg: McConfig, input_path: str) -> dict:
+    q05, q50, q95 = summary.quantiles
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "mc",
+        "mean_p": summary.mean_p,
+        "std_p": summary.std_p,
+        "quantiles": {"q05": q05, "q50": q50, "q95": q95},
+        "n_converged": summary.n_converged,
+        "n_reps": cfg.n_reps,
+        "noise_frac": cfg.noise_frac,
+        "provenance": {**_provenance(input_path, None), "seed": cfg.seed},
     }
 
 

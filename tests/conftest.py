@@ -1,4 +1,9 @@
-"""Shared fixtures: benchmark coefficient families and curve synthesis."""
+"""Shared fixtures: benchmark coefficient families, curve synthesis and the
+grid-search oracle the fitters are checked against."""
+
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,3 +49,72 @@ def curve_observations(law, d_grid, condition="curve", noise_frac=0.0, rng=None)
             loss *= 1.0 + noise_frac * rng.standard_normal()
         rows.append(ds.Observation(condition=condition, d_millions=float(d), loss=float(loss)))
     return rows
+
+
+# Brute-force verification oracle: an independent upper bound on the fit
+# objective, which the optimizer must never exceed.
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Exhaustive-search grid over power-law coefficients.
+
+    Axis values are ``n`` evenly spaced points across each inclusive range
+    (a single point when ``n == 1``).
+    """
+
+    alpha_range: tuple[float, float]
+    c_range: tuple[float, float]
+    p_range: tuple[float, float]
+    n_alpha: int
+    n_c: int
+    n_p: int
+    loss_space: str = "log"
+
+    def __post_init__(self):
+        if self.loss_space not in ("log", "linear"):
+            raise ds.DomainError(f"unknown loss space {self.loss_space!r}")
+        if min(self.n_alpha, self.n_c, self.n_p) < 1:
+            raise ds.DomainError("grid needs at least one point per axis")
+        if not 0 < self.alpha_range[0] <= self.alpha_range[1]:
+            raise ds.DomainError("alpha range must be positive and ordered")
+        if not 0 <= self.c_range[0] <= self.c_range[1]:
+            raise ds.DomainError("c range must be non-negative and ordered")
+        if not 0 < self.p_range[0] <= self.p_range[1] <= 2:
+            raise ds.DomainError("p range must lie in (0, 2] and be ordered")
+
+    def axes(self):
+        return (
+            np.linspace(*self.alpha_range, self.n_alpha),
+            np.linspace(*self.c_range, self.n_c),
+            np.linspace(*self.p_range, self.n_p),
+        )
+
+
+@dataclass(frozen=True)
+class GridOracleResult:
+    """Best grid point found by :func:`grid_oracle`."""
+
+    law: ds.PowerLaw
+    objective: float
+    n_evaluations: int
+
+
+def grid_oracle(obs, grid):
+    """Exhaustively evaluate the fit objective over a coefficient grid.
+
+    Every grid point is evaluated exactly once (``n_evaluations`` counts
+    them), and ties keep the earliest point in iteration order.
+    """
+    d = np.array([o.d_millions for o in obs], dtype=float)
+    y = np.array([o.loss for o in obs], dtype=float)
+    best_law, best_obj, n_evaluations = None, math.inf, 0
+    for alpha, c, p in itertools.product(*grid.axes()):
+        law = ds.PowerLaw(float(alpha), float(c), float(p))
+        m = ds.eval_law(law, d)
+        r = np.log(y) - np.log(m) if grid.loss_space == "log" else y - m
+        obj = float(r @ r)
+        n_evaluations += 1
+        if obj < best_obj:
+            best_law, best_obj = law, obj
+    return GridOracleResult(law=best_law, objective=best_obj, n_evaluations=n_evaluations)

@@ -97,34 +97,6 @@ class TestDataEquivalenceFactor:
             assert rel < 0.01
 
 
-class TestRegimeCrossing:
-    def test_approximations_steepen_equally_at_the_transition(self):
-        law = ds.PowerLaw(1.969, 0.057, 0.285)
-        d_star = ds.transition_point(law)
-        d1 = ds.data_limited_derivative(law, d_star)
-        d2 = ds.capacity_limited_derivative(law, d_star)
-        assert abs(d1 - d2) / abs(d1) < 0.6
-
-    def test_crossing_lands_at_inverse_capacity(self):
-        law = ds.PowerLaw(2.0, 0.05, 0.3)
-        crossing = ds.regime_derivative_crossing(law)
-        assert crossing == pytest.approx(20.0, rel=1e-6)
-
-    def test_crossing_inside_transition_window_for_random_laws(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            law = ds.PowerLaw(
-                rng.uniform(0.5, 5.0), rng.uniform(0.001, 0.5), rng.uniform(0.05, 1.5)
-            )
-            crossing = ds.regime_derivative_crossing(law)
-            assert crossing is not None
-            assert 0.3 / law.c <= crossing <= 3.0 / law.c
-
-    def test_no_capacity_limited_regime_without_capacity(self):
-        with pytest.raises(ds.DomainError):
-            ds.regime_derivative_crossing(ds.PowerLaw(1.0, 0.0, 0.5))
-
-
 class TestMcUncertainty:
     BASE_LAW = ds.PowerLaw(1.969, 0.057, 0.285)
 
@@ -193,28 +165,3 @@ class TestMcUncertainty:
         noisy = _replicate_losses([0.5] * 200, 50.0, rng)
         assert noisy is not None
         assert np.all(noisy > 0)
-
-
-class TestPredict:
-    def test_plain_law_dispatch(self):
-        law = ds.PowerLaw(1.5, 0.1, 0.4)
-        assert ds.predict(law, 8.0) == ds.eval_law(law, 8.0)
-
-    def test_joint_dispatch(self):
-        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
-        assert ds.predict(params, 8.0, n_enc=10**8, n_dec=10**8) == ds.eval_joint_law(
-            params, 10**8, 10**8, 8.0
-        )
-
-    def test_counts_with_plain_law_rejected(self):
-        with pytest.raises(ds.SchemaError):
-            ds.predict(ds.PowerLaw(1.0, 0.1, 0.3), 8.0, n_enc=10, n_dec=10)
-
-    def test_joint_needs_counts(self):
-        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
-        with pytest.raises(ds.SchemaError):
-            ds.predict(params, 8.0)
-
-    def test_non_positive_size_rejected(self):
-        with pytest.raises(ds.DomainError):
-            ds.predict(ds.PowerLaw(1.0, 0.1, 0.3), -1.0)

@@ -67,6 +67,32 @@ class TestFit:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("a,1,2.0,1e8,5e7\na,2,1.9,inf,5e7\n", 3),
+            ("a,1,2.0,1e8,1.5\n", 2),
+            ("a,inf,2.0,1e8,5e7\n", 2),
+            ("a,1,2.0,1e8,5e7\na,2,inf,1e8,5e7\n", 3),
+        ],
+        ids=["infinite_count", "fractional_count", "infinite_size", "infinite_loss"],
+    )
+    def test_bad_number_exits_2_with_line(self, capsys, tmp_path, rows, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("condition,d_millions,loss,n_enc,n_dec\n" + rows, encoding="utf-8")
+        code, _, err = run(capsys, "fit", "--input", str(bad), "--seed", "1")
+        assert code == 2
+        assert f"line {line}:" in err
+
+    def test_header_with_byte_order_mark(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        for path in (csv_path, bom):
+            code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "7")
+            assert code == 0, err
+            assert json.loads(out)["condition"] == "base"
+
     def test_non_convergence_exits_3_with_report(self, capsys, tmp_path):
         csv_path = simulate_csv(
             capsys, tmp_path, "noisy.csv", 2.2, 0.1, 0.3, noise="0.2", seed="12"
@@ -261,6 +287,16 @@ class TestFitLinearCommand:
         assert report["fit"]["r2"] == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_header_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("\ufeffx,y\n1,2\n2,4\n3,6\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "fit-linear", "--input", str(path), "--x-column", "x", "--y-column", "y"
+        )
+        assert code == 0, err
+        assert json.loads(out)["fit"]["slope"] == 2.0
+
+
 class TestCorpusCommands:
     def _write_corpus(self, tmp_path, n=200, scores=False):
         path = tmp_path / "corpus.tsv"
@@ -321,6 +357,23 @@ class TestCorpusCommands:
         assert len(sample) == 50
         sources = {p.source for p in sample}
         assert len(sources) == 50
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corrupt", "--kind", "char_noise", "--side", "source", "--seed", "1"],
+            ["filter", "--fraction", "0.5"],
+            ["sample", "--size", "10", "--seed", "1"],
+        ],
+        ids=["corrupt", "filter", "sample"],
+    )
+    def test_output_over_input_is_refused(self, capsys, tmp_path, argv):
+        src = self._write_corpus(tmp_path, scores=True)
+        before = src.read_bytes()
+        code, _, err = run(capsys, "corpus", *argv, "--input", str(src), "--output", str(src))
+        assert code == 2
+        assert "input" in err
+        assert src.read_bytes() == before
 
     def test_malformed_corpus_exits_2_with_line(self, capsys, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -8,6 +8,12 @@ from mpmath import mp, mpf, power
 
 import datascale as ds
 from datascale.core import capacity_constant
+from datascale.fitting import (
+    _dp_dt,
+    _law_from_internal,
+    _law_to_internal,
+    _power_law_residual_fns,
+)
 
 # Frozen from an independent 40-digit evaluation of the closed form with the
 # encoder_decoder benchmark coefficients (1.969, 0.057, 0.285).
@@ -99,13 +105,29 @@ class TestEvalLaw:
         assert ds.eval_law(law, 1e12) == pytest.approx(floor, rel=1e-9)
 
 
+def law_gradient(theta, d):
+    """The law at internal parameters ``theta`` and its gradient
+    ``(dL/dalpha, dL/dc, dL/dp)`` at size ``d``, read off the Jacobian that
+    ``fit_single`` optimizes with.  That Jacobian is taken with respect to
+    ``(ln alpha, ln c, logit(p/2))``, so each column is divided by the
+    derivative of its parameter with respect to the internal one."""
+    theta = np.asarray(theta, dtype=float)
+    alpha, c, p = _law_from_internal(theta)
+    _, jacobian = _power_law_residual_fns(np.array([float(d)]), np.ones(1), "linear")
+    cols = -jacobian(theta)[0]
+    return ds.PowerLaw(alpha, c, p), (cols[0] / alpha, cols[1] / c, cols[2] / _dp_dt(p))
+
+
 class TestEvalLawGradient:
     def test_unit_base_kills_log_term(self):
-        # base = 1/1 + 0 = 1, so the exponent derivative vanishes
-        assert ds.eval_law_gradient(ds.PowerLaw(1.0, 0.0, 1.0), 1.0) == (1.0, 1.0, 0.0)
+        # c = exp(-300) vanishes next to 1/d = 1, so base = 1 exactly and
+        # the exponent derivative vanishes
+        law, grad = law_gradient([0.0, -300.0, 0.0], 1.0)
+        assert (law.alpha, law.p) == (1.0, 1.0)
+        assert grad == (1.0, 1.0, 0.0)
 
     def test_hand_evaluated_alpha_component(self):
-        g_alpha, _, _ = ds.eval_law_gradient(ds.PowerLaw(2.0, 0.1, 0.5), 10.0)
+        _, (g_alpha, _, _) = law_gradient(_law_to_internal(2.0, 0.1, 0.5), 10.0)
         np.testing.assert_allclose(g_alpha, 0.2**0.5, rtol=1e-15)
 
     def test_matches_central_differences_on_random_grid(self):
@@ -116,7 +138,8 @@ class TestEvalLawGradient:
             c = rng.uniform(0.0, 0.5)
             p = rng.uniform(0.05, 1.5)
             d = rng.uniform(0.25, 1024.0)
-            analytic = ds.eval_law_gradient(ds.PowerLaw(alpha, c, p), d)
+            law, analytic = law_gradient(_law_to_internal(alpha, c, p), d)
+            alpha, c, p = law.alpha, law.c, law.p
 
             def f(a_, c_, p_):
                 return a_ * (1.0 / d + c_) ** p_
@@ -130,8 +153,7 @@ class TestEvalLawGradient:
                 assert abs(g_an - g_fd) <= 1e-5 * abs(g_an)
 
     def test_benchmark_point_against_finite_differences(self):
-        law = ds.PowerLaw(1.969, 0.057, 0.285)
-        analytic = ds.eval_law_gradient(law, 1.0)
+        law, analytic = law_gradient(_law_to_internal(1.969, 0.057, 0.285), 1.0)
         h = 1e-6
 
         def f(a_, c_, p_):

@@ -5,7 +5,7 @@ import pytest
 
 import datascale as ds
 
-from conftest import DOUBLING_GRID, FILTERING_BLOCK, curve_observations
+from conftest import DOUBLING_GRID, FILTERING_BLOCK, GridSpec, curve_observations, grid_oracle
 
 
 class TestFitSingle:
@@ -31,7 +31,7 @@ class TestFitSingle:
             ds.PowerLaw(2.5, 0.03, 0.28), DOUBLING_GRID, noise_frac=0.01, rng=rng
         )
         fit = ds.fit_single(obs, ds.FitConfig(seed=8))
-        oracle = ds.grid_oracle(obs, ds.GridSpec((1.5, 3.5), (0.0, 0.1), (0.1, 0.5), 9, 9, 9))
+        oracle = grid_oracle(obs, GridSpec((1.5, 3.5), (0.0, 0.1), (0.1, 0.5), 9, 9, 9))
         assert fit.objective <= oracle.objective + 1e-12
 
     def test_objective_equals_sum_of_squared_residuals(self):
@@ -247,19 +247,19 @@ class TestGridOracle:
     def test_zero_objective_when_grid_contains_truth(self):
         law = ds.PowerLaw(1.0, 0.1, 1.0)
         obs = curve_observations(law, [1, 2, 4, 8])
-        grid = ds.GridSpec((0.5, 1.5), (0.0, 0.2), (0.5, 1.5), 3, 3, 3)
-        res = ds.grid_oracle(obs, grid)
+        grid = GridSpec((0.5, 1.5), (0.0, 0.2), (0.5, 1.5), 3, 3, 3)
+        res = grid_oracle(obs, grid)
         assert res.objective == pytest.approx(0.0, abs=1e-25)
         assert res.law == law
 
     def test_evaluation_count_is_grid_size(self):
         obs = curve_observations(ds.PowerLaw(1.0, 0.0, 1.0), [1, 2, 4, 8])
-        res = ds.grid_oracle(obs, ds.GridSpec((0.5, 1.5), (0.0, 0.2), (0.5, 1.5), 3, 3, 3))
+        res = grid_oracle(obs, GridSpec((0.5, 1.5), (0.0, 0.2), (0.5, 1.5), 3, 3, 3))
         assert res.n_evaluations == 27
 
     def test_dominance_over_random_instances(self):
         rng = np.random.default_rng(77)
-        grid = ds.GridSpec((0.5, 4.0), (0.0, 0.4), (0.05, 0.8), 4, 4, 4)
+        grid = GridSpec((0.5, 4.0), (0.0, 0.4), (0.05, 0.8), 4, 4, 4)
         for i in range(20):
             law = ds.PowerLaw(
                 rng.uniform(0.8, 3.0), rng.uniform(0.0, 0.3), rng.uniform(0.1, 0.6)
@@ -268,4 +268,4 @@ class TestGridOracle:
                 law, DOUBLING_GRID, noise_frac=rng.uniform(0.0, 0.05), rng=rng
             )
             fit = ds.fit_single(obs, ds.FitConfig(seed=i))
-            assert fit.objective <= ds.grid_oracle(obs, grid).objective + 1e-12
+            assert fit.objective <= grid_oracle(obs, grid).objective + 1e-12

@@ -88,7 +88,6 @@ class TestLoadObservations:
         groups = table.by_condition()
         assert sorted(groups) == ["a", "b"]
         assert len(groups["a"]) == 2
-        assert table.conditions() == ["a", "b"]
 
 
 class TestFormatRoundTrip:
