@@ -1,7 +1,7 @@
 """Golden outputs: the exact bytes every fitting and analysis command writes.
 
 Each command runs through ``datascale.cli.main`` on a small seeded table, in
-a scratch directory with relative paths so that the provenance block of a
+a temporary directory with relative paths so that the provenance block of a
 report does not depend on where the test runs.  The sha256 of every output
 is compared with a digest recorded from an earlier implementation, so a
 refactor of the fitters, the analysis or the reports that is meant to leave
