@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observation, PowerLaw
-from .errors import DomainError, ExponentMismatchError, MonteCarloError, SingularityError
+from .core import Observation, PowerLaw, _as_positive_d
+from .errors import DomainError, ExponentMismatchError, MonteCarloError
 from .fitting import FitConfig, fit_single
 
 # Replicate losses are redrawn while non-positive, up to this many attempts
@@ -87,13 +87,8 @@ def marginal_value(law: PowerLaw, d_millions) -> float:
     as ``d**-(1+p)`` deep in the data-limited regime and as ``d**-2`` in the
     capacity-limited regime.
     """
-    d = np.asarray(d_millions, dtype=float)
-    if np.any(d <= 0):
-        raise DomainError(f"dataset size must be positive, got {d_millions}")
-    base = 1.0 / d + law.c
-    if np.any(base <= 0):
-        raise SingularityError("1/d + c vanished")
-    out = law.alpha * law.p * d**-2.0 * base ** (law.p - 1.0)
+    d = _as_positive_d(d_millions)
+    out = law.alpha * law.p * d**-2.0 * (1.0 / d + law.c) ** (law.p - 1.0)
     return float(out) if np.isscalar(d_millions) else out
 
 

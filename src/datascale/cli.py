@@ -6,28 +6,22 @@ Subcommands cover fitting (``fit``, ``fit-shared``, ``fit-joint``,
 generation (``simulate``) and the corpus toolbox (``corpus corrupt``,
 ``corpus filter``, ``corpus sample``).
 
-Exit codes: 0 on success, 2 on any validation or usage error, 3 when a fit
-did not converge (the report is still written) or Monte Carlo produced no
-usable replicate.  Every randomized command requires an explicit ``--seed``
-so reruns are byte-identical.
+Exit codes: 0 on success, 2 on any validation or usage error (including a
+report that is not JSON or lacks a field, and an input file that is not
+UTF-8), 3 when a fit did not converge (the report is still written) or Monte
+Carlo produced no usable replicate.  Every randomized command requires an
+explicit ``--seed`` so reruns are byte-identical.  An output file appears
+only once it is complete; a failed command leaves it as it was.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from . import __version__
-from .analysis import (
-    McConfig,
-    asymptotic_loss,
-    data_equivalence_factor,
-    marginal_value,
-    mc_uncertainty,
-    transition_point,
-)
+from .analysis import McConfig, data_equivalence_factor, mc_uncertainty
 from .core import JointLawParams, PowerLaw
 from .corpus import (
     DEFAULT_PROBS,
@@ -41,9 +35,17 @@ from .corpus import (
     shuffle_pairs,
     write_pairs,
 )
-from .errors import DataScaleError, MonteCarloError, ParseError, SchemaError
+from .errors import DataScaleError, MonteCarloError, SchemaError
+from .files import replace_on_success
 from .fitting import FitConfig, fit_joint, fit_linear, fit_shared, fit_single, fit_tail
-from .observations import format_observations, load_observations, simulate, simulate_joint
+from .observations import (
+    format_observations,
+    load_observations,
+    parse_float,
+    read_csv_records,
+    simulate,
+    simulate_joint,
+)
 from .reports import (
     build_fit_report,
     build_joint_report,
@@ -53,6 +55,7 @@ from .reports import (
     build_tail_report,
     dumps_report,
     format_table,
+    law_analysis,
     law_from_report,
     load_report,
 )
@@ -64,10 +67,16 @@ EXIT_NO_CONVERGENCE = 3
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with replace_on_success(output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_fit(report: dict, args) -> int:
+    """Write a fit report; the exit code says whether the fit converged."""
+    _emit(dumps_report(report), args.output)
+    return EXIT_OK if report["converged"] else EXIT_NO_CONVERGENCE
 
 
 def _fit_config(args, seed: int) -> FitConfig:
@@ -136,18 +145,14 @@ def cmd_fit(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
     obs = _select_condition(table, args.condition)
     cfg = _fit_config(args, args.seed)
-    result = fit_single(obs, cfg)
-    _emit(dumps_report(build_fit_report(result, obs, cfg, args.input)), args.output)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit_fit(build_fit_report(fit_single(obs, cfg), obs, cfg, args.input), args)
 
 
 def cmd_fit_shared(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts)
     groups = table.by_condition()
     cfg = _fit_config(args, args.seed)
-    result = fit_shared(groups, cfg)
-    _emit(dumps_report(build_shared_report(result, groups, cfg, args.input)), args.output)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit_fit(build_shared_report(fit_shared(groups, cfg), groups, cfg, args.input), args)
 
 
 def cmd_fit_joint(args) -> int:
@@ -156,11 +161,7 @@ def cmd_fit_joint(args) -> int:
     hold_out = [_parse_shape(s) for s in args.hold_out or []]
     fixed = (args.beta, args.p_e, args.p_d, args.l_inf)
     result = fit_joint(table.rows, fixed, cfg, hold_out=hold_out)
-    _emit(
-        dumps_report(build_joint_report(result, table.rows, cfg, args.input, hold_out)),
-        args.output,
-    )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit_fit(build_joint_report(result, table.rows, cfg, args.input, hold_out), args)
 
 
 def cmd_fit_tail(args) -> int:
@@ -169,27 +170,14 @@ def cmd_fit_tail(args) -> int:
     cfg = _fit_config(args, args.seed)
     result = fit_tail(obs, args.d_min, cfg)
     subset = [o for o in obs if o.d_millions >= args.d_min]
-    _emit(
-        dumps_report(build_tail_report(result, subset, args.d_min, cfg, args.input)),
-        args.output,
-    )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _emit_fit(build_tail_report(result, subset, args.d_min, cfg, args.input), args)
 
 
 def cmd_fit_linear(args) -> int:
     xs, ys = [], []
-    with open(args.input, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in (args.x_column, args.y_column):
-            if column not in header:
-                raise ParseError(f"missing column {column!r}", line=1)
-        for line, record in enumerate(reader, start=2):
-            try:
-                xs.append(float(record[args.x_column]))
-                ys.append(float(record[args.y_column]))
-            except (TypeError, ValueError):
-                raise ParseError("non-numeric value", line=line) from None
+    for line, record in read_csv_records(args.input, (args.x_column, args.y_column)):
+        xs.append(parse_float(record[args.x_column], args.x_column, line))
+        ys.append(parse_float(record[args.y_column], args.y_column, line))
     fit = fit_linear(xs, ys)
     _emit(
         dumps_report(
@@ -216,26 +204,16 @@ def cmd_analyze(args) -> int:
     if not args.report:
         raise SchemaError("pass a report path or --equivalence FIT1 FIT2")
     report = load_report(args.report)
-
-    def block(law: PowerLaw) -> dict:
-        out = {
-            "asymptotic_loss": asymptotic_loss(law),
-            "transition_point": transition_point(law),
-        }
-        if args.marginal_at:
-            out["marginal_value"] = [[d, marginal_value(law, d)] for d in args.marginal_at]
-        return out
-
     if report["kind"] == "fit_shared" and args.condition is None:
         payload = {
             "p": report["p"],
             "per_condition": {
-                label: block(law_from_report(report, label))
+                label: law_analysis(law_from_report(report, label), args.marginal_at)
                 for label in sorted(report["per_condition"])
             },
         }
     else:
-        payload = block(law_from_report(report, args.condition))
+        payload = law_analysis(law_from_report(report, args.condition), args.marginal_at)
     _emit(dumps_report(payload), args.output)
     return EXIT_OK
 
@@ -475,10 +453,7 @@ def main(argv=None) -> int:
     except MonteCarloError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except DataScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (DataScaleError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

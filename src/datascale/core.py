@@ -191,6 +191,15 @@ def eval_law(law: PowerLaw, d_millions):
     return float(out) if np.isscalar(d_millions) else out
 
 
+def observation_residual(law: PowerLaw, obs: Observation, loss_space: str) -> float:
+    """Residual of one observation under ``law``: ``log(loss) - log(predicted)``
+    in the ``"log"`` loss space, ``loss - predicted`` in the ``"linear"`` one."""
+    predicted = eval_law(law, obs.d_millions)
+    if loss_space == "log":
+        return math.log(obs.loss) - math.log(predicted)
+    return obs.loss - predicted
+
+
 def capacity_constant(params: JointLawParams, n_e: int, n_d: int) -> float:
     """Capacity constant implied by the parameter counts under ``params``.
 

@@ -19,6 +19,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, ParseError, SchemaError
+from .files import replace_on_success
 
 NOISE_KINDS = ("char_noise", "word_delete", "pair_shuffle")
 SIDES = ("source", "target")
@@ -268,9 +269,12 @@ def format_pair(pair: SentencePair) -> str:
 
 
 def write_pairs(path, pairs: Iterable[SentencePair]) -> int:
-    """Write pairs in the TAB format; returns the number of lines written."""
+    """Write pairs in the TAB format; returns the number of lines written.
+
+    The file appears only once every pair is written, so an error while
+    ``pairs`` is consumed leaves an existing ``path`` as it was."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         for pair in pairs:
             fh.write(format_pair(pair) + "\n")
             n += 1

@@ -13,10 +13,6 @@ class DomainError(DataScaleError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """An evaluation point coincides with a singularity of the formula."""
-
-
 class InsufficientDataError(DataScaleError, ValueError):
     """Too few observations to perform the requested fit."""
 

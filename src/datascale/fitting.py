@@ -34,6 +34,7 @@ from .core import (
     JointLawParams,
     capacity_constant,
     eval_law,
+    observation_residual,
 )
 from .errors import (
     DomainError,
@@ -119,14 +120,6 @@ class JointFitResult:
     converged: bool
     n_iters: int
 
-    @property
-    def alpha(self) -> float:
-        return self.params.alpha
-
-    @property
-    def p(self) -> float:
-        return self.params.p
-
 
 # ---------------------------------------------------------------------------
 # Parameter transforms
@@ -138,15 +131,13 @@ def _sigmoid(t: np.ndarray | float):
     return 1.0 / (1.0 + np.exp(-t))
 
 
+def _logit(p: float) -> float:
+    """Inverse of ``p = 2 * sigmoid(t)``."""
+    return math.log((p / 2.0) / (1.0 - p / 2.0))
+
+
 def _law_to_internal(alpha: float, c: float, p: float) -> np.ndarray:
-    p = min(max(p, 1e-6), 2.0 - 1e-9)
-    return np.array(
-        [
-            math.log(min(max(alpha, 1e-100), 1e100)),
-            math.log(min(max(c, ZERO_CAPACITY), 1e100)),
-            math.log((p / 2.0) / (1.0 - p / 2.0)),
-        ]
-    )
+    return np.array([math.log(alpha), math.log(c), _logit(p)])
 
 
 def _law_from_internal(theta: np.ndarray) -> tuple[float, float, float]:
@@ -256,18 +247,30 @@ def _restart_points(base, lower, upper, cfg: FitConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _arrays(obs: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and losses of ``obs``.  Only log-perplexities are accepted:
+    every law fitted here decreases with data, while BLEU rises, and an
+    :class:`Observation` of log-perplexity already holds a positive loss."""
+    for o in obs:
+        if o.metric != "log_perplexity":
+            raise SchemaError(
+                f"condition {o.condition!r} holds {o.metric} scores, which rise with "
+                "data; only log_perplexity can be fitted with a decreasing law"
+            )
+    d = np.array([o.d_millions for o in obs], dtype=float)
+    y = np.array([o.loss for o in obs], dtype=float)
+    return d, y
+
+
 def _single_group_arrays(obs: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
     if len(obs) < 4:
         raise InsufficientDataError(f"need at least 4 observations, got {len(obs)}")
     conditions = {o.condition for o in obs}
     if len(conditions) > 1:
         raise SchemaError(f"observations span multiple conditions: {sorted(conditions)}")
-    d = np.array([o.d_millions for o in obs], dtype=float)
-    y = np.array([o.loss for o in obs], dtype=float)
+    d, y = _arrays(obs)
     if len(set(d.tolist())) != len(d):
         raise DuplicateAbscissaError("observations share a dataset size")
-    if np.any(y <= 0):
-        raise DomainError("losses must be positive for fitting")
     return d, y
 
 
@@ -467,7 +470,7 @@ def fit_shared(
         base += [alpha, c]
     lower, upper = zip(_P_BOX, *[_ALPHA_BOX, _C_BOX] * k)
     seeds = [
-        np.array([_law_to_internal(1.0, 1.0, point[0])[2], *map(math.log, point[1:])])
+        np.array([_logit(point[0]), *map(math.log, point[1:])])
         for point in _restart_points(base, lower, upper, cfg)
     ]
 
@@ -514,10 +517,7 @@ def fit_joint(
         InsufficientDataError: Fewer than 4 observations remain to fit.
     """
     beta, p_e, p_d, l_inf = (float(v) for v in fixed)
-    if beta <= 0 or p_e <= 0 or p_d <= 0:
-        raise DomainError("beta, p_e and p_d must be positive")
-    if l_inf < 0:
-        raise DomainError("l_inf must be non-negative")
+    JointLawParams(1.0, 1.0, beta, p_e, p_d, l_inf)  # validates the quartet
     for o in obs:
         if o.shape is None:
             raise SchemaError(f"observation at d={o.d_millions} lacks parameter counts")
@@ -528,22 +528,16 @@ def fit_joint(
     if len(fit_obs) < 4:
         raise InsufficientDataError(f"need at least 4 observations to fit, got {len(fit_obs)}")
 
-    def arrays(subset):
-        d = np.array([o.d_millions for o in subset], dtype=float)
-        y = np.array([o.loss for o in subset], dtype=float)
-        ln_g = np.array(
-            [
-                np.logaddexp(-p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec), np.log(l_inf))
-                if l_inf > 0
-                else -p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec)
-                for o in subset
-            ]
-        )
-        return d, y, ln_g
-
-    d, y, ln_g = arrays(fit_obs)
-    if np.any(y <= 0):
-        raise DomainError("losses must be positive for fitting")
+    _arrays(out_obs)  # held-out rows get residuals too
+    d, y = _arrays(fit_obs)
+    ln_g = np.array(
+        [
+            np.logaddexp(-p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec), np.log(l_inf))
+            if l_inf > 0
+            else -p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec)
+            for o in fit_obs
+        ]
+    )
     ln_y = np.log(y)
     log_space = cfg.loss_space == "log"
     ln_beta = math.log(beta)
@@ -577,23 +571,19 @@ def fit_joint(
     alpha0, _, p0 = _seed_power_law(d, y)
     lower, upper = zip(_ALPHA_BOX, _P_BOX)
     points = _restart_points([alpha0, p0], lower, upper, cfg)
-    seeds = [_law_to_internal(alpha, 1.0, p)[[0, 2]] for alpha, p in points]
+    seeds = [np.array([math.log(alpha), _logit(p)]) for alpha, p in points]
 
     theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
     _, alpha, p, _, _ = model(theta)
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):
-        out = []
-        for o in subset:
-            pred = eval_law(
-                PowerLaw(alpha, capacity_constant(params, o.n_enc, o.n_dec), p), o.d_millions
+        return [
+            observation_residual(
+                PowerLaw(alpha, capacity_constant(params, o.n_enc, o.n_dec), p), o, cfg.loss_space
             )
-            if log_space:
-                out.append(math.log(o.loss) - math.log(pred))
-            else:
-                out.append(o.loss - pred)
-        return out
+            for o in subset
+        ]
 
     residuals = law_residuals(fit_obs)
     return JointFitResult(
@@ -622,10 +612,7 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
         raise InsufficientDataError(
             f"need at least 3 observations with d >= {d_min}, got {len(subset)}"
         )
-    d = np.array([o.d_millions for o in subset], dtype=float)
-    y = np.array([o.loss for o in subset], dtype=float)
-    if np.any(y <= 0):
-        raise DomainError("losses must be positive for fitting")
+    d, y = _arrays(subset)
     ln_y = np.log(y)
     log_space = cfg.loss_space == "log"
 

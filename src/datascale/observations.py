@@ -4,19 +4,27 @@ The CSV schema is ``condition,d_millions,loss`` with optional ``n_enc``,
 ``n_dec``, ``metric`` and ``replicate`` columns.  Dataset sizes are stored
 in millions of sentence pairs; a file holding raw pair counts in a ``d``
 column is converted on load with ``raw_counts=True``.
+
+Every CSV input of the package goes through :func:`read_csv_records`
+(UTF-8 with an optional byte-order mark, header names stripped of
+surrounding spaces) and every numeric cell through :func:`parse_float`,
+which accepts finite numbers only.  Errors carry the 1-based line number,
+the header being line 1.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Sequence
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Observation, JointLawParams, PowerLaw, eval_joint_law, eval_law
 from .errors import DataScaleError, DomainError, ParseError
+from .files import replace_on_success
 
 
 @dataclass(frozen=True)
@@ -33,21 +41,45 @@ class ObservationTable:
         return groups
 
 
-_REQUIRED = ("condition", "loss")
-_OPTIONAL = ("n_enc", "n_dec", "metric", "replicate")
+def read_csv_records(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line, record)`` for every data row of a CSV file.
+
+    Header names are stripped of surrounding spaces, so the keys of each
+    record are too.  Blank lines are skipped but counted, and a record
+    whose quoted field spans lines is numbered by its last line.
+
+    Raises:
+        ParseError: The file is empty or lacks a ``required`` column
+            (reported at line 1).
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError("empty file", line=1)
+        reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        missing = [col for col in required if col not in reader.fieldnames]
+        if missing:
+            raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
+        for record in reader:
+            yield reader.line_num, record
 
 
-def _parse_float(value: str, column: str, line: int) -> float:
+def parse_float(value: str | None, column: str, line: int) -> float:
+    """The finite number in one CSV cell; a ParseError naming ``line``
+    otherwise (an absent cell of a short row is ``None``)."""
     try:
-        return float(value)
-    except ValueError:
+        number = float(value)
+    except (TypeError, ValueError):
         raise ParseError(f"non-numeric {column} {value!r}", line=line) from None
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite {column} {value!r}", line=line)
+    return number
 
 
 def _parse_count(value: str, column: str, line: int) -> int | None:
     if value is None or value.strip() == "":
         return None
-    count = _parse_float(value, column, line)
+    count = parse_float(value, column, line)
     if not count.is_integer():
         raise ParseError(f"{column} must be a whole number, got {value!r}", line=line)
     return int(count)
@@ -72,46 +104,35 @@ def load_observations(path, raw_counts: bool = False) -> ObservationTable:
     size_column = "d" if raw_counts else "d_millions"
     rows: list[Observation] = []
     seen: set[tuple] = set()
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file", line=1)
-        header = [name.strip() for name in reader.fieldnames]
-        missing = [col for col in (*_REQUIRED, size_column) if col not in header]
-        if missing:
-            raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
-        has_replicate = "replicate" in header
-        for line, record in enumerate(reader, start=2):
-            condition = (record.get("condition") or "").strip()
-            if not condition:
-                raise ParseError("empty condition", line=line)
-            d_value = _parse_float(record.get(size_column, ""), size_column, line)
-            d_millions = d_value / 1e6 if raw_counts else d_value
-            loss = _parse_float(record.get("loss", ""), "loss", line)
-            n_enc = _parse_count(record.get("n_enc"), "n_enc", line)
-            n_dec = _parse_count(record.get("n_dec"), "n_dec", line)
-            metric = (record.get("metric") or "").strip() or "log_perplexity"
-            try:
-                row = Observation(
-                    condition=condition,
-                    d_millions=d_millions,
-                    loss=loss,
-                    n_enc=n_enc,
-                    n_dec=n_dec,
-                    metric=metric,
-                )
-            except DataScaleError as exc:
-                raise ParseError(str(exc), line=line) from None
-            key = (condition, d_millions)
-            if has_replicate:
-                key = key + ((record.get("replicate") or "").strip(),)
-            if key in seen:
-                raise ParseError(
-                    f"duplicate observation for condition {condition!r} at d={d_millions}",
-                    line=line,
-                )
-            seen.add(key)
-            rows.append(row)
+    for line, record in read_csv_records(path, ("condition", "loss", size_column)):
+        condition = (record.get("condition") or "").strip()
+        if not condition:
+            raise ParseError("empty condition", line=line)
+        d_value = parse_float(record[size_column], size_column, line)
+        d_millions = d_value / 1e6 if raw_counts else d_value
+        loss = parse_float(record["loss"], "loss", line)
+        n_enc = _parse_count(record.get("n_enc"), "n_enc", line)
+        n_dec = _parse_count(record.get("n_dec"), "n_dec", line)
+        metric = (record.get("metric") or "").strip() or "log_perplexity"
+        try:
+            row = Observation(
+                condition=condition,
+                d_millions=d_millions,
+                loss=loss,
+                n_enc=n_enc,
+                n_dec=n_dec,
+                metric=metric,
+            )
+        except DataScaleError as exc:
+            raise ParseError(str(exc), line=line) from None
+        key = (condition, d_millions, (record.get("replicate") or "").strip())
+        if key in seen:
+            raise ParseError(
+                f"duplicate observation for condition {condition!r} at d={d_millions}",
+                line=line,
+            )
+        seen.add(key)
+        rows.append(row)
     return ObservationTable(rows=rows, source_path=str(path))
 
 
@@ -143,8 +164,21 @@ def format_observations(table: ObservationTable) -> str:
 
 
 def write_observations(path, table: ObservationTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replace_on_success(path, newline="") as fh:
         fh.write(format_observations(table))
+
+
+def _draw(points, noise_frac: float, seed: int) -> ObservationTable:
+    """Observations with loss ``clean * (1 + noise_frac * z)`` for each
+    ``(clean, fields)`` point, one standard-normal ``z`` per point in order."""
+    if noise_frac < 0:
+        raise DomainError("noise_frac must be non-negative")
+    rng = np.random.default_rng(seed)
+    rows = [
+        Observation(loss=float(clean * (1.0 + noise_frac * rng.standard_normal())), **fields)
+        for clean, fields in points
+    ]
+    return ObservationTable(rows=rows, source_path="")
 
 
 def simulate(
@@ -162,15 +196,11 @@ def simulate(
     """
     if not len(d_grid):
         raise DomainError("d grid must be non-empty")
-    if noise_frac < 0:
-        raise DomainError("noise_frac must be non-negative")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for d in d_grid:
-        clean = eval_law(law, float(d))
-        noisy = clean * (1.0 + noise_frac * rng.standard_normal())
-        rows.append(Observation(condition=condition, d_millions=float(d), loss=float(noisy)))
-    return ObservationTable(rows=rows, source_path="")
+    points = (
+        (eval_law(law, float(d)), {"condition": condition, "d_millions": float(d)})
+        for d in d_grid
+    )
+    return _draw(points, noise_frac, seed)
 
 
 def simulate_joint(
@@ -186,21 +216,12 @@ def simulate_joint(
         raise DomainError("d grid must be non-empty")
     if not len(shapes):
         raise DomainError("need at least one parameter-count shape")
-    if noise_frac < 0:
-        raise DomainError("noise_frac must be non-negative")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n_enc, n_dec in shapes:
-        for d in d_grid:
-            clean = eval_joint_law(params, n_enc, n_dec, float(d))
-            noisy = clean * (1.0 + noise_frac * rng.standard_normal())
-            rows.append(
-                Observation(
-                    condition=f"{n_enc}x{n_dec}",
-                    d_millions=float(d),
-                    loss=float(noisy),
-                    n_enc=n_enc,
-                    n_dec=n_dec,
-                )
-            )
-    return ObservationTable(rows=rows, source_path="")
+    points = (
+        (
+            eval_joint_law(params, n_enc, n_dec, float(d)),
+            {"condition": f"{n_enc}x{n_dec}", "d_millions": float(d), "n_enc": n_enc, "n_dec": n_dec},
+        )
+        for n_enc, n_dec in shapes
+        for d in d_grid
+    )
+    return _draw(points, noise_frac, seed)

@@ -1,9 +1,15 @@
 """Fit reports: building, canonical JSON serialization, and tables.
 
-A report is a plain dict with a ``schema`` version and a ``kind`` tag.
-Serialization is canonical (sorted keys, two-space indent, trailing
-newline), so identical fits produce byte-identical files and
-serialize -> parse -> serialize is a fixed point.
+Every report is a plain dict made by :func:`_report`, which adds the
+``schema`` version, the ``kind`` tag and a ``provenance`` block (input path,
+tool version and, for seeded commands, the seed and fit configuration) to
+the fields of its kind.  Law blocks are the fields of the law dataclasses
+(``asdict`` on writing, ``PowerLaw(**law)`` on reading).  Serialization is
+canonical (sorted keys, two-space indent, trailing newline), so identical
+fits produce byte-identical files and serialize -> parse -> serialize is a
+fixed point.  Reading a file that is not JSON raises :class:`ParseError`
+with the JSON line number; a report lacking a field raises
+:class:`SchemaError` naming it.
 """
 
 from __future__ import annotations
@@ -11,28 +17,36 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+from dataclasses import asdict
 
 from . import __version__
 from .analysis import McConfig, McSummary, asymptotic_loss, marginal_value, transition_point
-from .core import Observation, JointLawParams, PowerLaw, eval_joint_law, eval_law
-from .errors import SchemaError
+from .core import (
+    Observation,
+    JointLawParams,
+    PowerLaw,
+    eval_joint_law,
+    eval_law,
+    observation_residual,
+)
+from .errors import ParseError, SchemaError
 from .fitting import FitConfig, FitResult, JointFitResult, SharedFitResult
 
 SCHEMA_VERSION = 1
 
 
-def _provenance(input_path: str, cfg: FitConfig | None) -> dict:
+def _provenance(input_path: str, cfg: FitConfig | McConfig | None) -> dict:
     out = {"input": input_path, "tool_version": __version__}
     if cfg is not None:
         out["seed"] = cfg.seed
-        out["config"] = {
-            "loss_space": cfg.loss_space,
-            "max_iters": cfg.max_iters,
-            "rel_tol": cfg.rel_tol,
-            "n_restarts": cfg.n_restarts,
-        }
+    if isinstance(cfg, FitConfig):
+        out["config"] = {k: v for k, v in asdict(cfg).items() if k != "seed"}
     return out
+
+
+def _report(kind: str, input_path: str, cfg: FitConfig | McConfig | None, **fields) -> dict:
+    provenance = _provenance(input_path, cfg)
+    return {"schema": SCHEMA_VERSION, "kind": kind, **fields, "provenance": provenance}
 
 
 def _observation_record(obs: Observation) -> dict:
@@ -43,68 +57,42 @@ def _observation_record(obs: Observation) -> dict:
     return record
 
 
-def _law_analysis(law: PowerLaw, d_values) -> dict:
-    return {
-        "asymptotic_loss": asymptotic_loss(law),
-        "transition_point": transition_point(law),
-        "marginal_value": [[float(d), marginal_value(law, float(d))] for d in sorted(d_values)],
-    }
+def _fit_fields(result: FitResult | JointFitResult, obs: list[Observation]) -> dict:
+    observations = [_observation_record(o) for o in obs]
+    return {"objective": result.objective, "converged": result.converged, "n_iters": result.n_iters,
+            "residuals": list(result.residuals), "observations": observations}
+
+
+def law_analysis(law: PowerLaw, d_values) -> dict:
+    """Regime quantities of ``law``, plus its marginal value of data at each
+    size of ``d_values`` in the order given (omitted when there is none)."""
+    out = {"asymptotic_loss": asymptotic_loss(law), "transition_point": transition_point(law)}
+    if d_values:
+        out["marginal_value"] = [[float(d), marginal_value(law, float(d))] for d in d_values]
+    return out
 
 
 def build_fit_report(
     result: FitResult, obs: list[Observation], cfg: FitConfig, input_path: str
 ) -> dict:
-    law = result.law
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "fit",
-        "condition": obs[0].condition if obs else "",
-        "law": {"alpha": law.alpha, "c": law.c, "p": law.p},
-        "objective": result.objective,
-        "converged": result.converged,
-        "n_iters": result.n_iters,
-        "residuals": list(result.residuals),
-        "observations": [_observation_record(o) for o in obs],
-        "analysis": _law_analysis(law, [o.d_millions for o in obs]),
-        "provenance": _provenance(input_path, cfg),
-    }
+    analysis = law_analysis(result.law, sorted(o.d_millions for o in obs))
+    return _report("fit", input_path, cfg, condition=obs[0].condition if obs else "",
+                   law=asdict(result.law), analysis=analysis, **_fit_fields(result, obs))
 
 
 def build_shared_report(
-    result: SharedFitResult,
-    groups: dict[str, list[Observation]],
-    cfg: FitConfig,
-    input_path: str,
+    result: SharedFitResult, groups: dict[str, list[Observation]], cfg: FitConfig, input_path: str
 ) -> dict:
-    per_condition = {}
-    observations = []
-    residuals = []
+    per_condition, observations, residuals = {}, [], []
     for label in sorted(groups):
-        alpha, c = result.per_condition[label]
         law = result.law(label)
-        per_condition[label] = {
-            "alpha": alpha,
-            "c": c,
-            "analysis": _law_analysis(law, [o.d_millions for o in groups[label]]),
-        }
-        for o in groups[label]:
-            observations.append(_observation_record(o))
-            pred = eval_law(law, o.d_millions)
-            if cfg.loss_space == "log":
-                residuals.append(math.log(o.loss) - math.log(pred))
-            else:
-                residuals.append(o.loss - pred)
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "fit_shared",
-        "p": result.p,
-        "per_condition": per_condition,
-        "objective": result.objective,
-        "converged": result.converged,
-        "residuals": residuals,
-        "observations": observations,
-        "provenance": _provenance(input_path, cfg),
-    }
+        analysis = law_analysis(law, sorted(o.d_millions for o in groups[label]))
+        per_condition[label] = {"alpha": law.alpha, "c": law.c, "analysis": analysis}
+        observations += [_observation_record(o) for o in groups[label]]
+        residuals += [observation_residual(law, o, cfg.loss_space) for o in groups[label]]
+    return _report("fit_shared", input_path, cfg, p=result.p, per_condition=per_condition,
+                   objective=result.objective, converged=result.converged,
+                   residuals=residuals, observations=observations)
 
 
 def build_joint_report(
@@ -114,76 +102,28 @@ def build_joint_report(
     input_path: str,
     hold_out: list[tuple[int, int]] = (),
 ) -> dict:
-    params = result.params
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "fit_joint",
-        "law": {
-            "alpha": params.alpha,
-            "p": params.p,
-            "beta": params.beta,
-            "p_e": params.p_e,
-            "p_d": params.p_d,
-            "l_inf": params.l_inf,
-        },
-        "hold_out": [[int(a), int(b)] for a, b in hold_out],
-        "objective": result.objective,
-        "converged": result.converged,
-        "n_iters": result.n_iters,
-        "residuals": list(result.residuals),
-        "holdout_residuals": list(result.holdout_residuals),
-        "observations": [_observation_record(o) for o in obs],
-        "provenance": _provenance(input_path, cfg),
-    }
+    return _report("fit_joint", input_path, cfg, law=asdict(result.params),
+                   hold_out=[[int(a), int(b)] for a, b in hold_out],
+                   holdout_residuals=list(result.holdout_residuals), **_fit_fields(result, obs))
 
 
 def build_tail_report(
-    result: FitResult,
-    obs: list[Observation],
-    d_min: float,
-    cfg: FitConfig,
-    input_path: str,
+    result: FitResult, obs: list[Observation], d_min: float, cfg: FitConfig, input_path: str
 ) -> dict:
-    law = result.law
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "fit_tail",
-        "law": {"gamma": law.gamma, "q": law.q, "b": law.b},
-        "d_min": d_min,
-        "objective": result.objective,
-        "converged": result.converged,
-        "n_iters": result.n_iters,
-        "residuals": list(result.residuals),
-        "observations": [_observation_record(o) for o in obs],
-        "provenance": _provenance(input_path, cfg),
-    }
+    return _report("fit_tail", input_path, cfg, law=asdict(result.law), d_min=d_min,
+                   **_fit_fields(result, obs))
 
 
 def build_linear_report(fit, x, y, input_path: str, x_name: str, y_name: str) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "fit_linear",
-        "fit": {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2},
-        "x_column": x_name,
-        "y_column": y_name,
-        "points": [[float(a), float(b)] for a, b in zip(x, y)],
-        "provenance": _provenance(input_path, None),
-    }
+    return _report("fit_linear", input_path, None, fit=asdict(fit), x_column=x_name,
+                   y_column=y_name, points=[[float(a), float(b)] for a, b in zip(x, y)])
 
 
 def build_mc_report(summary: McSummary, cfg: McConfig, input_path: str) -> dict:
     q05, q50, q95 = summary.quantiles
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "mc",
-        "mean_p": summary.mean_p,
-        "std_p": summary.std_p,
-        "quantiles": {"q05": q05, "q50": q50, "q95": q95},
-        "n_converged": summary.n_converged,
-        "n_reps": cfg.n_reps,
-        "noise_frac": cfg.noise_frac,
-        "provenance": {**_provenance(input_path, None), "seed": cfg.seed},
-    }
+    return _report("mc", input_path, cfg, mean_p=summary.mean_p, std_p=summary.std_p,
+                   quantiles={"q05": q05, "q50": q50, "q95": q95},
+                   n_converged=summary.n_converged, n_reps=cfg.n_reps, noise_frac=cfg.noise_frac)
 
 
 def dumps_report(report: dict) -> str:
@@ -191,12 +131,30 @@ def dumps_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+class _Loaded(dict):
+    """A JSON object read from a report; a missing field is a SchemaError."""
+
+    def __missing__(self, key):
+        raise SchemaError(f"report lacks field {key!r}")
+
+
 def load_report(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh, object_hook=_Loaded)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not JSON: {exc.msg}", line=exc.lineno) from None
     if not isinstance(report, dict) or report.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"{path}: not a schema-{SCHEMA_VERSION} report")
     return report
+
+
+def _law(cls, block):
+    """``cls(**block)`` for a law block of a loaded report."""
+    try:
+        return cls(**block)
+    except TypeError as exc:
+        raise SchemaError(f"malformed law block: {exc}") from None
 
 
 def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
@@ -207,8 +165,7 @@ def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
     """
     kind = report.get("kind")
     if kind == "fit":
-        law = report["law"]
-        return PowerLaw(alpha=law["alpha"], c=law["c"], p=law["p"])
+        return _law(PowerLaw, report["law"])
     if kind == "fit_shared":
         per_condition = report["per_condition"]
         if condition is None:
@@ -222,18 +179,6 @@ def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
         entry = per_condition[condition]
         return PowerLaw(alpha=entry["alpha"], c=entry["c"], p=report["p"])
     raise SchemaError(f"cannot extract a power law from a {kind!r} report")
-
-
-def _joint_params_from_report(report: dict) -> JointLawParams:
-    law = report["law"]
-    return JointLawParams(
-        alpha=law["alpha"],
-        p=law["p"],
-        beta=law["beta"],
-        p_e=law["p_e"],
-        p_d=law["p_d"],
-        l_inf=law["l_inf"],
-    )
 
 
 def render_table(report: dict) -> list[list]:
@@ -258,7 +203,7 @@ def render_table(report: dict) -> list[list]:
             d = obs["d_millions"]
             rows.append([obs["condition"], d, obs["loss"], eval_law(law, d), residual])
     elif kind == "fit_joint":
-        params = _joint_params_from_report(report)
+        params = _law(JointLawParams, report["law"])
         held = {tuple(shape) for shape in report.get("hold_out", [])}
         header = ["condition", "n_enc", "n_dec", "d", "observed", "predicted", "residual", "held_out"]
         residuals = iter(report["residuals"])

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, determinism, output shapes."""
 
 import json
+import os
+import warnings
 
 import pytest
 
@@ -92,6 +94,45 @@ class TestFit:
             code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "7")
             assert code == 0, err
             assert json.loads(out)["condition"] == "base"
+
+    def test_header_with_spaces_after_commas(self, capsys, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text(
+            "condition, d_millions, loss\n"
+            + "".join(f"base, {d}, {2.0 * (1.0 / d + 0.1) ** 0.3}\n" for d in (1, 2, 4, 8, 16)),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "1")
+        assert code == 0, err
+        assert abs(json.loads(out)["law"]["p"] - 0.3) < 1e-4
+
+    def test_bleu_is_not_fitted_with_a_decreasing_law(self, capsys, tmp_path):
+        path = tmp_path / "bleu.csv"
+        path.write_text(
+            "condition,d_millions,loss,metric\n"
+            + "".join(f"base,{d},{b},bleu\n" for d, b in ((1, 2), (2, 25), (4, 28), (8, 30))),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "1")
+        assert code == 2
+        assert out == "" and "bleu" in err
+
+    def test_input_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("condition,d_millions,loss\nbär,1,2.0\n".encode("latin-1"))
+        code, _, err = run(capsys, "fit", "--input", str(path), "--seed", "1")
+        assert code == 2
+        assert "utf-8" in err
+
+    def test_output_to_a_device_is_written_in_place(self, capsys, tmp_path):
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"no {os.devnull} here")
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        code, _, err = run(
+            capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", os.devnull
+        )
+        assert code == 0, err
+        assert sorted(os.listdir(tmp_path)) == ["obs.csv"]
 
     def test_non_convergence_exits_3_with_report(self, capsys, tmp_path):
         csv_path = simulate_csv(
@@ -202,6 +243,33 @@ class TestAnalyze:
         assert abs(block["transition_point"] - 17.54) < 0.02
         assert len(block["marginal_value"]) == 2
 
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_marginal_value_at_a_bad_size_exits_2(self, capsys, tmp_path, size):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        fit = tmp_path / "fit.json"
+        assert run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(fit))[0] == 0
+        code, out, err = run(capsys, "analyze", str(fit), "--marginal-at", size)
+        assert code == 2
+        assert out == "" and "positive and finite" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_report_that_is_not_json_exits_2_with_line(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "schema": 1,\n  "kind": fit\n}\n', encoding="utf-8")
+        argv = [command, str(path)] if command == "analyze" else [command, "--report", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "line 3:" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_report_without_law_exits_2_naming_the_field(self, capsys, tmp_path, command):
+        path = tmp_path / "bare.json"
+        path.write_text('{"schema": 1, "kind": "fit"}\n', encoding="utf-8")
+        argv = [command, str(path)] if command == "analyze" else [command, "--report", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "'law'" in err
+
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == 2
@@ -286,6 +354,17 @@ class TestFitLinearCommand:
         assert report["fit"]["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert report["fit"]["r2"] == pytest.approx(1.0, abs=1e-12)
 
+
+    def test_infinite_value_exits_2_with_line_and_no_warning(self, capsys, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y\n1,2\n\n2,inf\n3,6\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "fit-linear", "--input", str(path), "--x-column", "x", "--y-column", "y"
+            )
+        assert code == 2
+        assert out == "" and "line 4:" in err
 
     def test_header_with_byte_order_mark(self, capsys, tmp_path):
         path = tmp_path / "xy.csv"
@@ -385,3 +464,32 @@ class TestCorpusCommands:
         )
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "existing"])
+    def test_failed_command_leaves_output_untouched(self, capsys, tmp_path, old):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tb\nc\td\nbroken line\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        if old is not None:
+            out.write_bytes(old)
+        code, _, err = run(
+            capsys,
+            "corpus", "corrupt", "--kind", "char_noise", "--side", "source",
+            "--seed", "1", "--input", str(path), "--output", str(out),
+        )
+        assert code == 2
+        assert "line 3" in err
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert sorted(os.listdir(tmp_path)) == sorted(["bad.tsv"] + (["o.tsv"] if old else []))
+
+    def test_corpus_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("bär\tbear\t0.5\n".encode("latin-1"))
+        code, _, err = run(
+            capsys,
+            "corpus", "filter", "--fraction", "0.5",
+            "--input", str(path), "--output", str(tmp_path / "o.tsv"),
+        )
+        assert code == 2
+        assert "utf-8" in err
+        assert not (tmp_path / "o.tsv").exists()

@@ -163,8 +163,8 @@ class TestFitJoint:
     def test_recovers_alpha_and_p(self):
         params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.2, p_e=0.44, p_d=0.38, l_inf=0.4)
         res = ds.fit_joint(self._observations(params), self.FIXED, ds.FitConfig(seed=3))
-        assert abs(res.alpha - 1.5) / 1.5 < 1e-5
-        assert abs(res.p - 0.3) / 0.3 < 1e-5
+        assert abs(res.params.alpha - 1.5) / 1.5 < 1e-5
+        assert abs(res.params.p - 0.3) / 0.3 < 1e-5
 
     def test_single_shape_matches_fit_single_with_pinned_capacity(self):
         params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.2, p_e=0.44, p_d=0.38, l_inf=0.4)
@@ -176,8 +176,8 @@ class TestFitJoint:
         joint = ds.fit_joint(obs, self.FIXED, ds.FitConfig(seed=3))
         single = ds.fit_single(obs, ds.FitConfig(seed=3))
         implied_c = ds.capacity_constant(joint.params, n_e, n_d)
-        assert abs(joint.alpha - single.law.alpha) < 1e-6
-        assert abs(joint.p - single.law.p) < 1e-6
+        assert abs(joint.params.alpha - single.law.alpha) < 1e-6
+        assert abs(joint.params.p - single.law.p) < 1e-6
         assert abs(implied_c - single.law.c) < 1e-6
 
     def test_holdout_residuals_comparable_to_in_sample(self):
