@@ -10,13 +10,13 @@ variability under multiplicative loss noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Observation, PowerLaw, _as_positive_d
 from .errors import DomainError, ExponentMismatchError, MonteCarloError
-from .fitting import FitConfig, fit_single
+from .fitting import FitConfig, _single_group_arrays, fit_single
 
 # Replicate losses are redrawn while non-positive, up to this many attempts
 # per observation; a replicate that exhausts them is dropped as unusable.
@@ -141,25 +141,17 @@ def mc_uncertainty(
 
     Raises:
         MonteCarloError: No replicate produced a converged fit.
+        DataScaleError: ``obs`` fails the checks of :func:`fit_single`;
+            raised before any draw.
     """
-    losses = [o.loss for o in obs]
+    _, losses = _single_group_arrays(obs)
     ps = []
     for rep in range(cfg_mc.n_reps):
         rng = np.random.default_rng([cfg_mc.seed, rep])
         noisy = _replicate_losses(losses, cfg_mc.noise_frac, rng)
         if noisy is None:
             continue
-        replicate = [
-            Observation(
-                condition=o.condition,
-                d_millions=o.d_millions,
-                loss=float(l),
-                n_enc=o.n_enc,
-                n_dec=o.n_dec,
-                metric=o.metric,
-            )
-            for o, l in zip(obs, noisy)
-        ]
+        replicate = [replace(o, loss=float(l)) for o, l in zip(obs, noisy)]
         result = fit_single(replicate, cfg_fit)
         if result.converged:
             ps.append(result.law.p)

@@ -268,7 +268,8 @@ def cmd_simulate(args) -> int:
 
 
 def _check_output_is_not_input(args) -> None:
-    # read_pairs streams the input, so writing over it would empty it first.
+    # Output is written to a partial file that replaces the target only at
+    # the end, so writing to the input would replace it with the output.
     if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
         raise SchemaError(f"--output {args.output} is the input file; write to another path")
 

@@ -191,6 +191,12 @@ def eval_law(law: PowerLaw, d_millions):
     return float(out) if np.isscalar(d_millions) else out
 
 
+def eval_tail_law(law: TailLaw, d_millions):
+    """Evaluate ``gamma * d**-q + b``, the tail law, with plain operators: a
+    float ``d`` gives a float, an array gives an array."""
+    return law.gamma * d_millions**-law.q + law.b
+
+
 def observation_residual(law: PowerLaw, obs: Observation, loss_space: str) -> float:
     """Residual of one observation under ``law``: ``log(loss) - log(predicted)``
     in the ``"log"`` loss space, ``loss - predicted`` in the ``"linear"`` one."""

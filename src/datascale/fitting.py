@@ -11,10 +11,13 @@ smooth reparameterizations:
 * ``p = 2 * sigmoid(t)``, confining the exponent to (0, 2].
 
 The optimizer is a damped Gauss-Newton loop with adaptive (Marquardt-style)
-damping, driven by analytic Jacobians.  Each fit runs from a data-driven
-seed plus log-normally perturbed restarts (:func:`_restart_points`); the
-lowest objective wins, ties broken by lowest restart index, so results are
-bit-reproducible for a fixed :class:`FitConfig`.
+damping, driven by analytic Jacobians.  :func:`_residual_fn` holds the loss
+space's residual and :func:`_least_squares` the Jacobian's sign and the
+restarts; each fitter supplies only its model, its Jacobian in the loss space
+and its seeds.  Each fit runs from a data-driven seed plus log-normally
+perturbed restarts (:func:`_restart_points`); the lowest objective wins, ties
+broken by lowest restart index, so results are bit-reproducible for a fixed
+:class:`FitConfig`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .core import (
     JointLawParams,
     capacity_constant,
     eval_law,
+    eval_tail_law,
     observation_residual,
 )
 from .errors import (
@@ -205,24 +209,41 @@ def _gauss_newton(residual, jacobian, theta0, max_iters, rel_tol):
             if lam > 1e15:
                 break
         if not accepted:
-            # no downhill step at any damping: numerically stationary
-            converged = True
-            break
+            converged = True  # no downhill step at any damping: numerically stationary
         if converged:
             break
     return theta, f, converged, n_iters
 
 
-def _run_restarts(residual, jacobian, seeds, cfg: FitConfig):
-    """Run the optimizer from each seed; lowest objective wins, ties go to
-    the earliest restart."""
+def _residual_fn(y: np.ndarray, loss_space: str):
+    """Residual of predictions ``m`` against ``y``: ``ln y - ln m`` in the
+    ``"log"`` loss space (``ln y`` taken once), ``y - m`` in the linear one."""
+    if loss_space == "log":
+        ln_y = np.log(y)
+        return lambda m: ln_y - np.log(m)
+    return lambda m: y - m
+
+
+def _least_squares(residual, model, jacobian, seeds, cfg: FitConfig):
+    """Minimize ``sum(residual(model(theta))**2)`` from each seed, given the
+    model's ``jacobian`` in the loss space of ``residual``; returns ``(theta,
+    objective, converged, n_iters)`` of the lowest objective, ties going to the
+    earliest restart.  An overflowing trial step is rejected without a warning."""
+
+    def residual_at(theta):
+        return residual(model(theta))
+
+    def residual_jacobian(theta):
+        return -jacobian(theta)
+
     best = None
-    for theta0 in seeds:
-        theta, f, converged, n_iters = _gauss_newton(
-            residual, jacobian, theta0, cfg.max_iters, cfg.rel_tol
-        )
-        if best is None or f < best[1]:
-            best = (theta, f, converged, n_iters)
+    with np.errstate(over="ignore"):
+        for theta0 in seeds:
+            theta, f, converged, n_iters = _gauss_newton(
+                residual_at, residual_jacobian, theta0, cfg.max_iters, cfg.rel_tol
+            )
+            if best is None or f < best[1]:
+                best = (theta, f, converged, n_iters)
     return best
 
 
@@ -294,9 +315,7 @@ def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Data-driven seed: OLS of log loss on log 1/d over the smallest half of
     the sizes (where the 1/d term dominates), then the capacity implied by
     the smallest observed loss."""
-    order = np.argsort(d)
-    k = max(2, len(d) // 2)
-    idx = order[:k]
+    idx = np.argsort(d)[: max(2, len(d) // 2)]
     x_small = -np.log(d[idx])
     y_small = np.log(y[idx])
     slope, intercept = _ols(x_small, y_small) or (0.3, float(y_small.mean()))
@@ -311,15 +330,12 @@ def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _power_law_residual_fns(d, y, loss_space):
-    ln_y = np.log(y)
+def _power_law_fns(d, log_space: bool):
+    """Model and Jacobian of ``alpha * (1/d + c)**p`` at internal parameters."""
 
-    def residual(theta):
+    def model(theta):
         alpha, c, p = _law_from_internal(theta)
-        m = alpha * (1.0 / d + c) ** p
-        if loss_space == "log":
-            return ln_y - np.log(m)
-        return y - m
+        return alpha * (1.0 / d + c) ** p
 
     def jacobian(theta):
         # Columns: dm/d(internal) = (dm/dalpha * alpha, dm/dc * c, dm/dp * dp/dt)
@@ -336,18 +352,13 @@ def _power_law_residual_fns(d, y, loss_space):
             ],
             axis=1,
         )
-        if loss_space == "log":
-            cols = cols / (alpha * pow_p)[:, None]
-        return -cols
+        return cols / (alpha * pow_p)[:, None] if log_space else cols
 
-    return residual, jacobian
+    return model, jacobian
 
 
-def _residuals_for_law(law: PowerLaw, d, y, loss_space) -> np.ndarray:
-    m = eval_law(law, d)
-    if loss_space == "log":
-        return np.log(y) - np.log(m)
-    return y - m
+def _fit_result(law, r: np.ndarray, converged: bool, n_iters: int) -> FitResult:
+    return FitResult(law, float(r @ r), [float(v) for v in r], converged, n_iters)
 
 
 def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResult:
@@ -367,25 +378,17 @@ def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResul
         DuplicateAbscissaError: Two observations share a size.
     """
     d, y = _single_group_arrays(obs)
-    residual, jacobian = _power_law_residual_fns(d, y, cfg.loss_space)
+    residual = _residual_fn(y, cfg.loss_space)
+    model, jacobian = _power_law_fns(d, cfg.loss_space == "log")
 
     lower, upper = zip(_ALPHA_BOX, _C_BOX, _P_BOX)
     points = _restart_points(_seed_power_law(d, y), lower, upper, cfg)
     seeds = [_law_to_internal(*point) for point in points]
 
-    theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
+    theta, _, converged, n_iters = _least_squares(residual, model, jacobian, seeds, cfg)
     alpha, c, p = _law_from_internal(theta)
-    if c < ZERO_CAPACITY:
-        c = 0.0
-    law = PowerLaw(alpha, c, p)
-    r = _residuals_for_law(law, d, y, cfg.loss_space)
-    return FitResult(
-        law=law,
-        objective=float(r @ r),
-        residuals=[float(v) for v in r],
-        converged=converged,
-        n_iters=n_iters,
-    )
+    law = PowerLaw(alpha, 0.0 if c < ZERO_CAPACITY else c, p)
+    return _fit_result(law, residual(eval_law(law, d)), converged, n_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +418,12 @@ def fit_shared(
     if not groups:
         raise InsufficientDataError("no condition groups given")
     labels = sorted(groups)
-    arrays = {}
-    for label in labels:
-        d, y = _single_group_arrays(groups[label])
-        arrays[label] = (d, y)
-
-    d_all = np.concatenate([arrays[label][0] for label in labels])
-    y_all = np.concatenate([arrays[label][1] for label in labels])
-    ln_y = np.log(y_all)
-    slices = []
-    start = 0
-    for label in labels:
-        n = len(arrays[label][0])
-        slices.append(slice(start, start + n))
-        start += n
+    arrays = [_single_group_arrays(groups[label]) for label in labels]
+    d_all = np.concatenate([d for d, _ in arrays])
+    residual = _residual_fn(np.concatenate([y for _, y in arrays]), cfg.loss_space)
     k = len(labels)
+    group = np.repeat(np.arange(k), [len(d) for d, _ in arrays])
+    rows = np.arange(len(d_all))
     log_space = cfg.loss_space == "log"
 
     def unpack(theta):
@@ -440,31 +434,21 @@ def fit_shared(
 
     def model(theta):
         p, alphas, cs = unpack(theta)
-        m = np.empty_like(d_all)
-        for i, sl in enumerate(slices):
-            m[sl] = alphas[i] * (1.0 / d_all[sl] + cs[i]) ** p
-        return m, p, alphas, cs
-
-    def residual(theta):
-        m, _, _, _ = model(theta)
-        return (ln_y - np.log(m)) if log_space else (y_all - m)
+        return alphas[group] * (1.0 / d_all + cs[group]) ** p
 
     def jacobian(theta):
-        m, p, alphas, cs = model(theta)
+        p, alphas, cs = unpack(theta)
+        alpha, c = alphas[group], cs[group]
+        base = 1.0 / d_all + c
+        m = alpha * base**p
         J = np.zeros((len(d_all), 1 + 2 * k))
-        dpdt = _dp_dt(p)
-        for i, sl in enumerate(slices):
-            base = 1.0 / d_all[sl] + cs[i]
-            mi = m[sl]
-            J[sl, 0] = mi * np.log(base) * dpdt
-            J[sl, 1 + 2 * i] = mi
-            J[sl, 2 + 2 * i] = alphas[i] * p * base ** (p - 1.0) * cs[i]
-        if log_space:
-            J = J / m[:, None]
-        return -J
+        J[:, 0] = m * np.log(base) * _dp_dt(p)
+        J[rows, 1 + 2 * group] = m
+        J[rows, 2 + 2 * group] = alpha * p * base ** (p - 1.0) * c
+        return J / m[:, None] if log_space else J
 
     # Seed: every condition's own (alpha, c) seed under the mean of their p seeds.
-    group_seeds = [_seed_power_law(*arrays[label]) for label in labels]
+    group_seeds = [_seed_power_law(d, y) for d, y in arrays]
     base = [np.mean([seed[2] for seed in group_seeds])]
     for alpha, c, _ in group_seeds:
         base += [alpha, c]
@@ -474,22 +458,16 @@ def fit_shared(
         for point in _restart_points(base, lower, upper, cfg)
     ]
 
-    theta, _, converged, _ = _run_restarts(residual, jacobian, seeds, cfg)
+    theta, _, converged, _ = _least_squares(residual, model, jacobian, seeds, cfg)
     p, alphas, cs = unpack(theta)
-    per_condition = {}
-    for i, label in enumerate(labels):
-        c = 0.0 if cs[i] < ZERO_CAPACITY else float(cs[i])
-        per_condition[label] = (float(alphas[i]), c)
-
+    cs = np.where(cs < ZERO_CAPACITY, 0.0, cs)
+    per_condition = {label: (float(alphas[i]), float(cs[i])) for i, label in enumerate(labels)}
+    r = residual(alphas[group] * (1.0 / d_all + cs[group]) ** p)
     objective = 0.0
-    for label in labels:
-        alpha, c = per_condition[label]
-        d, y = arrays[label]
-        r = _residuals_for_law(PowerLaw(alpha, c, p), d, y, cfg.loss_space)
-        objective += float(r @ r)
-    return SharedFitResult(
-        p=p, per_condition=per_condition, objective=objective, converged=converged
-    )
+    for i in range(k):
+        r_i = r[group == i]
+        objective += float(r_i @ r_i)
+    return SharedFitResult(p, per_condition, objective, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -538,43 +516,39 @@ def fit_joint(
             for o in fit_obs
         ]
     )
-    ln_y = np.log(y)
     log_space = cfg.loss_space == "log"
     ln_beta = math.log(beta)
 
-    def model(theta):
+    def unpack(theta):
         a, t = theta
         alpha = math.exp(min(max(a, -_LOG_BOX), _LOG_BOX))
         p = 2.0 * float(_sigmoid(t))
         c = np.exp(ln_beta + ln_g / p)
-        u = 1.0 / d + c
-        m = alpha * u**p
-        return m, alpha, p, c, u
+        return alpha, p, c, 1.0 / d + c
 
-    def residual(theta):
-        m, _, _, _, _ = model(theta)
-        return (ln_y - np.log(m)) if log_space else (y - m)
+    def model(theta):
+        alpha, p, _, u = unpack(theta)
+        return alpha * u**p
 
     def jacobian(theta):
-        m, alpha, p, c, u = model(theta)
+        # In log space the columns are d(ln m)/d(internal), with 1 for ln alpha;
+        # dividing the linear-space columns by m would change their last bits.
+        alpha, p, c, u = unpack(theta)
         dlnm_dp = np.log(u) - c * ln_g / (u * p)
-        J = np.empty((len(d), 2))
         dpdt = _dp_dt(p)
         if log_space:
-            J[:, 0] = 1.0
-            J[:, 1] = dlnm_dp * dpdt
-        else:
-            J[:, 0] = m
-            J[:, 1] = m * dlnm_dp * dpdt
-        return -J
+            return np.stack([np.ones_like(d), dlnm_dp * dpdt], axis=1)
+        m = alpha * u**p
+        return np.stack([m, m * dlnm_dp * dpdt], axis=1)
 
     alpha0, _, p0 = _seed_power_law(d, y)
     lower, upper = zip(_ALPHA_BOX, _P_BOX)
     points = _restart_points([alpha0, p0], lower, upper, cfg)
     seeds = [np.array([math.log(alpha), _logit(p)]) for alpha, p in points]
 
-    theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
-    _, alpha, p, _, _ = model(theta)
+    residual = _residual_fn(y, cfg.loss_space)
+    theta, _, converged, n_iters = _least_squares(residual, model, jacobian, seeds, cfg)
+    alpha, p, _, _ = unpack(theta)
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):
@@ -613,26 +587,22 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
             f"need at least 3 observations with d >= {d_min}, got {len(subset)}"
         )
     d, y = _arrays(subset)
-    ln_y = np.log(y)
+    residual = _residual_fn(y, cfg.loss_space)
     log_space = cfg.loss_space == "log"
 
     def unpack(theta):
         g, h, bb = np.clip(theta, -_LOG_BOX, _LOG_BOX)
         return math.exp(g), math.exp(h), math.exp(bb)
 
-    def residual(theta):
+    def model(theta):
         gamma, q, b = unpack(theta)
-        m = gamma * d**-q + b
-        return (ln_y - np.log(m)) if log_space else (y - m)
+        return gamma * d**-q + b
 
     def jacobian(theta):
         gamma, q, b = unpack(theta)
         decay = gamma * d**-q
-        m = decay + b
         J = np.stack([decay, -decay * np.log(d) * q, np.full_like(d, b)], axis=1)
-        if log_space:
-            J = J / m[:, None]
-        return -J
+        return J / (decay + b)[:, None] if log_space else J
 
     # Seed by OLS of loss on 1/d (exact for q = 1), clipped into the
     # (gamma, q, b) box that the perturbed restarts are clipped to as well.
@@ -642,20 +612,10 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
     seed = np.clip([slope, 1.0, intercept], lower, upper)
     seeds = [np.log(point) for point in _restart_points(seed, lower, upper, cfg)]
 
-    theta, _, converged, n_iters = _run_restarts(residual, jacobian, seeds, cfg)
+    theta, _, converged, n_iters = _least_squares(residual, model, jacobian, seeds, cfg)
     gamma, q, b = unpack(theta)
-    if b < ZERO_CAPACITY:
-        b = 0.0
-    law = TailLaw(gamma=gamma, q=q, b=b)
-    m = gamma * d**-q + b
-    r = (ln_y - np.log(m)) if log_space else (y - m)
-    return FitResult(
-        law=law,
-        objective=float(r @ r),
-        residuals=[float(v) for v in r],
-        converged=converged,
-        n_iters=n_iters,
-    )
+    law = TailLaw(gamma=gamma, q=q, b=0.0 if b < ZERO_CAPACITY else b)
+    return _fit_result(law, residual(eval_tail_law(law, d)), converged, n_iters)
 
 
 # ---------------------------------------------------------------------------

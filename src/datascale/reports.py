@@ -25,8 +25,10 @@ from .core import (
     Observation,
     JointLawParams,
     PowerLaw,
+    TailLaw,
     eval_joint_law,
     eval_law,
+    eval_tail_law,
     observation_residual,
 )
 from .errors import ParseError, SchemaError
@@ -181,12 +183,20 @@ def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
     raise SchemaError(f"cannot extract a power law from a {kind!r} report")
 
 
+def _check_count(report: dict, field: str, n_rows: int) -> None:
+    n = len(report[field])
+    if n != n_rows:
+        raise SchemaError(f"report field {field!r} holds {n} values, not {n_rows}")
+
+
 def render_table(report: dict) -> list[list]:
     """Plot-ready rows for a fit report.
 
     Columns are ``d, observed, predicted, residual``, prefixed by
     ``condition`` for multi-condition reports and by the parameter counts
-    for joint reports.  ``d`` is in millions of sentence pairs.
+    for joint reports.  ``d`` is in millions of sentence pairs.  A residual
+    list that does not hold one value per row it belongs to raises
+    :class:`SchemaError` naming the field.
     """
     kind = report.get("kind")
     rows = []
@@ -206,11 +216,12 @@ def render_table(report: dict) -> list[list]:
         params = _law(JointLawParams, report["law"])
         held = {tuple(shape) for shape in report.get("hold_out", [])}
         header = ["condition", "n_enc", "n_dec", "d", "observed", "predicted", "residual", "held_out"]
+        held_rows = [(obs["n_enc"], obs["n_dec"]) in held for obs in report["observations"]]
+        _check_count(report, "residuals", held_rows.count(False))
+        _check_count(report, "holdout_residuals", held_rows.count(True))
         residuals = iter(report["residuals"])
         holdout_residuals = iter(report["holdout_residuals"])
-        for obs in report["observations"]:
-            shape = (obs["n_enc"], obs["n_dec"])
-            is_held = shape in held
+        for obs, is_held in zip(report["observations"], held_rows):
             residual = next(holdout_residuals) if is_held else next(residuals)
             d = obs["d_millions"]
             predicted = eval_joint_law(params, obs["n_enc"], obs["n_dec"], d)
@@ -218,14 +229,15 @@ def render_table(report: dict) -> list[list]:
                 [obs["condition"], obs["n_enc"], obs["n_dec"], d, obs["loss"], predicted, residual, int(is_held)]
             )
     elif kind == "fit_tail":
-        law = report["law"]
+        law = _law(TailLaw, report["law"])
         header = ["d", "observed", "predicted", "residual"]
         for obs, residual in zip(report["observations"], report["residuals"]):
             d = obs["d_millions"]
-            predicted = law["gamma"] * d ** -law["q"] + law["b"]
-            rows.append([d, obs["loss"], predicted, residual])
+            rows.append([d, obs["loss"], eval_tail_law(law, d), residual])
     else:
         raise SchemaError(f"no table rendering for a {kind!r} report")
+    if kind != "fit_joint":
+        _check_count(report, "residuals", len(report["observations"]))
     return [header] + rows
 
 

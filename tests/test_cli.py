@@ -117,6 +117,23 @@ class TestFit:
         assert code == 2
         assert out == "" and "bleu" in err
 
+    def test_rejected_overflowing_step_prints_no_warning(self, capsys, tmp_path):
+        # A trial step of this linear-space fit overflows in the Jacobian
+        # products; the step is rejected, so numpy must not warn about it.
+        path = tmp_path / "obs.csv"
+        losses = (4.6926628459868525, 4.621305149911232, 4.432494651676629, 4.49043260396211)
+        path.write_text(
+            "condition,d_millions,loss\n"
+            + "".join(f"a,{d},{loss!r}\n" for d, loss in zip((2, 8, 256, 2048), losses)),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                capsys, "fit", "--input", str(path), "--seed", "100", "--loss-space", "linear"
+            )
+        assert code == 0, err
+
     def test_input_that_is_not_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("condition,d_millions,loss\nbär,1,2.0\n".encode("latin-1"))
@@ -286,6 +303,41 @@ class TestReportCommand:
         assert lines[0] == "d,observed,predicted,residual"
         assert len(lines) == 11
 
+    def test_fit_report_with_cut_residuals_exits_2_naming_the_field(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        report_path = tmp_path / "fit.json"
+        run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(report_path))
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["residuals"] = report["residuals"][:2]
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and "'residuals'" in err
+
+    def test_joint_report_with_cut_holdout_residuals_exits_2_naming_the_field(
+        self, capsys, tmp_path
+    ):
+        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
+        table = ds.simulate_joint(
+            params, [(10**8, 10**8), (2 * 10**8, 10**8)], [1, 2, 4, 8, 16, 32], 0.0, seed=1
+        )
+        csv_path = tmp_path / "joint.csv"
+        ds.write_observations(csv_path, table)
+        report_path = tmp_path / "joint.json"
+        code, _, err = run(
+            capsys,
+            "fit-joint", "--input", str(csv_path), "--seed", "2",
+            "--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2",
+            "--hold-out", "200000000x100000000", "--output", str(report_path),
+        )
+        assert code == 0, err
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["holdout_residuals"] = report["holdout_residuals"][:2]
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and "'holdout_residuals'" in err
+
 
 class TestMc:
     def test_summary_shape_and_determinism(self, capsys, tmp_path):
@@ -302,6 +354,19 @@ class TestMc:
         assert summary["kind"] == "mc"
         assert summary["n_converged"] <= 40
         assert summary["quantiles"]["q05"] <= summary["quantiles"]["q95"]
+
+    def test_bleu_exits_2_as_fit_does(self, capsys, tmp_path):
+        # A BLEU of 0 cannot be redrawn positive, so drawing replicates
+        # before the input check would end in exit 3 instead.
+        path = tmp_path / "bleu.csv"
+        path.write_text(
+            "condition,d_millions,loss,metric\n"
+            + "".join(f"base,{d},{b},bleu\n" for d, b in ((1, 0), (2, 25), (4, 28), (8, 30))),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "mc", "--input", str(path), "--seed", "1", "--n-reps", "20")
+        assert code == 2
+        assert out == "" and "bleu" in err
 
 
 class TestFitJointCommand:

@@ -39,8 +39,12 @@ COMMANDS = [
                                   "--loss-space", "linear"]),
     ("tail.json", ["fit-tail", "--input", "obs.csv", "--condition", "no_noise",
                    "--d-min", "8", "--seed", "6"]),
+    ("tail-linear-space.json", ["fit-tail", "--input", "obs.csv", "--condition", "no_noise",
+                                "--d-min", "8", "--seed", "6", "--loss-space", "linear"]),
     ("joint.json", ["fit-joint", "--input", "joint.csv", "--seed", "7", *JOINT_FIXED,
                     "--hold-out", "400000000x200000000"]),
+    ("joint-linear-space.json", ["fit-joint", "--input", "joint.csv", "--seed", "7", *JOINT_FIXED,
+                                 "--hold-out", "400000000x200000000", "--loss-space", "linear"]),
     ("ols.json", ["fit-linear", "--input", "obs.csv", "--x-column", "d_millions",
                   "--y-column", "loss"]),
     ("fit-table.csv", ["report", "--report", "fit.json"]),
@@ -60,6 +64,8 @@ DIGESTS = {
     "shared-linear-space.json": "c604545e3f915f62b567c87071162661bb36b7e3e41f6b3aa4bdf6ec6487758b",
     "tail.json": "b806de56ad7a532346049a76e6e949175979063d7f3029f7c9b6e7d69db20a32",
     "joint.json": "d6d01d1945c0735b4cd1915f264f376aa64e946618f6916834a0b44c41067171",
+    "tail-linear-space.json": "8d6fcec60718b84d05747a8a01ce20b306c67e00834cbca890cf2ee1f9b4a214",
+    "joint-linear-space.json": "03380928eae5e292988dec69b64989eefa1fbe117dd28d1306521afa15808223",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
     "fit-table.csv": "f9818e580ec582adb0ef7fd22a954060e45f0a0975d2f25f5e774b34f33ca384",
     "shared-table.csv": "acfd873cf059f69a028633eed7fd018bbc3d8ca448ad68bd31cec985e6d21d5b",
