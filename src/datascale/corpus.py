@@ -7,15 +7,25 @@ their randomness from per-pair SplitMix64 streams derived from
 processing order, chunking, or concurrency; the same seed always yields a
 byte-identical corpus.
 
+Stream layout: pair ``i`` starts from ``s_i = mix(seed + (i + 1)·G mod 2⁶⁴)``
+and its draw ``k = 1, 2, …`` is ``mix(s_i + k·G mod 2⁶⁴)``, where ``G`` is
+the golden-ratio increment and ``mix`` the SplitMix64 finalizer.  A draw
+``u`` gives the coin ``(u >> 11)·2⁻⁵³ < prob`` and the symbol ``u mod 94``.
+Since every draw is a function of its counter alone, the noise operations
+compute the draws of a chunk of pairs together as numpy ``uint64`` arrays
+(Salmon et al., SC'11); :class:`SplitMix64` gives the same stream one draw
+at a time.
+
 File format: UTF-8 text, one pair per line, ``source<TAB>target`` with an
 optional third TAB-separated field holding a decimal quality score.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, ParseError, SchemaError
@@ -35,6 +45,11 @@ REPLACEMENT_ALPHABET = string.ascii_lowercase + string.ascii_uppercase + string.
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Draws computed together for one chunk of pairs: enough that numpy's
+# per-call overhead is small against the work, few enough that a chunk's
+# arrays stay a few hundred kB.  Output does not depend on it.
+_CHUNK_DRAWS = 4096
+
 
 def _mix64(x: int) -> int:
     """SplitMix64 output scrambler (Steele, Lea & Flood's finalizer)."""
@@ -49,7 +64,8 @@ class SplitMix64:
 
     Streams for distinct ``(seed, index)`` keys are derived through the
     SplitMix64 finalizer, so per-item randomness never depends on how many
-    other items were processed.
+    other items were processed.  The noise operations compute the same
+    streams in bulk with :func:`_streams`.
     """
 
     __slots__ = ("_state",)
@@ -109,15 +125,76 @@ class CorruptionSpec:
             raise DomainError(f"prob must lie in [0, 1], got {self.prob}")
 
 
+def _streams(seed: int, indices: list[int], counts: list[int]):
+    """Draws ``1 … counts[j]`` of ``SplitMix64.for_item(seed, indices[j])``.
+
+    Returns the draws of all streams concatenated into one ``uint64`` array,
+    and the list of each stream's start offset in it.
+    """
+    import numpy as np
+
+    # Python ints reduce any seed and index, negative or beyond 64 bits,
+    # exactly as ``for_item`` does; the rest is uint64 array arithmetic,
+    # which wraps without a warning.
+    bases = np.array([(seed + (index + 1) * _GOLDEN) & _MASK64 for index in indices], dtype=np.uint64)
+    starts = [0, *itertools.accumulate(counts)]
+    total = starts.pop()
+    golden = np.uint64(_GOLDEN)
+    # Draw k of stream j sits at offset p = starts[j] + k - 1, so its state
+    # s_j + k·G is (s_j + (1 - starts[j])·G) + p·G.
+    first = _mix64_array(bases) + golden - np.array(starts, dtype=np.uint64) * golden
+    state = np.repeat(first, counts)
+    state += np.arange(total, dtype=np.uint64) * golden
+    return _mix64_array(state), starts
+
+
+def _mix64_array(z):
+    """:func:`_mix64` on a ``uint64`` array, in place."""
+    import numpy as np
+
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _coins(u, prob: float):
+    """``SplitMix64.next_float() < prob`` for each draw in ``u``."""
+    import numpy as np
+
+    return (u >> np.uint64(11)) * 2.0**-53 < prob
+
+
+def _chunks(items: Iterable, draws: Callable[[object], int]) -> Iterator[list]:
+    """Group ``items`` in order into lists needing about ``_CHUNK_DRAWS``
+    draws, at least one item each."""
+    chunk, budget = [], 0
+    for item in items:
+        chunk.append(item)
+        budget += draws(item)
+        if budget >= _CHUNK_DRAWS:
+            yield chunk
+            chunk, budget = [], 0
+    if chunk:
+        yield chunk
+
+
 def _check_kind(spec: CorruptionSpec, expected: str):
     if spec.kind != expected:
         raise DomainError(f"spec kind is {spec.kind!r}, expected {expected!r}")
 
 
+def _side_text(pair: SentencePair, side: str) -> str:
+    return pair.source if side == "source" else pair.target
+
+
 def _with_side(pair: SentencePair, side: str, text: str) -> SentencePair:
+    # Called once per pair: the constructor costs a third of ``replace``.
     if side == "source":
-        return replace(pair, source=text)
-    return replace(pair, target=text)
+        return SentencePair(text, pair.target, pair.score, pair.index)
+    return SentencePair(pair.source, text, pair.score, pair.index)
 
 
 def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterator[SentencePair]:
@@ -127,17 +204,41 @@ def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterat
     ``spec.prob`` by a symbol drawn uniformly from the 94-character
     :data:`REPLACEMENT_ALPHABET`; character counts per sentence are
     preserved and the other side passes through byte-identical.
+
+    Draw order: for each character in turn, one coin and, only on a hit, one
+    symbol, so a pair of ``n`` characters uses at most ``2n`` draws and draw
+    ``t`` is not tied to character ``t``.
     """
+    import numpy as np
+
     _check_kind(spec, "char_noise")
-    n_symbols = len(REPLACEMENT_ALPHABET)
-    for pair in pairs:
-        rng = SplitMix64.for_item(spec.seed, pair.index)
-        text = pair.source if spec.side == "source" else pair.target
-        chars = list(text)
-        for i in range(len(chars)):
-            if rng.next_float() < spec.prob:
-                chars[i] = REPLACEMENT_ALPHABET[rng.next_below(n_symbols)]
-        yield _with_side(pair, spec.side, "".join(chars))
+    side = spec.side
+    texts = ((pair, _side_text(pair, side)) for pair in pairs)
+    for chunk in _chunks(texts, lambda item: 2 * len(item[1])):
+        u, starts = _streams(spec.seed, [pair.index for pair, _ in chunk], [2 * len(t) for _, t in chunk])
+        # nxt[k]: offset of the first hitting coin at or after offset k; the
+        # two sentinels let the walk look two past a hit on the last draw.
+        n = len(u)
+        hit_at = np.where(_coins(u, spec.prob), np.arange(n), n)
+        nxt = np.minimum.accumulate(hit_at[::-1])[::-1].tolist() + [n, n]
+        symbols = (u % np.uint64(len(REPLACEMENT_ALPHABET))).tolist()
+        for (pair, text), start in zip(chunk, starts):
+            # Before its first hit a pair's draws are all coins, and after a
+            # hit at t they are again from t + 2 on; h hits so far put the
+            # coin of character i at start + i + h.
+            t = nxt[start]
+            i = t - start
+            if i >= len(text):
+                yield pair
+                continue
+            chars = list(text)
+            h = 0
+            while i < len(chars):
+                chars[i] = REPLACEMENT_ALPHABET[symbols[t + 1]]
+                h += 1
+                t = nxt[t + 2]
+                i = t - start - h
+            yield _with_side(pair, side, "".join(chars))
 
 
 def delete_words(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterator[SentencePair]:
@@ -146,32 +247,36 @@ def delete_words(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterato
     Words are maximal runs of non-whitespace; survivors are rejoined with
     single spaces (so whitespace is normalized even at ``prob = 0``), and a
     sentence may come out empty.  The surviving words are always a
-    subsequence of the input words.
+    subsequence of the input words.  Word ``w`` is dropped when draw
+    ``w + 1`` of its pair's stream is a hitting coin.
     """
     _check_kind(spec, "word_delete")
-    for pair in pairs:
-        rng = SplitMix64.for_item(spec.seed, pair.index)
-        text = pair.source if spec.side == "source" else pair.target
-        kept = [w for w in text.split() if rng.next_float() >= spec.prob]
-        yield _with_side(pair, spec.side, " ".join(kept))
+    split = ((pair, _side_text(pair, spec.side).split()) for pair in pairs)
+    for chunk in _chunks(split, lambda item: len(item[1])):
+        u, starts = _streams(spec.seed, [pair.index for pair, _ in chunk], [len(w) for _, w in chunk])
+        keep = (~_coins(u, spec.prob)).tolist()
+        for (pair, words), start in zip(chunk, starts):
+            kept = itertools.compress(words, keep[start : start + len(words)])
+            yield _with_side(pair, spec.side, " ".join(kept))
 
 
 def shuffle_pairs(pairs: list[SentencePair], spec: CorruptionSpec) -> list[SentencePair]:
     """Break the alignment of a random subset of pairs.
 
     Each pair is selected with probability ``spec.prob`` (per-pair coin,
-    keyed by its index); the targets of the selected pairs are then rotated
-    by one position among themselves, so whenever at least two pairs are
-    selected every one of them receives some other pair's target.  Sources
-    never move and the multiset of targets is preserved.  ``spec.side`` is
-    ignored: the operation is symmetric in effect.
+    keyed by its index: draw 1 of its stream); the targets of the selected
+    pairs are then rotated by one position among themselves, so whenever at
+    least two pairs are selected every one of them receives some other
+    pair's target.  Sources never move and the multiset of targets is
+    preserved.  ``spec.side`` is ignored: the operation is symmetric in
+    effect.
     """
     _check_kind(spec, "pair_shuffle")
-    selected = [
-        i
-        for i, pair in enumerate(pairs)
-        if SplitMix64.for_item(spec.seed, pair.index).next_float() < spec.prob
-    ]
+    selected = []
+    for chunk in _chunks(enumerate(pairs), lambda item: 1):
+        u, _ = _streams(spec.seed, [pair.index for _, pair in chunk], [1] * len(chunk))
+        hits = _coins(u, spec.prob).tolist()
+        selected += itertools.compress((i for i, _ in chunk), hits)
     out = list(pairs)
     if len(selected) >= 2:
         rotated_targets = [pairs[selected[(j + 1) % len(selected)]].target for j in range(len(selected))]

@@ -170,23 +170,46 @@ def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
         return _law(PowerLaw, report["law"])
     if kind == "fit_shared":
         per_condition = report["per_condition"]
+        if not isinstance(per_condition, dict) or not all(
+            isinstance(entry, dict) for entry in per_condition.values()
+        ):
+            raise SchemaError("report field 'per_condition' is not an object of condition records")
         if condition is None:
             if len(per_condition) != 1:
                 raise SchemaError(
                     "shared report holds several conditions; pass a condition selector"
                 )
             condition = next(iter(per_condition))
-        if condition not in per_condition:
+        if not isinstance(condition, str) or condition not in per_condition:
             raise SchemaError(f"condition {condition!r} not in report")
         entry = per_condition[condition]
-        return PowerLaw(alpha=entry["alpha"], c=entry["c"], p=report["p"])
+        return _law(PowerLaw, {"alpha": entry["alpha"], "c": entry["c"], "p": report["p"]})
     raise SchemaError(f"cannot extract a power law from a {kind!r} report")
 
 
-def _check_count(report: dict, field: str, n_rows: int) -> None:
-    n = len(report[field])
-    if n != n_rows:
-        raise SchemaError(f"report field {field!r} holds {n} values, not {n_rows}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(report: dict, field: str, n_rows: int) -> list:
+    """``report[field]``, checked to be a list of ``n_rows`` numbers."""
+    values = report[field]
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise SchemaError(f"report field {field!r} is not a list of numbers")
+    if len(values) != n_rows:
+        raise SchemaError(f"report field {field!r} holds {len(values)} values, not {n_rows}")
+    return values
+
+
+def _observations(report: dict, numeric: tuple[str, ...]) -> list:
+    """``report["observations"]``, checked to be a list of records whose
+    ``numeric`` fields are numbers."""
+    records = report["observations"]
+    if not isinstance(records, list) or not all(
+        isinstance(record, dict) and all(_is_number(record[key]) for key in numeric) for record in records
+    ):
+        raise SchemaError(f"report field 'observations' is not a list of records with numeric {numeric}")
+    return records
 
 
 def render_table(report: dict) -> list[list]:
@@ -194,51 +217,54 @@ def render_table(report: dict) -> list[list]:
 
     Columns are ``d, observed, predicted, residual``, prefixed by
     ``condition`` for multi-condition reports and by the parameter counts
-    for joint reports.  ``d`` is in millions of sentence pairs.  A residual
-    list that does not hold one value per row it belongs to raises
-    :class:`SchemaError` naming the field.
+    for joint reports.  ``d`` is in millions of sentence pairs.  An
+    observation list that is not a list of records with numeric fields, or a
+    residual list that does not hold one number per row it belongs to,
+    raises :class:`SchemaError` naming the field.
     """
     kind = report.get("kind")
-    rows = []
-    if kind == "fit":
-        law = law_from_report(report)
-        header = ["d", "observed", "predicted", "residual"]
-        for obs, residual in zip(report["observations"], report["residuals"]):
-            d = obs["d_millions"]
-            rows.append([d, obs["loss"], eval_law(law, d), residual])
-    elif kind == "fit_shared":
-        header = ["condition", "d", "observed", "predicted", "residual"]
-        for obs, residual in zip(report["observations"], report["residuals"]):
-            law = law_from_report(report, obs["condition"])
-            d = obs["d_millions"]
-            rows.append([obs["condition"], d, obs["loss"], eval_law(law, d), residual])
-    elif kind == "fit_joint":
+    if kind not in ("fit", "fit_shared", "fit_joint", "fit_tail"):
+        raise SchemaError(f"no table rendering for a {kind!r} report")
+    if kind == "fit_joint":
         params = _law(JointLawParams, report["law"])
-        held = {tuple(shape) for shape in report.get("hold_out", [])}
+        observations = _observations(report, ("n_enc", "n_dec", "d_millions", "loss"))
+        hold_out = report.get("hold_out", [])
+        if not isinstance(hold_out, list) or not all(
+            isinstance(shape, list) and all(map(_is_number, shape)) for shape in hold_out
+        ):
+            raise SchemaError("report field 'hold_out' is not a list of shapes")
+        held = {tuple(shape) for shape in hold_out}
         header = ["condition", "n_enc", "n_dec", "d", "observed", "predicted", "residual", "held_out"]
-        held_rows = [(obs["n_enc"], obs["n_dec"]) in held for obs in report["observations"]]
-        _check_count(report, "residuals", held_rows.count(False))
-        _check_count(report, "holdout_residuals", held_rows.count(True))
-        residuals = iter(report["residuals"])
-        holdout_residuals = iter(report["holdout_residuals"])
-        for obs, is_held in zip(report["observations"], held_rows):
+        held_rows = [(obs["n_enc"], obs["n_dec"]) in held for obs in observations]
+        residuals = iter(_numbers(report, "residuals", held_rows.count(False)))
+        holdout_residuals = iter(_numbers(report, "holdout_residuals", held_rows.count(True)))
+        rows = []
+        for obs, is_held in zip(observations, held_rows):
             residual = next(holdout_residuals) if is_held else next(residuals)
             d = obs["d_millions"]
             predicted = eval_joint_law(params, obs["n_enc"], obs["n_dec"], d)
             rows.append(
                 [obs["condition"], obs["n_enc"], obs["n_dec"], d, obs["loss"], predicted, residual, int(is_held)]
             )
-    elif kind == "fit_tail":
-        law = _law(TailLaw, report["law"])
-        header = ["d", "observed", "predicted", "residual"]
-        for obs, residual in zip(report["observations"], report["residuals"]):
+        return [header] + rows
+    if kind == "fit_shared":
+        observations = _observations(report, ("d_millions", "loss"))
+        header = ["condition", "d", "observed", "predicted", "residual"]
+        rows = []
+        for obs, residual in zip(observations, _numbers(report, "residuals", len(observations))):
+            law = law_from_report(report, obs["condition"])
             d = obs["d_millions"]
-            rows.append([d, obs["loss"], eval_tail_law(law, d), residual])
+            rows.append([obs["condition"], d, obs["loss"], eval_law(law, d), residual])
+        return [header] + rows
+    if kind == "fit":
+        law, evaluate = law_from_report(report), eval_law
     else:
-        raise SchemaError(f"no table rendering for a {kind!r} report")
-    if kind != "fit_joint":
-        _check_count(report, "residuals", len(report["observations"]))
-    return [header] + rows
+        law, evaluate = _law(TailLaw, report["law"]), eval_tail_law
+    observations = _observations(report, ("d_millions", "loss"))
+    residuals = _numbers(report, "residuals", len(observations))
+    rows = [[obs["d_millions"], obs["loss"], evaluate(law, obs["d_millions"]), residual]
+            for obs, residual in zip(observations, residuals)]
+    return [["d", "observed", "predicted", "residual"]] + rows
 
 
 def format_table(report: dict) -> str:

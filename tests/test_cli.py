@@ -338,6 +338,86 @@ class TestReportCommand:
         assert code == 2
         assert out == "" and "'holdout_residuals'" in err
 
+    def test_joint_report_with_mistyped_hold_out_exits_2_naming_it(self, capsys, tmp_path):
+        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
+        table = ds.simulate_joint(params, [(10**8, 10**8), (2 * 10**8, 10**8)], [1, 2, 4, 8], 0.0, seed=1)
+        csv_path = tmp_path / "joint.csv"
+        ds.write_observations(csv_path, table)
+        report_path = tmp_path / "joint.json"
+        code, _, err = run(
+            capsys,
+            "fit-joint", "--input", str(csv_path), "--seed", "2",
+            "--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2",
+            "--hold-out", "200000000x100000000", "--output", str(report_path),
+        )
+        assert code == 0, err
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["hold_out"] = 3
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and "'hold_out'" in err
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("residuals", 3, id="residuals-number"),
+            pytest.param("residuals", ["x"] * 10, id="residuals-strings"),
+            pytest.param("residuals", [True] * 10, id="residuals-booleans"),
+            pytest.param("observations", 5, id="observations-number"),
+            pytest.param("observations", ["x"] * 10, id="observations-strings"),
+        ],
+    )
+    def test_fit_report_with_mistyped_field_exits_2_naming_it(self, capsys, tmp_path, field, value):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        report_path = tmp_path / "fit.json"
+        run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(report_path))
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report[field] = value
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and f"'{field}'" in err
+
+    @pytest.mark.parametrize("key", ["d_millions", "loss"])
+    def test_fit_report_with_mistyped_observation_exits_2(self, capsys, tmp_path, key):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        report_path = tmp_path / "fit.json"
+        run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(report_path))
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["observations"][3][key] = "x"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and "'observations'" in err and key in err
+
+    @pytest.mark.parametrize(
+        "mistype",
+        [
+            pytest.param(lambda report: report.update(per_condition=3), id="per_condition"),
+            pytest.param(lambda report: report.update(p="x"), id="p"),
+            pytest.param(lambda report: report["observations"][0].update(condition=[1]), id="condition"),
+        ],
+    )
+    def test_shared_report_with_mistyped_field_exits_2(self, capsys, tmp_path, mistype):
+        rows = []
+        for i, (label, alpha, c, p) in enumerate(FILTERING_BLOCK[:2]):
+            path = simulate_csv(capsys, tmp_path, f"{label}.csv", alpha, c, p, seed=str(i), condition=label)
+            rows += path.read_text(encoding="utf-8").splitlines()[1 if i else 0:]
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        report_path = tmp_path / "shared.json"
+        code, _, err = run(capsys, "fit-shared", "--input", str(csv_path), "--seed", "1",
+                           "--output", str(report_path))
+        assert code == 0, err
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        mistype(report)
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestMc:
     def test_summary_shape_and_determinism(self, capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Corpus operations: determinism, side isolation, structural invariants."""
 
+from dataclasses import replace
+
 import pytest
 
 import datascale as ds
+from datascale import corpus
 from datascale.corpus import (
     REPLACEMENT_ALPHABET,
     SplitMix64,
@@ -240,3 +243,86 @@ class TestPairFiles:
     def test_format_parse_inverse(self):
         pair = ds.SentencePair("source text", "target text", score=0.125, index=4)
         assert parse_pair_line(format_pair(pair), 5, 4) == pair
+
+
+# ---------------------------------------------------------------------------
+# Equality with the scalar per-pair streams
+# ---------------------------------------------------------------------------
+
+
+def oracle_chars(pair, spec):
+    """One coin per character and, on a hit, one symbol draw, in text order."""
+    rng = SplitMix64.for_item(spec.seed, pair.index)
+    chars = list(pair.source if spec.side == "source" else pair.target)
+    for i in range(len(chars)):
+        if rng.next_float() < spec.prob:
+            chars[i] = REPLACEMENT_ALPHABET[rng.next_below(len(REPLACEMENT_ALPHABET))]
+    text = "".join(chars)
+    return replace(pair, source=text) if spec.side == "source" else replace(pair, target=text)
+
+
+def oracle_words(pair, spec):
+    """One coin per whitespace-delimited word, in text order."""
+    rng = SplitMix64.for_item(spec.seed, pair.index)
+    words = (pair.source if spec.side == "source" else pair.target).split()
+    text = " ".join(w for w in words if rng.next_float() >= spec.prob)
+    return replace(pair, source=text) if spec.side == "source" else replace(pair, target=text)
+
+
+def oracle_shuffle(pairs, spec):
+    """One coin per pair; the selected pairs' targets rotate by one."""
+    selected = [
+        i for i, pair in enumerate(pairs)
+        if SplitMix64.for_item(spec.seed, pair.index).next_float() < spec.prob
+    ]
+    out = list(pairs)
+    if len(selected) >= 2:
+        for j, pos in enumerate(selected):
+            out[pos] = replace(out[pos], target=pairs[selected[(j + 1) % len(selected)]].target)
+    return out
+
+
+SWEEP_ALPHABETS = ["abc xyz", "é€ßЖ", "😀𝔘𝔫𝔦", "日本語 ", "a  b\u3000c\xa0", "\t"]
+
+
+def sweep_corpus(n=150, seed=17):
+    """Random pairs of 0-40 characters from mixed scripts, with negative and
+    duplicate indices, plus empty, emoji-only and 5000-character sides."""
+    pairs = []
+    for k in range(n):
+        rng = SplitMix64.for_item(seed, k)
+
+        def side():
+            alphabet = SWEEP_ALPHABETS[rng.next_below(len(SWEEP_ALPHABETS))]
+            return "".join(alphabet[rng.next_below(len(alphabet))] for _ in range(rng.next_below(41)))
+
+        pairs.append(ds.SentencePair(side(), side(), index=rng.next_below(n // 2) - 50))
+    pairs[3:3] = [
+        ds.SentencePair("", "", index=0),
+        ds.SentencePair("😀", "", index=-1),
+        ds.SentencePair("é€ßЖ " * 1000, "a " * 2500, index=7),
+        ds.SentencePair("", "é€ßЖ", index=7),
+    ]
+    return pairs
+
+
+SWEEP_PAIRS = sweep_corpus()
+
+
+@pytest.mark.parametrize("prob", [0.0, 1e-9, 0.1, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**64, 2**90 + 3])
+def test_noise_equals_scalar_streams_for_every_chunk_budget(monkeypatch, prob, seed):
+    expected = {}
+    for side in ("source", "target"):
+        spec = ds.CorruptionSpec(kind="char_noise", side=side, prob=prob, seed=seed)
+        expected[spec] = [oracle_chars(p, spec) for p in SWEEP_PAIRS]
+        spec = replace(spec, kind="word_delete")
+        expected[spec] = [oracle_words(p, spec) for p in SWEEP_PAIRS]
+    shuffle = ds.CorruptionSpec(kind="pair_shuffle", side="source", prob=prob, seed=seed)
+    expected_shuffle = oracle_shuffle(SWEEP_PAIRS, shuffle)
+    for budget in (1, 7, corpus._CHUNK_DRAWS):
+        monkeypatch.setattr(corpus, "_CHUNK_DRAWS", budget)
+        for spec, want in expected.items():
+            noise = ds.corrupt_chars if spec.kind == "char_noise" else ds.delete_words
+            assert list(noise(iter(SWEEP_PAIRS), spec)) == want, (spec, budget)
+        assert ds.shuffle_pairs(SWEEP_PAIRS, shuffle) == expected_shuffle, budget

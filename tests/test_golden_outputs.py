@@ -1,18 +1,22 @@
-"""Golden outputs: the exact bytes every fitting and analysis command writes.
+"""Golden outputs: the exact bytes every fitting, analysis and corpus
+command writes.
 
-Each command runs through ``datascale.cli.main`` on a small seeded table, in
-a temporary directory with relative paths so that the provenance block of a
-report does not depend on where the test runs.  The sha256 of every output
-is compared with a digest recorded from an earlier implementation, so a
-refactor of the fitters, the analysis or the reports that is meant to leave
-results unchanged has to leave every byte unchanged.
+Each command runs through ``datascale.cli.main`` on a small seeded table or
+corpus, in a temporary directory with relative paths so that the provenance
+block of a report does not depend on where the test runs.  The sha256 of
+every output is compared with a digest recorded from an earlier
+implementation, so a refactor of the fitters, the analysis, the reports or
+the corpus noise that is meant to leave results unchanged has to leave every
+byte unchanged.
 
-The digests depend on the numpy build and on the CPU as well as on the
-code: numpy's SIMD ``log`` and ``pow`` kernels differ between instruction
-sets in the last bits, and those bits reach the reports through ``repr``.
-On another machine or numpy version the digests may disagree although the
-code is unchanged; record them anew there from a commit known to be good,
-then compare the change against them.
+The digests of the fitting and analysis outputs depend on the numpy build
+and on the CPU as well as on the code: numpy's SIMD ``log`` and ``pow``
+kernels differ between instruction sets in the last bits, and those bits
+reach the reports through ``repr``.  On another machine or numpy version
+those digests may disagree although the code is unchanged; record them anew
+there from a commit known to be good, then compare the change against them.
+The corpus digests use only integer arithmetic and exact float comparisons,
+so they hold on any machine.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ import pytest
 
 import datascale as ds
 from datascale.cli import main
+from datascale.corpus import SplitMix64
 from datascale.observations import format_observations
 
 from conftest import DOUBLING_GRID, NOISE_BLOCK
@@ -57,6 +62,23 @@ COMMANDS = [
                  "--fit-seed", "2", "--n-reps", "20"]),
 ]
 
+# Corpus commands: every noise kind on both sides at two rates and two seeds,
+# one of them beyond 64 bits, then filter and sample.
+CORPUS_SEEDS = ("7", str(2**64 + 5))
+COMMANDS += [
+    (f"{kind}-{side}-{prob}-{seed}.tsv", ["corpus", "corrupt", "--kind", kind, "--side", side,
+                                          "--prob", prob, "--seed", seed, "--input", "corpus.tsv"])
+    for kind in ("char_noise", "word_delete", "pair_shuffle")
+    for side in ("source", "target")
+    for prob in ("0.1", "1.0")
+    for seed in CORPUS_SEEDS
+]
+COMMANDS += [
+    ("filter.tsv", ["corpus", "filter", "--fraction", "0.3", "--input", "corpus.tsv"]),
+    *((f"sample-{seed}.tsv", ["corpus", "sample", "--size", "40", "--seed", seed,
+                              "--input", "corpus.tsv"]) for seed in CORPUS_SEEDS),
+]
+
 DIGESTS = {
     "fit.json": "6a5953cf5f44ab7b30afb7b415228e7335f31a4f05443a8b16493c32a7a74c5c",
     "fit-linear-space.json": "fa9e6ae31006b346eda1f843be2d7433bb70ee40a5475e4cf954ee34ef497634",
@@ -74,7 +96,62 @@ DIGESTS = {
     "fit-analysis.json": "07a019e367fbc63c275c959fb7e14cf378b9b5f392ded342734452ea9630deb8",
     "shared-analysis.json": "e2b3855b063a7e78435a510c66ca92a1cb15b86c8163442ce31b87c7bb9cd21d",
     "mc.json": "9c01adf6f851d262803a5a9135eef800789329e6a23262fdbd7789946dfa2883",
+    "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
+    "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
+    "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",
+    "char_noise-source-1.0-18446744073709551621.tsv": "015dc5e413659df6883fe7c10e51591c39a42904b3db6eade1884bf75e25e93c",
+    "char_noise-target-0.1-7.tsv": "d4474cf8459c96c26ad090a985d3f1558ce7b8335e7fb3e24706d3aeecb91650",
+    "char_noise-target-0.1-18446744073709551621.tsv": "f0eb6a25116f26406fdf32761ce0ee1170e71a488177867c2c9a043e8e45b886",
+    "char_noise-target-1.0-7.tsv": "2a38a443faec473dc42075c3dd06c860eab5511a38307533e3787067f65bc83e",
+    "char_noise-target-1.0-18446744073709551621.tsv": "3d99f2028296b502f91b5a722fe5e5fc8d789bc434888b1c6c80d186bc7a9ef6",
+    "word_delete-source-0.1-7.tsv": "38c6d4ae52a075ac73639454b5be2e6d9f957c0b1c9cfccd9c2f92e13a9b2961",
+    "word_delete-source-0.1-18446744073709551621.tsv": "76193dd485bc2c388501b007bbd40dc57a922e75338dab197df1245fe9e77f08",
+    "word_delete-source-1.0-7.tsv": "e8ea74667f12d2a7921c21540b064fe7fff9d492d52c68e6ec4cafa0498e1916",
+    "word_delete-source-1.0-18446744073709551621.tsv": "e8ea74667f12d2a7921c21540b064fe7fff9d492d52c68e6ec4cafa0498e1916",
+    "word_delete-target-0.1-7.tsv": "cb3b05df3039e77cc4d9aaa7d77f101f0d4f4f95343cabe4707931e175a7d217",
+    "word_delete-target-0.1-18446744073709551621.tsv": "e698d7c31cedf0b15cc227ffd48ec141fde9353c892f469e4f7062aa0d881782",
+    "word_delete-target-1.0-7.tsv": "234df832583da7365490857815de6bc0ffb50718c02bd1a37ec222053af91db7",
+    "word_delete-target-1.0-18446744073709551621.tsv": "234df832583da7365490857815de6bc0ffb50718c02bd1a37ec222053af91db7",
+    "pair_shuffle-source-0.1-7.tsv": "cd6f75c2b46e34d582aa003c436b4c517a9ffaaf91c5bb06e7d2abc1601d07a0",
+    "pair_shuffle-source-0.1-18446744073709551621.tsv": "6cf6c21df278401c460f8a1a6e134722c3c1ac69fe109eeb1f1e85e47f13f35f",
+    "pair_shuffle-source-1.0-7.tsv": "f750ae15ed0edc0c3a5ba3792394b4344c21d3a9c7f9eb9f7c3fbcf0fab94d74",
+    "pair_shuffle-source-1.0-18446744073709551621.tsv": "f750ae15ed0edc0c3a5ba3792394b4344c21d3a9c7f9eb9f7c3fbcf0fab94d74",
+    "pair_shuffle-target-0.1-7.tsv": "cd6f75c2b46e34d582aa003c436b4c517a9ffaaf91c5bb06e7d2abc1601d07a0",
+    "pair_shuffle-target-0.1-18446744073709551621.tsv": "6cf6c21df278401c460f8a1a6e134722c3c1ac69fe109eeb1f1e85e47f13f35f",
+    "pair_shuffle-target-1.0-7.tsv": "f750ae15ed0edc0c3a5ba3792394b4344c21d3a9c7f9eb9f7c3fbcf0fab94d74",
+    "pair_shuffle-target-1.0-18446744073709551621.tsv": "f750ae15ed0edc0c3a5ba3792394b4344c21d3a9c7f9eb9f7c3fbcf0fab94d74",
+    "filter.tsv": "16b8e0d73f97bf0b2c04d1779462995b18b9301cf592aab8ce5525498da780c1",
+    "sample-7.tsv": "881ec36998453354f36f2e77e72e1c031b7c7a4fc96aef96d36c1f4cfe160c86",
+    "sample-18446744073709551621.tsv": "7e1e0728b5a625e0e3de50417ed11e7652072a322739d5afa45dd3b6cac860ae",
 }
+
+
+# Words with non-ASCII and astral characters, and separators with runs of
+# spaces and non-ASCII whitespace (which ``str.split`` also splits on).
+CORPUS_WORDS = ["the", "cat", "Straße", "naïve", "Жук", "日本語", "😀", "𝔘𝔫𝔦", "café", "x", "€5", "—"]
+CORPUS_SEPARATORS = [" ", " ", " ", "   ", "\u3000", "\xa0 "]
+
+
+def corpus_text() -> str:
+    """A scored corpus of 120 pairs with empty sides, padded sides and one
+    2000-character source."""
+    lines = []
+    for i in range(120):
+        rng = SplitMix64.for_item(99, i)
+
+        def side(n_words):
+            text = ""
+            for _ in range(n_words):
+                text += CORPUS_WORDS[rng.next_below(len(CORPUS_WORDS))]
+                text += CORPUS_SEPARATORS[rng.next_below(len(CORPUS_SEPARATORS))]
+            return text.rstrip() if i % 4 else "  " + text
+
+        source = "" if i % 17 == 3 else side(rng.next_below(15))
+        target = "" if i % 13 == 5 else side(rng.next_below(15))
+        if i == 50:
+            source = "é€ßЖ😀 " * 400
+        lines.append(f"{source}\t{target}\t{rng.next_below(1000) / 8 - 40}\n")
+    return "".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +166,7 @@ def outputs(tmp_path_factory):
     params = ds.JointLawParams(alpha=1.8, p=0.3, beta=2.0, p_e=0.3, p_d=0.25, l_inf=0.01)
     joint = ds.simulate_joint(params, SHAPES, DOUBLING_GRID, 0.01, seed=30)
     (work / "joint.csv").write_text(format_observations(joint), encoding="utf-8")
+    (work / "corpus.tsv").write_text(corpus_text(), encoding="utf-8")
 
     results = {}
     cwd = os.getcwd()
