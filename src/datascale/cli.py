@@ -58,6 +58,7 @@ from .reports import (
     law_analysis,
     law_from_report,
     load_report,
+    shared_conditions,
 )
 
 EXIT_OK = 0
@@ -209,7 +210,7 @@ def cmd_analyze(args) -> int:
             "p": report["p"],
             "per_condition": {
                 label: law_analysis(law_from_report(report, label), args.marginal_at)
-                for label in sorted(report["per_condition"])
+                for label in sorted(shared_conditions(report))
             },
         }
     else:

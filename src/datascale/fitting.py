@@ -12,12 +12,22 @@ smooth reparameterizations:
 
 The optimizer is a damped Gauss-Newton loop with adaptive (Marquardt-style)
 damping, driven by analytic Jacobians.  :func:`_residual_fn` holds the loss
-space's residual and :func:`_least_squares` the Jacobian's sign and the
-restarts; each fitter supplies only its model, its Jacobian in the loss space
-and its seeds.  Each fit runs from a data-driven seed plus log-normally
-perturbed restarts (:func:`_restart_points`); the lowest objective wins, ties
-broken by lowest restart index, so results are bit-reproducible for a fixed
-:class:`FitConfig`.
+space's residual, :func:`_gauss_newton` the sign of the residual's Jacobian
+and :func:`_least_squares` the restarts; each fitter supplies only its model,
+the model's Jacobian in the loss space and its seeds.  Each fit runs from a
+data-driven seed plus log-normally perturbed restarts
+(:func:`_restart_points`); the lowest objective wins, ties broken by lowest
+restart index, so results are bit-reproducible for a fixed :class:`FitConfig`.
+
+The golden digests of the fitting commands and the engine sweep in the tests
+pin every bit of every result, so these operations keep their operands, their
+order and the library that computes them: numpy's array ``exp``, ``log`` and
+``**``; ``np.exp`` in :func:`_sigmoid` (``math.exp`` can differ in the last
+bit); the BLAS matmuls ``J.T @ r``, ``J.T @ J`` and ``r @ r`` on a C-contiguous
+``(n, k)`` Jacobian; and ``np.linalg.solve``.  What may move is the work around
+them: clamps (``min``/``max`` on Python floats rather than ``np.clip`` on numpy
+scalars), constants hoisted out of the loop (``1/d``, ``ln d``, the damping
+matrix once per iteration) and how arrays are allocated and filled.
 """
 
 from __future__ import annotations
@@ -130,9 +140,13 @@ class JointFitResult:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(t: np.ndarray | float):
-    t = np.clip(t, -_LOGIT_BOX, _LOGIT_BOX)
-    return 1.0 / (1.0 + np.exp(-t))
+def _sigmoid(t: float) -> float:
+    t = min(max(t, -_LOGIT_BOX), _LOGIT_BOX)
+    return 1.0 / (1.0 + float(np.exp(-t)))
+
+
+def _clamped_exp(v: float) -> float:
+    return math.exp(min(max(v, -_LOG_BOX), _LOG_BOX))
 
 
 def _logit(p: float) -> float:
@@ -145,11 +159,8 @@ def _law_to_internal(alpha: float, c: float, p: float) -> np.ndarray:
 
 
 def _law_from_internal(theta: np.ndarray) -> tuple[float, float, float]:
-    a, cc, t = theta
-    alpha = math.exp(min(max(a, -_LOG_BOX), _LOG_BOX))
-    c = math.exp(min(max(cc, -_LOG_BOX), _LOG_BOX))
-    p = 2.0 * float(_sigmoid(t))
-    return alpha, c, p
+    a, cc, t = theta.tolist()
+    return _clamped_exp(a), _clamped_exp(cc), 2.0 * _sigmoid(t)
 
 
 def _dp_dt(p: float) -> float:
@@ -162,44 +173,51 @@ def _dp_dt(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_newton(residual, jacobian, theta0, max_iters, rel_tol):
-    """Minimize ``sum(residual(theta)**2)`` from ``theta0``.
+def _gauss_newton(model, residual, jacobian, theta0, max_iters, rel_tol):
+    """Minimize ``sum(residual(model(theta))**2)`` from ``theta0``, given
+    ``jacobian(theta, m)``, the Jacobian of the model in the residual's loss
+    space at ``theta`` where ``m = model(theta)``.
 
-    Returns ``(theta, objective, converged, n_iters)``.  Convergence means
-    either an accepted step decreased the objective by a relative amount at
-    most ``rel_tol``, the gradient vanished, or no damping level could find
-    a downhill step (numerical stationarity).  Exhausting ``max_iters``
-    leaves ``converged`` False.
+    The residual's Jacobian is the negated model Jacobian ``J``, so the step
+    solves ``(J.T @ J + lam * D) step = J.T @ r``.  Returns ``(theta,
+    objective, converged, n_iters)``.  Convergence means either an accepted
+    step decreased the objective by a relative amount at most ``rel_tol``,
+    the gradient vanished, or no damping level could find a downhill step
+    (numerical stationarity).  Exhausting ``max_iters`` leaves ``converged``
+    False.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = residual(theta)
+    theta = np.array(theta0, dtype=float)
+    m = model(theta)
+    r = residual(m)
     f = float(r @ r)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         return theta, f, False, 0
     lam = 1e-3
     converged = False
     n_iters = 0
     for n_iters in range(1, max_iters + 1):
-        J = jacobian(theta)
+        J = jacobian(theta, m)
         g = J.T @ r
-        if float(np.max(np.abs(g))) <= 1e-14 * max(1.0, f):
+        g_tol = 1e-14 * max(1.0, f)
+        if all(abs(v) <= g_tol for v in g.tolist()):  # False when g holds a NaN
             converged = True
             break
         A = J.T @ J
-        diag = np.maximum(np.diag(A), 1e-12)
+        damping = np.diag(np.maximum(A.diagonal(), 1e-12))
         accepted = False
         for _ in range(60):
             try:
-                step = np.linalg.solve(A + lam * np.diag(diag), -g)
+                step = np.linalg.solve(A + lam * damping, g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             theta_new = theta + step
-            r_new = residual(theta_new)
+            m_new = model(theta_new)
+            r_new = residual(m_new)
             f_new = float(r_new @ r_new)
-            if np.isfinite(f_new) and f_new <= f:
+            if math.isfinite(f_new) and f_new <= f:
                 rel_dec = (f - f_new) / max(f, 1e-300)
-                theta, r, f = theta_new, r_new, f_new
+                theta, m, r, f = theta_new, m_new, r_new, f_new
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 if rel_dec <= rel_tol:
@@ -226,24 +244,16 @@ def _residual_fn(y: np.ndarray, loss_space: str):
 
 def _least_squares(residual, model, jacobian, seeds, cfg: FitConfig):
     """Minimize ``sum(residual(model(theta))**2)`` from each seed, given the
-    model's ``jacobian`` in the loss space of ``residual``; returns ``(theta,
-    objective, converged, n_iters)`` of the lowest objective, ties going to the
-    earliest restart.  An overflowing trial step is rejected without a warning."""
-
-    def residual_at(theta):
-        return residual(model(theta))
-
-    def residual_jacobian(theta):
-        return -jacobian(theta)
-
+    model's ``jacobian(theta, m)`` in the loss space of ``residual``; returns
+    ``(theta, objective, converged, n_iters)`` of the lowest objective, ties
+    going to the earliest restart.  An overflowing trial step is rejected
+    without a warning."""
     best = None
     with np.errstate(over="ignore"):
         for theta0 in seeds:
-            theta, f, converged, n_iters = _gauss_newton(
-                residual_at, residual_jacobian, theta0, cfg.max_iters, cfg.rel_tol
-            )
-            if best is None or f < best[1]:
-                best = (theta, f, converged, n_iters)
+            result = _gauss_newton(model, residual, jacobian, theta0, cfg.max_iters, cfg.rel_tol)
+            if best is None or result[1] < best[1]:
+                best = result
     return best
 
 
@@ -321,7 +331,10 @@ def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     slope, intercept = _ols(x_small, y_small) or (0.3, float(y_small.mean()))
     p0 = min(max(slope, 0.01), 1.99)
     alpha0 = min(max(math.exp(intercept), 1e-8), 1e8)
-    c0 = min(max((float(y.min()) / alpha0) ** (1.0 / p0), ZERO_CAPACITY), 1e6)
+    try:
+        c0 = min(max((float(y.min()) / alpha0) ** (1.0 / p0), _C_BOX[0]), _C_BOX[1])
+    except OverflowError:  # the capacity lies beyond the box: take its upper bound
+        c0 = _C_BOX[1]
     return alpha0, c0, p0
 
 
@@ -331,28 +344,27 @@ def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _power_law_fns(d, log_space: bool):
-    """Model and Jacobian of ``alpha * (1/d + c)**p`` at internal parameters."""
+    """Model of ``alpha * (1/d + c)**p`` at internal parameters, and its
+    Jacobian given the model's value ``m`` there."""
+    inv_d = 1.0 / d
 
     def model(theta):
         alpha, c, p = _law_from_internal(theta)
-        return alpha * (1.0 / d + c) ** p
+        return alpha * (inv_d + c) ** p
 
-    def jacobian(theta):
+    def jacobian(theta, m):
         # Columns: dm/d(internal) = (dm/dalpha * alpha, dm/dc * c, dm/dp * dp/dt)
-        # with dm/dalpha = base**p, dm/dc = alpha * p * base**(p-1) and
-        # dm/dp = alpha * base**p * ln(base), where base = 1/d + c.
+        # with dm/dalpha * alpha = m, dm/dc = alpha * p * base**(p-1) and
+        # dm/dp = m * ln(base), where base = 1/d + c.
         alpha, c, p = _law_from_internal(theta)
-        base = 1.0 / d + c
-        pow_p = base**p
-        cols = np.stack(
-            [
-                pow_p * alpha,
-                alpha * p * base ** (p - 1.0) * c,
-                alpha * pow_p * np.log(base) * _dp_dt(p),
-            ],
-            axis=1,
-        )
-        return cols / (alpha * pow_p)[:, None] if log_space else cols
+        base = inv_d + c
+        J = np.empty((len(d), 3))
+        J[:, 0] = m
+        J[:, 1] = alpha * p * base ** (p - 1.0) * c
+        J[:, 2] = m * np.log(base) * _dp_dt(p)
+        if log_space:
+            J /= m[:, None]
+        return J
 
     return model, jacobian
 
@@ -424,28 +436,31 @@ def fit_shared(
     k = len(labels)
     group = np.repeat(np.arange(k), [len(d) for d, _ in arrays])
     rows = np.arange(len(d_all))
+    alpha_cols, c_cols = 1 + 2 * group, 2 + 2 * group
+    inv_d = 1.0 / d_all
     log_space = cfg.loss_space == "log"
 
     def unpack(theta):
-        p = 2.0 * float(_sigmoid(theta[0]))
+        p = 2.0 * _sigmoid(float(theta[0]))
         alphas = np.exp(np.clip(theta[1 : 1 + 2 * k : 2], -_LOG_BOX, _LOG_BOX))
         cs = np.exp(np.clip(theta[2 : 2 + 2 * k : 2], -_LOG_BOX, _LOG_BOX))
         return p, alphas, cs
 
     def model(theta):
         p, alphas, cs = unpack(theta)
-        return alphas[group] * (1.0 / d_all + cs[group]) ** p
+        return alphas[group] * (inv_d + cs[group]) ** p
 
-    def jacobian(theta):
+    def jacobian(theta, m):
         p, alphas, cs = unpack(theta)
         alpha, c = alphas[group], cs[group]
-        base = 1.0 / d_all + c
-        m = alpha * base**p
+        base = inv_d + c
         J = np.zeros((len(d_all), 1 + 2 * k))
         J[:, 0] = m * np.log(base) * _dp_dt(p)
-        J[rows, 1 + 2 * group] = m
-        J[rows, 2 + 2 * group] = alpha * p * base ** (p - 1.0) * c
-        return J / m[:, None] if log_space else J
+        J[rows, alpha_cols] = m
+        J[rows, c_cols] = alpha * p * base ** (p - 1.0) * c
+        if log_space:
+            J /= m[:, None]
+        return J
 
     # Seed: every condition's own (alpha, c) seed under the mean of their p seeds.
     group_seeds = [_seed_power_law(d, y) for d, y in arrays]
@@ -462,7 +477,7 @@ def fit_shared(
     p, alphas, cs = unpack(theta)
     cs = np.where(cs < ZERO_CAPACITY, 0.0, cs)
     per_condition = {label: (float(alphas[i]), float(cs[i])) for i, label in enumerate(labels)}
-    r = residual(alphas[group] * (1.0 / d_all + cs[group]) ** p)
+    r = residual(alphas[group] * (inv_d + cs[group]) ** p)
     objective = 0.0
     for i in range(k):
         r_i = r[group == i]
@@ -518,28 +533,31 @@ def fit_joint(
     )
     log_space = cfg.loss_space == "log"
     ln_beta = math.log(beta)
+    inv_d = 1.0 / d
 
     def unpack(theta):
-        a, t = theta
-        alpha = math.exp(min(max(a, -_LOG_BOX), _LOG_BOX))
-        p = 2.0 * float(_sigmoid(t))
+        a, t = theta.tolist()
+        p = 2.0 * _sigmoid(t)
         c = np.exp(ln_beta + ln_g / p)
-        return alpha, p, c, 1.0 / d + c
+        return _clamped_exp(a), p, c, inv_d + c
 
     def model(theta):
         alpha, p, _, u = unpack(theta)
         return alpha * u**p
 
-    def jacobian(theta):
+    def jacobian(theta, m):
         # In log space the columns are d(ln m)/d(internal), with 1 for ln alpha;
         # dividing the linear-space columns by m would change their last bits.
-        alpha, p, c, u = unpack(theta)
+        _, p, c, u = unpack(theta)
         dlnm_dp = np.log(u) - c * ln_g / (u * p)
-        dpdt = _dp_dt(p)
+        J = np.empty((len(d), 2))
         if log_space:
-            return np.stack([np.ones_like(d), dlnm_dp * dpdt], axis=1)
-        m = alpha * u**p
-        return np.stack([m, m * dlnm_dp * dpdt], axis=1)
+            J[:, 0] = 1.0
+            J[:, 1] = dlnm_dp * _dp_dt(p)
+        else:
+            J[:, 0] = m
+            J[:, 1] = m * dlnm_dp * _dp_dt(p)
+        return J
 
     alpha0, _, p0 = _seed_power_law(d, y)
     lower, upper = zip(_ALPHA_BOX, _P_BOX)
@@ -589,20 +607,25 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
     d, y = _arrays(subset)
     residual = _residual_fn(y, cfg.loss_space)
     log_space = cfg.loss_space == "log"
+    ln_d = np.log(d)
 
     def unpack(theta):
-        g, h, bb = np.clip(theta, -_LOG_BOX, _LOG_BOX)
-        return math.exp(g), math.exp(h), math.exp(bb)
+        return tuple(map(_clamped_exp, theta.tolist()))
 
     def model(theta):
         gamma, q, b = unpack(theta)
         return gamma * d**-q + b
 
-    def jacobian(theta):
+    def jacobian(theta, m):
         gamma, q, b = unpack(theta)
         decay = gamma * d**-q
-        J = np.stack([decay, -decay * np.log(d) * q, np.full_like(d, b)], axis=1)
-        return J / (decay + b)[:, None] if log_space else J
+        J = np.empty((len(d), 3))
+        J[:, 0] = decay
+        J[:, 1] = -decay * ln_d * q
+        J[:, 2] = b
+        if log_space:
+            J /= m[:, None]
+        return J
 
     # Seed by OLS of loss on 1/d (exact for q = 1), clipped into the
     # (gamma, q, b) box that the perturbed restarts are clipped to as well.

@@ -159,6 +159,17 @@ def _law(cls, block):
         raise SchemaError(f"malformed law block: {exc}") from None
 
 
+def shared_conditions(report: dict) -> dict:
+    """The ``per_condition`` block of a ``fit_shared`` report, checked to map
+    each condition to a record."""
+    per_condition = report["per_condition"]
+    if not isinstance(per_condition, dict) or not all(
+        isinstance(entry, dict) for entry in per_condition.values()
+    ):
+        raise SchemaError("report field 'per_condition' is not an object of condition records")
+    return per_condition
+
+
 def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
     """Extract a power law from a ``fit`` or ``fit_shared`` report.
 
@@ -169,11 +180,7 @@ def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
     if kind == "fit":
         return _law(PowerLaw, report["law"])
     if kind == "fit_shared":
-        per_condition = report["per_condition"]
-        if not isinstance(per_condition, dict) or not all(
-            isinstance(entry, dict) for entry in per_condition.values()
-        ):
-            raise SchemaError("report field 'per_condition' is not an object of condition records")
+        per_condition = shared_conditions(report)
         if condition is None:
             if len(per_condition) != 1:
                 raise SchemaError(

@@ -134,6 +134,18 @@ class TestFit:
             )
         assert code == 0, err
 
+    @pytest.mark.parametrize("command", ["fit", "fit-shared"])
+    def test_capacity_seed_beyond_its_box_is_clamped(self, capsys, tmp_path, command):
+        # The seed's capacity (1 / 23.8) ** (1 / 0.01) overflows a float.
+        path = tmp_path / "obs.csv"
+        path.write_text("condition,d_millions,loss\na,1000,1\na,2000,4\na,4000,5\na,8000,6\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, command, "--input", str(path), "--seed", "1")
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code != 2:
+            assert json.loads(out)["kind"] == command.replace("-", "_")
+
     def test_input_that_is_not_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("condition,d_millions,loss\nbär,1,2.0\n".encode("latin-1"))
@@ -287,6 +299,17 @@ class TestAnalyze:
         assert code == 2
         assert "'law'" in err
 
+    def test_shared_report_with_mistyped_conditions_exits_2_naming_the_field(
+        self, capsys, tmp_path
+    ):
+        report_path = self._shared_report(capsys, tmp_path)
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["per_condition"] = 3
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(report_path))
+        assert code == 2
+        assert out == "" and "'per_condition'" in err
+
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == 2
@@ -434,6 +457,13 @@ class TestMc:
         assert summary["kind"] == "mc"
         assert summary["n_converged"] <= 40
         assert summary["quantiles"]["q05"] <= summary["quantiles"]["q95"]
+
+    def test_huge_noise_does_not_overflow_the_seed(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        code, out, err = run(capsys, "mc", "--input", str(csv_path), "--seed", "1",
+                             "--noise-frac", "1e300", "--n-reps", "5")
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
 
     def test_bleu_exits_2_as_fit_does(self, capsys, tmp_path):
         # A BLEU of 0 cannot be redrawn positive, so drawing replicates

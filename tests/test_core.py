@@ -113,8 +113,8 @@ def law_gradient(theta, d):
     derivative of its parameter with respect to the internal one."""
     theta = np.asarray(theta, dtype=float)
     alpha, c, p = _law_from_internal(theta)
-    _, jacobian = _power_law_fns(np.array([float(d)]), log_space=False)
-    cols = jacobian(theta)[0]
+    model, jacobian = _power_law_fns(np.array([float(d)]), log_space=False)
+    cols = jacobian(theta, model(theta))[0]
     return ds.PowerLaw(alpha, c, p), (cols[0] / alpha, cols[1] / c, cols[2] / _dp_dt(p))
 
 

@@ -1,4 +1,7 @@
-"""Fitter round-trips, degeneracies, error paths, and the grid oracle."""
+"""Fitter round-trips, degeneracies, error paths, the grid oracle and a seeded
+sweep pinning the engine's results bit for bit."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -269,3 +272,64 @@ class TestGridOracle:
             )
             fit = ds.fit_single(obs, ds.FitConfig(seed=i))
             assert fit.objective <= grid_oracle(obs, grid).objective + 1e-12
+
+
+def engine_sweep():
+    """Results of 160 seeded fits: 40 instances of each Gauss-Newton fitter,
+    alternating the loss space and cycling 0-3 restarts and iteration caps
+    of 3, 12, 40 and 2000."""
+    rng = np.random.default_rng(2202)
+    results = []
+
+    def config(i):
+        return ds.FitConfig(
+            loss_space=("log", "linear")[i % 2],
+            max_iters=(3, 12, 40, 2000)[i // 2 % 4],
+            n_restarts=i % 4,
+            seed=i,
+        )
+
+    def curve(condition, noise=0.03):
+        law = ds.PowerLaw(rng.uniform(0.5, 5.0), 10 ** rng.uniform(-4, 1), rng.uniform(0.1, 1.5))
+        sizes = np.sort(rng.choice(2 ** np.arange(12), size=rng.integers(4, 12), replace=False))
+        return [
+            ds.Observation(
+                condition, float(d), ds.eval_law(law, float(d)) * float(np.exp(noise * z))
+            )
+            for d, z in zip(sizes, rng.standard_normal(len(sizes)))
+        ]
+
+    for i in range(40):
+        results.append(ds.fit_single(curve("single"), config(i)))
+    for i in range(40):
+        groups = {f"g{j}": curve(f"g{j}") for j in range(1 + i % 3)}
+        results.append(ds.fit_shared(groups, config(i)))
+    for i in range(40):
+        obs = curve("tail", noise=0.01)
+        d_min = obs[(len(obs) - 3) // (1 + i % 2)].d_millions
+        results.append(ds.fit_tail(obs, d_min, config(i)))
+    shapes = [(10**8, 10**8), (3 * 10**8, 10**8), (10**8, 3 * 10**8)]
+    for i in range(40):
+        params = ds.JointLawParams(alpha=rng.uniform(0.8, 3.0), p=rng.uniform(0.15, 0.6), beta=2.2,
+                                   p_e=0.44, p_d=0.38, l_inf=(0.0, 0.01)[i // 2 % 2])
+        obs = [
+            ds.Observation(f"{n_e}x{n_d}", d, ds.eval_joint_law(params, n_e, n_d, d)
+                           * float(np.exp(0.01 * rng.standard_normal())), n_enc=n_e, n_dec=n_d)
+            for n_e, n_d in shapes
+            for d in DOUBLING_GRID
+        ]
+        fixed = (params.beta, params.p_e, params.p_d, params.l_inf)
+        hold_out = [shapes[2]] if i // 4 % 2 else []
+        results.append(ds.fit_joint(obs, fixed, config(i), hold_out=hold_out))
+    return results
+
+
+def test_engine_sweep_is_byte_identical():
+    """Every field of 160 seeded fits (laws, objectives, residuals,
+    ``converged``, ``n_iters``) hashes to the digest recorded from an earlier
+    implementation, so a change to the Gauss-Newton engine that is meant to
+    keep its arithmetic has to keep every bit.  Like the golden fitting
+    digests, this one depends on the numpy build and the CPU: record it anew
+    on another machine from a commit known to be good."""
+    digest = hashlib.sha256(repr(engine_sweep()).encode()).hexdigest()
+    assert digest == "3c5164d643f6359e4733f0be41df8f9eea9fba1c62ac7546a61af2c0d4cb2031"

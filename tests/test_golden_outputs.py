@@ -20,6 +20,7 @@ so they hold on any machine.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -60,7 +61,23 @@ COMMANDS = [
     ("shared-analysis.json", ["analyze", "shared.json", "--marginal-at", "16"]),
     ("mc.json", ["mc", "--input", "obs.csv", "--condition", "no_noise", "--seed", "11",
                  "--fit-seed", "2", "--n-reps", "20"]),
+    # Engine branches the entries above do not reach: Monte Carlo in linear
+    # space, a fit without restarts, a tail fit with one start, and a fit
+    # stopped by its iteration cap.
+    ("mc-linear-space.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
+                              "--seed", "12", "--fit-seed", "3", "--n-reps", "20",
+                              "--loss-space", "linear"]),
+    ("fit-no-restarts.json", ["fit", "--input", "obs.csv", "--condition", "target_noise",
+                              "--seed", "8", "--n-restarts", "0"]),
+    ("tail-one-restart.json", ["fit-tail", "--input", "obs.csv", "--condition", "target_noise",
+                               "--d-min", "4", "--seed", "9", "--n-restarts", "1"]),
+    ("fit-iteration-cap.json", ["fit", "--input", "obs.csv", "--condition", "no_noise",
+                                "--seed", "10", "--max-iters", "3"]),
 ]
+
+# Exit codes other than 0: a fit that hits its iteration cap still writes
+# its report and exits 3.
+EXIT_CODES = {"fit-iteration-cap.json": 3}
 
 # Corpus commands: every noise kind on both sides at two rates and two seeds,
 # one of them beyond 64 bits, then filter and sample.
@@ -96,6 +113,10 @@ DIGESTS = {
     "fit-analysis.json": "07a019e367fbc63c275c959fb7e14cf378b9b5f392ded342734452ea9630deb8",
     "shared-analysis.json": "e2b3855b063a7e78435a510c66ca92a1cb15b86c8163442ce31b87c7bb9cd21d",
     "mc.json": "9c01adf6f851d262803a5a9135eef800789329e6a23262fdbd7789946dfa2883",
+    "mc-linear-space.json": "1488e2f0d4634ed0ca4933570766e711120ebd0504700b056efa38828547728c",
+    "fit-no-restarts.json": "af2a5afe2d2c536ba246a3a7b5002f331aec24f3be836fae6b45555d0accfe0e",
+    "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
+    "fit-iteration-cap.json": "1efbe7a8b3febd81d75179975d093233da5f1b79d541e1d28c8fb1657b901573",
     "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
     "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
     "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",
@@ -156,7 +177,7 @@ def corpus_text() -> str:
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Run every command once; map each output name to (exit code, sha256)."""
+    """Run every command once; map each output name to (exit code, bytes)."""
     work = tmp_path_factory.mktemp("golden")
     rows = []
     for i, (label, alpha, c, p) in enumerate(NOISE_BLOCK[::2]):
@@ -175,7 +196,7 @@ def outputs(tmp_path_factory):
         for name, argv in COMMANDS:
             code = main([*argv, "--output", name])
             with open(name, "rb") as fh:
-                results[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+                results[name] = (code, fh.read())
     finally:
         os.chdir(cwd)
     return results
@@ -183,6 +204,12 @@ def outputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", [name for name, _ in COMMANDS])
 def test_output_is_byte_identical(outputs, name):
-    code, digest = outputs[name]
-    assert code == 0
-    assert digest == DIGESTS[name]
+    code, data = outputs[name]
+    assert code == EXIT_CODES.get(name, 0)
+    assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def test_iteration_cap_is_reported(outputs):
+    report = json.loads(outputs["fit-iteration-cap.json"][1])
+    assert report["converged"] is False
+    assert report["n_iters"] == 3
