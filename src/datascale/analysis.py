@@ -144,7 +144,7 @@ def mc_uncertainty(
         DataScaleError: ``obs`` fails the checks of :func:`fit_single`;
             raised before any draw.
     """
-    _, losses = _single_group_arrays(obs)
+    _, losses = _single_group_arrays(obs, cfg_fit.loss_space)
     ps = []
     for rep in range(cfg_mc.n_reps):
         rng = np.random.default_rng([cfg_mc.seed, rep])

@@ -91,14 +91,17 @@ def _fit_config(args, seed: int) -> FitConfig:
 
 
 def _add_fit_options(
-    parser: argparse.ArgumentParser, seed_help: str = "seed for restart perturbations"
+    parser: argparse.ArgumentParser, seed_help: str = "seed of fit-tail's restarts (power laws draw none)"
 ) -> None:
     parser.add_argument("--input", required=True, help="observation CSV")
     parser.add_argument("--seed", type=int, required=True, help=seed_help)
     parser.add_argument("--loss-space", choices=("log", "linear"), default="log")
-    parser.add_argument("--max-iters", type=int, default=2000)
-    parser.add_argument("--rel-tol", type=float, default=1e-10)
-    parser.add_argument("--n-restarts", type=int, default=8)
+    parser.add_argument("--max-iters", type=int, default=2000,
+                        help="refinement steps per search (fit-tail: iterations per restart)")
+    parser.add_argument("--rel-tol", type=float, default=1e-10,
+                        help="relative bracket width that closes a search (fit-tail: objective decrease)")
+    parser.add_argument("--n-restarts", type=int, default=8,
+                        help="grid local minima refined, at least 1 (fit-tail: restarts)")
     parser.add_argument(
         "--raw-counts",
         action="store_true",
@@ -382,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-frac", type=float, default=0.02)
     p.add_argument("--n-reps", type=int, default=1000)
     p.add_argument("--condition")
-    p.add_argument("--fit-seed", type=int, default=0, help="seed for each replicate's fit")
+    p.add_argument("--fit-seed", type=int, default=0, help="--seed of each replicate's fit (draws none)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("simulate", help="generate synthetic observations from a law")

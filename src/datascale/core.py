@@ -25,8 +25,8 @@ from .errors import DomainError
 
 METRICS = ("log_perplexity", "bleu")
 
-# Fitted capacity constants below this are indistinguishable from zero under
-# the exponential reparameterization used by the fitters.
+# Fitted capacity constants below this are reported as zero: the power-law
+# searches start their ln c grid here, with c = 0 as an endpoint below it.
 ZERO_CAPACITY = 1e-12
 
 

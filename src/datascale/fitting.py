@@ -1,40 +1,35 @@
-"""Nonlinear least-squares estimation of scaling laws.
+"""Least-squares estimation of scaling laws.
 
 All fitters minimize squared residuals either in log-loss space (default;
 residuals are relative errors, appropriate when losses span a large range)
-or in linear space.  Positivity and range constraints are enforced through
-smooth reparameterizations:
+or in linear space.
 
-* ``alpha = exp(a)`` and ``c = exp(cc)``, so both stay positive with ``c``
-  able to approach zero in the limit (a fitted ``c`` below 1e-12 is
-  reported as exactly zero);
-* ``p = 2 * sigmoid(t)``, confining the exponent to (0, 2].
+The power laws ``alpha * (1/d + c)**p`` are fitted by variable projection
+(Golub & Pereyra, 1973): for fixed ``c`` and ``p`` the best ``alpha`` has a
+closed form (:func:`_fit_alpha`), and in log space so does the best ``p`` for
+fixed ``c`` (:func:`_log_line`).  The rest is a bracketed 1-D search
+(:func:`_minimize`) over ``ln c`` for log :func:`fit_single`, over ``p`` for
+:func:`fit_joint` (``c = beta * g**(1/p)``), and otherwise over ``p`` around
+a batched search over each group's ``ln c``, with ``c`` in ``[1e-12, 1e12]``
+or 0 (below 1e-12 it is reported as 0) and ``p`` in ``[1e-12, 2]``.  The
+searches draw no random numbers and use elementwise operations and last-axis
+sums only, so a row's bits do not depend on the rows batched with it.
 
-The optimizer is a damped Gauss-Newton loop with adaptive (Marquardt-style)
-damping, driven by analytic Jacobians.  :func:`_residual_fn` holds the loss
-space's residual, :func:`_gauss_newton` the sign of the residual's Jacobian
-and :func:`_least_squares` the restarts; each fitter supplies only its model,
-the model's Jacobian in the loss space and its seeds.  Each fit runs from a
-data-driven seed plus log-normally perturbed restarts
-(:func:`_restart_points`); the lowest objective wins, ties broken by lowest
-restart index, so results are bit-reproducible for a fixed :class:`FitConfig`.
-
-The golden digests of the fitting commands and the engine sweep in the tests
-pin every bit of every result, so these operations keep their operands, their
-order and the library that computes them: numpy's array ``exp``, ``log`` and
-``**``; ``np.exp`` in :func:`_sigmoid` (``math.exp`` can differ in the last
-bit); the BLAS matmuls ``J.T @ r``, ``J.T @ J`` and ``r @ r`` on a C-contiguous
-``(n, k)`` Jacobian; and ``np.linalg.solve``.  What may move is the work around
-them: clamps (``min``/``max`` on Python floats rather than ``np.clip`` on numpy
-scalars), constants hoisted out of the loop (``1/d``, ``ln d``, the damping
-matrix once per iteration) and how arrays are allocated and filled.
+:func:`fit_tail` runs a damped Gauss-Newton loop with adaptive
+(Marquardt-style) damping from a data-driven seed plus log-normally perturbed
+restarts (:func:`_restart_points`); the lowest objective wins, ties going to
+the earliest restart.  The golden digests pin its results bit for bit, so its
+operations keep their operands, their order and the library that computes
+them: numpy's array ``exp`` and ``**``, the BLAS matmuls ``J.T @ r``,
+``J.T @ J`` and ``r @ r`` on a C-contiguous ``(n, k)`` Jacobian, and
+``np.linalg.solve``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,24 +55,34 @@ from .errors import (
 
 LOSS_SPACES = ("log", "linear")
 
-# Internal-parameter box keeping exp/sigmoid maps numerically safe.
+# Internal-parameter box keeping the tail fit's exp maps numerically safe.
 _LOG_BOX = 300.0
-_LOGIT_BOX = 60.0
+
+# Search grids: ln c over [1e-12, 1e12] and c = 0 below; p over [1e-12, 2], denser near 0.
+_P_MIN = 1e-12
+_LN_C_GRID = np.concatenate([[-np.inf], np.linspace(math.log(ZERO_CAPACITY), math.log(1e12), 401)])
+_P_GRID = 2.0 * np.linspace(math.sqrt(_P_MIN / 2.0), 1.0, 31) ** 2
+_CHUNK = 2**14  # most elements of one temporary array of a grid table
+_SECTION_POINTS = 512  # points evaluated per step of a batched refinement
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the nonlinear least-squares fitters.
+    """Knobs of the least-squares fitters.
 
     Args:
         loss_space: ``"log"`` (default) fits squared differences of log
             losses; ``"linear"`` fits plain squared differences.
-        max_iters: Iteration cap per restart.
-        rel_tol: Relative objective decrease between accepted steps below
-            which the fit is declared converged.
-        n_restarts: Number of initializations tried (the first is the
-            data-driven seed, the rest are log-normal perturbations of it).
-        seed: Seed for the restart perturbations; fixes the result exactly.
+        max_iters: Cap on the refinement steps of each power-law search, and
+            on the iterations of each ``fit_tail`` restart.
+        rel_tol: Power laws: a bracket closes once narrower than about
+            ``rel_tol * (1 + |x|)``.  ``fit_tail``: relative objective
+            decrease between accepted steps that ends the fit as converged.
+        n_restarts: Power laws: grid local minima refined (at least 1).
+            ``fit_tail``: initializations tried (the first is the
+            data-driven seed, the rest log-normal perturbations of it).
+        seed: Seed of ``fit_tail``'s perturbations, which fixes its result
+            exactly; the power-law fits draw no random numbers.
     """
 
     loss_space: str = "log"
@@ -136,41 +141,177 @@ class JointFitResult:
 
 
 # ---------------------------------------------------------------------------
-# Parameter transforms
+# Bracketed 1-D search
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(t: float) -> float:
-    t = min(max(t, -_LOGIT_BOX), _LOGIT_BOX)
-    return 1.0 / (1.0 + float(np.exp(-t)))
+def _minimize(objective, grid, cfg: FitConfig, values=None):
+    """Minimize a batch of 1-D functions over the range of an ascending grid.
+
+    ``objective(x)`` maps ``x`` of shape ``(rows, m)``, or ``(1, m)`` to be
+    broadcast, to each row's values (NaN counts as infinite); ``values``, if
+    given, ranks the grid cells instead (it may approximate ``objective``).
+    A leading ``-inf`` grid point is an endpoint.  Each row's best cell and next best local minima,
+    ``n_restarts`` in all (at least 1), are refined between their neighbours
+    by :func:`_brent` for one row, else by :func:`_sections`.  Returns each
+    row's best ``x`` and value, whether every bracket closed, and the steps.
+    """
+    with np.errstate(all="ignore"):
+
+        def f(x):
+            fx = objective(x)
+            return np.where(np.isnan(fx), np.inf, fx)
+
+        first = int(np.isinf(grid[0]))
+        cells = grid[first:]
+        fc = f(cells[None, :]) if values is None else np.where(np.isnan(values), np.inf, values)[:, first:]
+        edge = np.full((len(fc), 1), np.inf)
+        local = (fc <= np.hstack([edge, fc[:, :-1]])) & (fc <= np.hstack([fc[:, 1:], edge]))
+        local[np.arange(len(fc)), fc.argmin(1)] = True
+        n = max(1, min(cfg.n_restarts, int(local.sum(1).max())))
+        i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, :n]
+        i = np.where(np.take_along_axis(local, i, 1), i, i[:, :1])
+        lo, x, hi = cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)]
+        if len(x) == 1:
+            x, fx, closed, steps = np.array([_brent(lambda u: f(np.array([[u]]))[0, 0], *z, cfg)
+                                             for z in zip(lo[0], x[0], hi[0])]).T[:, None]
+            closed, steps = bool(closed.all()), int(steps.max())
+        else:
+            x, fx, closed, steps = _sections(f, lo, x, hi, f(x), cfg)
+        if first:
+            x = np.hstack([np.full((len(x), 1), grid[0]), x])
+            fx = np.hstack([np.broadcast_to(f(grid[None, :1]), (len(x), 1)), fx])
+        best = (np.arange(len(x)), fx.argmin(1))
+        return x[best], fx[best], closed, steps
+
+
+def _sections(f, lo, x, hi, fx, cfg: FitConfig):
+    """Refine brackets ``[lo, hi]`` around ``x`` (values ``fx``): evaluate each
+    at evenly spaced points and keep the neighbours of the best, until every
+    bracket is narrower than ``rel_tol * (1 + |x|)``."""
+    sections = max(4, min(64, _SECTION_POINTS // x.size))
+    t, at = np.linspace(0.0, 1.0, sections + 1), np.arange(x.size)
+    for steps in range(cfg.max_iters + 1):
+        closed = not (hi - lo > cfg.rel_tol * (1.0 + np.abs(x))).any()
+        if closed or steps == cfg.max_iters:
+            return x, fx, closed, steps
+        xs = lo[..., None] + (hi - lo)[..., None] * t
+        fs = f(xs.reshape(len(xs), -1)).reshape(-1, sections + 1)
+        xs, j = xs.reshape(fs.shape), fs.argmin(1)
+        x = np.where(fs[at, j] < fx.ravel(), xs[at, j], x.ravel()).reshape(x.shape)
+        fx = np.minimum(fs[at, j], fx.ravel()).reshape(fx.shape)
+        j = np.minimum(np.maximum(j, 1), sections - 1)
+        lo, hi = xs[at, j - 1].reshape(x.shape), xs[at, j + 1].reshape(x.shape)
+
+
+def _brent(f, a, x, b, cfg: FitConfig):
+    """Brent's method (*Algorithms for Minimization without Derivatives*,
+    1973) for a scalar ``f`` on ``[a, b]`` from ``x``, until the bracket is
+    narrower than about ``4 * rel_tol * (1 + |x|)``: ``(x, f(x), closed,
+    steps)``."""
+    fx = fw = fv = float(f(x))
+    w = v = x
+    d = e = 0.0
+    for steps in range(cfg.max_iters + 1):
+        xm, tol = 0.5 * (a + b), cfg.rel_tol * (1.0 + abs(x))
+        closed = abs(x - xm) <= 2.0 * tol - 0.5 * (b - a)
+        if closed or steps == cfg.max_iters:
+            return x, fx, closed, steps
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = (-p if q > 0.0 else p), abs(q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = math.copysign(tol, xm - x)
+        else:
+            e = a - x if x >= xm else b - x
+            d = (3.0 - math.sqrt(5.0)) / 2.0 * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = float(f(u))
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _fit_alpha(u, p, target, w, log_space: bool):
+    """Least-squares ``alpha`` of ``alpha * u**p`` against ``target`` (``ln y``
+    in log space) along the last axis, each point weighted by ``w`` (1, or 0
+    for padding); returns ``(alpha, objective)``."""
+    if log_space:
+        r = target - p * np.log(u)
+        ln_alpha = (w * r).sum(-1) / w.sum(-1)
+        r = w * (r - ln_alpha[..., None])
+        return np.exp(ln_alpha), (r * r).sum(-1)
+    b = w * u**p
+    alpha = (b * target).sum(-1) / (b * b).sum(-1)
+    r = w * target - alpha[..., None] * b
+    return alpha, (r * r).sum(-1)
+
+
+def _log_line(inv_d, ln_y, ln_c):
+    """Least-squares ``ln y = ln alpha + p * ln(1/d + c)`` for each ``ln c``,
+    with ``p`` clipped to ``[1e-12, 2]``: ``(p, alpha, objective)``."""
+    u = inv_d + np.exp(ln_c)[..., None]
+    x = np.log(u) - np.log(u).mean(-1, keepdims=True)
+    p = np.clip((x * ln_y).sum(-1) / (x * x).sum(-1), _P_MIN, 2.0)
+    return (p, *_fit_alpha(u, p[..., None], ln_y, np.ones_like(ln_y), True))
+
+
+def _shared_exponent(arrays, cfg: FitConfig):
+    """Least-squares ``p`` shared by the groups ``arrays`` of ``(d, y)``: a
+    search over ``p`` around a batched search over each group's ``ln c``
+    (stopped after two steps on the ``p`` grid).  Returns ``p``, the groups'
+    ``alpha`` and ``c``, whether every bracket closed, and the steps over ``p``."""
+    log_space = cfg.loss_space == "log"
+    k, n = len(arrays), max(len(d) for d, _ in arrays)
+    inv_d, target, weight = np.ones((k, n)), np.zeros((k, n)), np.zeros((k, n))
+    for i, (d, y) in enumerate(arrays):
+        inv_d[i, : len(d)], weight[i, : len(d)] = 1.0 / d, 1.0
+        target[i, : len(d)] = np.log(y) if log_space else y
+
+    def fit_alpha(rows, p, ln_c):
+        u = inv_d[rows, None] + np.exp(ln_c)[..., None]
+        return _fit_alpha(u, p[:, None, None], target[rows, None], weight[rows, None], log_space)
+
+    # In log space a group's objective at (p, c) is syy - 2 p sxy + p^2 sxx,
+    # with sums over centred ln y and ln(1/d + c) tabulated on the c grid.
+    sxy, sxx, syy = np.empty((k, len(_LN_C_GRID))), np.empty((k, len(_LN_C_GRID))), np.empty(k)
+    for i, (d, y) in enumerate(arrays):
+        x, ln_y = np.log(1.0 / d + np.exp(_LN_C_GRID)[:, None]), np.log(y) - np.log(y).mean()
+        x -= x.mean(-1, keepdims=True)
+        sxy[i], sxx[i], syy[i] = (x * ln_y).sum(-1), (x * x).sum(-1), (ln_y * ln_y).sum()
+
+    def search(ps, cfg=cfg):
+        rows, p = np.tile(np.arange(k), len(ps)), np.repeat(ps, k)
+        with np.errstate(all="ignore"):
+            values = (syy[rows, None] - p[:, None] * (2.0 * sxy[rows] - p[:, None] * sxx[rows]) if log_space
+                      else fit_alpha(rows, p, _LN_C_GRID[None])[1])
+        ln_c, f, converged, _ = _minimize(lambda x: fit_alpha(rows, p, x)[1], _LN_C_GRID, cfg, values)
+        return ln_c, f.reshape(len(ps), k).sum(1), converged
+
+    cells = len(_P_GRID) * k * len(_LN_C_GRID) * (1 if log_space else n)  # of the coarse tables
+    chunks = np.array_split(_P_GRID, min(len(_P_GRID), -(-cells // _CHUNK)))
+    coarse = np.concatenate([search(ps, replace(cfg, max_iters=2))[1] for ps in chunks])
+    p, _, converged, n_iters = _minimize(lambda x: search(x[0])[1][None], _P_GRID, cfg, coarse[None])
+    ln_c, _, inner_converged = search(p)
+    alpha, _ = fit_alpha(np.arange(k), np.repeat(p, k), ln_c[:, None])
+    return float(p[0]), alpha[:, 0].tolist(), np.exp(ln_c).tolist(), converged and inner_converged, n_iters
+
+
+# ---------------------------------------------------------------------------
+# Damped Gauss-Newton engine (tail law)
+# ---------------------------------------------------------------------------
 
 
 def _clamped_exp(v: float) -> float:
     return math.exp(min(max(v, -_LOG_BOX), _LOG_BOX))
-
-
-def _logit(p: float) -> float:
-    """Inverse of ``p = 2 * sigmoid(t)``."""
-    return math.log((p / 2.0) / (1.0 - p / 2.0))
-
-
-def _law_to_internal(alpha: float, c: float, p: float) -> np.ndarray:
-    return np.array([math.log(alpha), math.log(c), _logit(p)])
-
-
-def _law_from_internal(theta: np.ndarray) -> tuple[float, float, float]:
-    a, cc, t = theta.tolist()
-    return _clamped_exp(a), _clamped_exp(cc), 2.0 * _sigmoid(t)
-
-
-def _dp_dt(p: float) -> float:
-    # derivative of p = 2*sigmoid(t) expressed through p itself
-    return p * (1.0 - p / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Damped Gauss-Newton engine
-# ---------------------------------------------------------------------------
 
 
 def _gauss_newton(model, residual, jacobian, theta0, max_iters, rel_tol):
@@ -233,30 +374,6 @@ def _gauss_newton(model, residual, jacobian, theta0, max_iters, rel_tol):
     return theta, f, converged, n_iters
 
 
-def _residual_fn(y: np.ndarray, loss_space: str):
-    """Residual of predictions ``m`` against ``y``: ``ln y - ln m`` in the
-    ``"log"`` loss space (``ln y`` taken once), ``y - m`` in the linear one."""
-    if loss_space == "log":
-        ln_y = np.log(y)
-        return lambda m: ln_y - np.log(m)
-    return lambda m: y - m
-
-
-def _least_squares(residual, model, jacobian, seeds, cfg: FitConfig):
-    """Minimize ``sum(residual(model(theta))**2)`` from each seed, given the
-    model's ``jacobian(theta, m)`` in the loss space of ``residual``; returns
-    ``(theta, objective, converged, n_iters)`` of the lowest objective, ties
-    going to the earliest restart.  An overflowing trial step is rejected
-    without a warning."""
-    best = None
-    with np.errstate(over="ignore"):
-        for theta0 in seeds:
-            result = _gauss_newton(model, residual, jacobian, theta0, cfg.max_iters, cfg.rel_tol)
-            if best is None or result[1] < best[1]:
-                best = result
-    return best
-
-
 def _restart_points(base, lower, upper, cfg: FitConfig) -> np.ndarray:
     """Initial points of the ``max(1, n_restarts)`` restarts, one per row.
 
@@ -278,10 +395,11 @@ def _restart_points(base, lower, upper, cfg: FitConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _arrays(obs: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
+def _arrays(obs: list[Observation], loss_space: str) -> tuple[np.ndarray, np.ndarray]:
     """Sizes and losses of ``obs``.  Only log-perplexities are accepted:
     every law fitted here decreases with data, while BLEU rises, and an
-    :class:`Observation` of log-perplexity already holds a positive loss."""
+    :class:`Observation` of log-perplexity already holds a positive loss.
+    In the linear loss space the sum of squared losses must be finite."""
     for o in obs:
         if o.metric != "log_perplexity":
             raise SchemaError(
@@ -290,16 +408,22 @@ def _arrays(obs: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
             )
     d = np.array([o.d_millions for o in obs], dtype=float)
     y = np.array([o.loss for o in obs], dtype=float)
+    with np.errstate(over="ignore"):
+        if loss_space == "linear" and not np.isfinite(np.sum(y * y)):
+            raise DomainError(
+                f"losses up to {y.max():g} are too large for the linear loss space: "
+                "their squares overflow; fit them in the log loss space"
+            )
     return d, y
 
 
-def _single_group_arrays(obs: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
+def _single_group_arrays(obs: list[Observation], loss_space: str) -> tuple[np.ndarray, np.ndarray]:
     if len(obs) < 4:
         raise InsufficientDataError(f"need at least 4 observations, got {len(obs)}")
     conditions = {o.condition for o in obs}
     if len(conditions) > 1:
         raise SchemaError(f"observations span multiple conditions: {sorted(conditions)}")
-    d, y = _arrays(obs)
+    d, y = _arrays(obs, loss_space)
     if len(set(d.tolist())) != len(d):
         raise DuplicateAbscissaError("observations share a dataset size")
     return d, y
@@ -315,62 +439,9 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
     return slope, float(y.mean() - slope * x.mean())
 
 
-# Restart boxes of alpha, c and p for the power-law fitters.
-_ALPHA_BOX = (1e-8, 1e8)
-_C_BOX = (ZERO_CAPACITY, 1e6)
-_P_BOX = (1e-3, 1.999)
-
-
-def _seed_power_law(d: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Data-driven seed: OLS of log loss on log 1/d over the smallest half of
-    the sizes (where the 1/d term dominates), then the capacity implied by
-    the smallest observed loss."""
-    idx = np.argsort(d)[: max(2, len(d) // 2)]
-    x_small = -np.log(d[idx])
-    y_small = np.log(y[idx])
-    slope, intercept = _ols(x_small, y_small) or (0.3, float(y_small.mean()))
-    p0 = min(max(slope, 0.01), 1.99)
-    alpha0 = min(max(math.exp(intercept), 1e-8), 1e8)
-    try:
-        c0 = min(max((float(y.min()) / alpha0) ** (1.0 / p0), _C_BOX[0]), _C_BOX[1])
-    except OverflowError:  # the capacity lies beyond the box: take its upper bound
-        c0 = _C_BOX[1]
-    return alpha0, c0, p0
-
-
 # ---------------------------------------------------------------------------
-# Single-condition fit
+# Power-law fits
 # ---------------------------------------------------------------------------
-
-
-def _power_law_fns(d, log_space: bool):
-    """Model of ``alpha * (1/d + c)**p`` at internal parameters, and its
-    Jacobian given the model's value ``m`` there."""
-    inv_d = 1.0 / d
-
-    def model(theta):
-        alpha, c, p = _law_from_internal(theta)
-        return alpha * (inv_d + c) ** p
-
-    def jacobian(theta, m):
-        # Columns: dm/d(internal) = (dm/dalpha * alpha, dm/dc * c, dm/dp * dp/dt)
-        # with dm/dalpha * alpha = m, dm/dc = alpha * p * base**(p-1) and
-        # dm/dp = m * ln(base), where base = 1/d + c.
-        alpha, c, p = _law_from_internal(theta)
-        base = inv_d + c
-        J = np.empty((len(d), 3))
-        J[:, 0] = m
-        J[:, 1] = alpha * p * base ** (p - 1.0) * c
-        J[:, 2] = m * np.log(base) * _dp_dt(p)
-        if log_space:
-            J /= m[:, None]
-        return J
-
-    return model, jacobian
-
-
-def _fit_result(law, r: np.ndarray, converged: bool, n_iters: int) -> FitResult:
-    return FitResult(law, float(r @ r), [float(v) for v in r], converged, n_iters)
 
 
 def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResult:
@@ -378,34 +449,28 @@ def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResul
 
     Args:
         obs: At least 4 observations of one condition with distinct sizes.
-        cfg: Fit configuration; the seed fixes the result exactly.
+        cfg: Fit configuration.
 
     Returns:
-        The best law over all restarts.  ``converged`` is False when the
-        winning restart exhausted its iteration budget; the result is still
-        returned so callers can inspect it.
+        The least-squares law found.  ``converged`` is False when a search
+        bracket did not close within ``max_iters`` steps; the result is
+        still returned so callers can inspect it.
 
     Raises:
         InsufficientDataError: Fewer than 4 observations.
         DuplicateAbscissaError: Two observations share a size.
     """
-    d, y = _single_group_arrays(obs)
-    residual = _residual_fn(y, cfg.loss_space)
-    model, jacobian = _power_law_fns(d, cfg.loss_space == "log")
-
-    lower, upper = zip(_ALPHA_BOX, _C_BOX, _P_BOX)
-    points = _restart_points(_seed_power_law(d, y), lower, upper, cfg)
-    seeds = [_law_to_internal(*point) for point in points]
-
-    theta, _, converged, n_iters = _least_squares(residual, model, jacobian, seeds, cfg)
-    alpha, c, p = _law_from_internal(theta)
+    d, y = _single_group_arrays(obs, cfg.loss_space)
+    if cfg.loss_space == "log":
+        inv_d, ln_y = 1.0 / d, np.log(y)
+        ln_c, _, converged, n_iters = _minimize(lambda x: _log_line(inv_d, ln_y, x)[2], _LN_C_GRID, cfg)
+        p, alpha, _ = _log_line(inv_d, ln_y, ln_c)
+        alpha, c, p = float(alpha[0]), math.exp(ln_c[0]), float(p[0])
+    else:
+        p, (alpha,), (c,), converged, n_iters = _shared_exponent([(d, y)], cfg)
     law = PowerLaw(alpha, 0.0 if c < ZERO_CAPACITY else c, p)
-    return _fit_result(law, residual(eval_law(law, d)), converged, n_iters)
-
-
-# ---------------------------------------------------------------------------
-# Shared-exponent fit
-# ---------------------------------------------------------------------------
+    residuals = [observation_residual(law, o, cfg.loss_space) for o in obs]
+    return FitResult(law, sum(v * v for v in residuals), residuals, converged, n_iters)
 
 
 def fit_shared(
@@ -413,14 +478,12 @@ def fit_shared(
 ) -> SharedFitResult:
     """Fit all conditions jointly with one common exponent.
 
-    Minimizes the pooled squared residual over ``{p}`` plus a per-condition
-    ``(alpha, c)`` pair, a single optimization over ``1 + 2k`` parameters.
-    The first start takes each condition's own :func:`fit_single` seed for
-    ``(alpha, c)`` and the mean of their exponent seeds for ``p``; every
-    restart perturbs all ``1 + 2k`` values.  The reported objective is
-    recomputed condition by condition from the final laws.  With exactly
-    one group the optimum agrees with :func:`fit_single` up to optimizer
-    tolerance, not bit for bit.
+    Minimizes the pooled squared residual over ``p`` plus a per-condition
+    ``(alpha, c)`` pair: a search over ``p`` around one batched search over
+    every condition's ``c``, with each ``alpha`` in closed form.  The
+    reported objective is recomputed condition by condition from the final
+    laws.  With exactly one group the optimum agrees with :func:`fit_single`
+    up to the search tolerance, not bit for bit.
 
     Args:
         groups: Map from condition label to that condition's observations;
@@ -430,64 +493,12 @@ def fit_shared(
     if not groups:
         raise InsufficientDataError("no condition groups given")
     labels = sorted(groups)
-    arrays = [_single_group_arrays(groups[label]) for label in labels]
-    d_all = np.concatenate([d for d, _ in arrays])
-    residual = _residual_fn(np.concatenate([y for _, y in arrays]), cfg.loss_space)
-    k = len(labels)
-    group = np.repeat(np.arange(k), [len(d) for d, _ in arrays])
-    rows = np.arange(len(d_all))
-    alpha_cols, c_cols = 1 + 2 * group, 2 + 2 * group
-    inv_d = 1.0 / d_all
-    log_space = cfg.loss_space == "log"
-
-    def unpack(theta):
-        p = 2.0 * _sigmoid(float(theta[0]))
-        alphas = np.exp(np.clip(theta[1 : 1 + 2 * k : 2], -_LOG_BOX, _LOG_BOX))
-        cs = np.exp(np.clip(theta[2 : 2 + 2 * k : 2], -_LOG_BOX, _LOG_BOX))
-        return p, alphas, cs
-
-    def model(theta):
-        p, alphas, cs = unpack(theta)
-        return alphas[group] * (inv_d + cs[group]) ** p
-
-    def jacobian(theta, m):
-        p, alphas, cs = unpack(theta)
-        alpha, c = alphas[group], cs[group]
-        base = inv_d + c
-        J = np.zeros((len(d_all), 1 + 2 * k))
-        J[:, 0] = m * np.log(base) * _dp_dt(p)
-        J[rows, alpha_cols] = m
-        J[rows, c_cols] = alpha * p * base ** (p - 1.0) * c
-        if log_space:
-            J /= m[:, None]
-        return J
-
-    # Seed: every condition's own (alpha, c) seed under the mean of their p seeds.
-    group_seeds = [_seed_power_law(d, y) for d, y in arrays]
-    base = [np.mean([seed[2] for seed in group_seeds])]
-    for alpha, c, _ in group_seeds:
-        base += [alpha, c]
-    lower, upper = zip(_P_BOX, *[_ALPHA_BOX, _C_BOX] * k)
-    seeds = [
-        np.array([_logit(point[0]), *map(math.log, point[1:])])
-        for point in _restart_points(base, lower, upper, cfg)
-    ]
-
-    theta, _, converged, _ = _least_squares(residual, model, jacobian, seeds, cfg)
-    p, alphas, cs = unpack(theta)
-    cs = np.where(cs < ZERO_CAPACITY, 0.0, cs)
-    per_condition = {label: (float(alphas[i]), float(cs[i])) for i, label in enumerate(labels)}
-    r = residual(alphas[group] * (inv_d + cs[group]) ** p)
-    objective = 0.0
-    for i in range(k):
-        r_i = r[group == i]
-        objective += float(r_i @ r_i)
-    return SharedFitResult(p, per_condition, objective, converged)
-
-
-# ---------------------------------------------------------------------------
-# Joint data/parameter law fit
-# ---------------------------------------------------------------------------
+    arrays = [_single_group_arrays(groups[label], cfg.loss_space) for label in labels]
+    p, alphas, cs, converged, _ = _shared_exponent(arrays, cfg)
+    laws = {label: PowerLaw(a, 0.0 if c < ZERO_CAPACITY else c, p) for label, a, c in zip(labels, alphas, cs)}
+    residuals = [observation_residual(laws[label], o, cfg.loss_space) for label in labels for o in groups[label]]
+    per_condition = {label: (law.alpha, law.c) for label, law in laws.items()}
+    return SharedFitResult(p, per_condition, sum(v * v for v in residuals), converged)
 
 
 def fit_joint(
@@ -497,6 +508,9 @@ def fit_joint(
     hold_out: Sequence[tuple[int, int]] = (),
 ) -> JointFitResult:
     """Fit (alpha, p) of the joint law with the quartet ``fixed`` supplied.
+
+    For each ``p`` the capacity constants ``c = beta * g**(1/p)`` are known
+    and ``alpha`` has a closed form, so the fit is a search over ``p``.
 
     Args:
         obs: Observations, each carrying encoder/decoder parameter counts.
@@ -521,8 +535,8 @@ def fit_joint(
     if len(fit_obs) < 4:
         raise InsufficientDataError(f"need at least 4 observations to fit, got {len(fit_obs)}")
 
-    _arrays(out_obs)  # held-out rows get residuals too
-    d, y = _arrays(fit_obs)
+    _arrays(out_obs, cfg.loss_space)  # held-out rows get residuals too
+    d, y = _arrays(fit_obs, cfg.loss_space)
     ln_g = np.array(
         [
             np.logaddexp(-p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec), np.log(l_inf))
@@ -532,41 +546,13 @@ def fit_joint(
         ]
     )
     log_space = cfg.loss_space == "log"
-    ln_beta = math.log(beta)
-    inv_d = 1.0 / d
+    target, ln_beta, inv_d, weight = np.log(y) if log_space else y, math.log(beta), 1.0 / d, np.ones(len(d))
 
-    def unpack(theta):
-        a, t = theta.tolist()
-        p = 2.0 * _sigmoid(t)
-        c = np.exp(ln_beta + ln_g / p)
-        return _clamped_exp(a), p, c, inv_d + c
+    def fit_alpha(p):
+        return _fit_alpha(inv_d + np.exp(ln_beta + ln_g / p[..., None]), p[..., None], target, weight, log_space)
 
-    def model(theta):
-        alpha, p, _, u = unpack(theta)
-        return alpha * u**p
-
-    def jacobian(theta, m):
-        # In log space the columns are d(ln m)/d(internal), with 1 for ln alpha;
-        # dividing the linear-space columns by m would change their last bits.
-        _, p, c, u = unpack(theta)
-        dlnm_dp = np.log(u) - c * ln_g / (u * p)
-        J = np.empty((len(d), 2))
-        if log_space:
-            J[:, 0] = 1.0
-            J[:, 1] = dlnm_dp * _dp_dt(p)
-        else:
-            J[:, 0] = m
-            J[:, 1] = m * dlnm_dp * _dp_dt(p)
-        return J
-
-    alpha0, _, p0 = _seed_power_law(d, y)
-    lower, upper = zip(_ALPHA_BOX, _P_BOX)
-    points = _restart_points([alpha0, p0], lower, upper, cfg)
-    seeds = [np.array([math.log(alpha), _logit(p)]) for alpha, p in points]
-
-    residual = _residual_fn(y, cfg.loss_space)
-    theta, _, converged, n_iters = _least_squares(residual, model, jacobian, seeds, cfg)
-    alpha, p, _, _ = unpack(theta)
+    p, _, converged, n_iters = _minimize(lambda x: fit_alpha(x)[1], _P_GRID, cfg)
+    alpha, p = float(fit_alpha(p)[0][0]), float(p[0])
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):
@@ -604,10 +590,12 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
         raise InsufficientDataError(
             f"need at least 3 observations with d >= {d_min}, got {len(subset)}"
         )
-    d, y = _arrays(subset)
-    residual = _residual_fn(y, cfg.loss_space)
+    d, y = _arrays(subset, cfg.loss_space)
     log_space = cfg.loss_space == "log"
-    ln_d = np.log(d)
+    ln_d, ln_y = np.log(d), np.log(y)
+
+    def residual(m):
+        return ln_y - np.log(m) if log_space else y - m
 
     def unpack(theta):
         return tuple(map(_clamped_exp, theta.tolist()))
@@ -635,10 +623,17 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
     seed = np.clip([slope, 1.0, intercept], lower, upper)
     seeds = [np.log(point) for point in _restart_points(seed, lower, upper, cfg)]
 
-    theta, _, converged, n_iters = _least_squares(residual, model, jacobian, seeds, cfg)
+    best = None  # lowest objective, ties to the earliest; overflows rejected silently
+    with np.errstate(over="ignore"):
+        for theta0 in seeds:
+            result = _gauss_newton(model, residual, jacobian, theta0, cfg.max_iters, cfg.rel_tol)
+            if best is None or result[1] < best[1]:
+                best = result
+    theta, _, converged, n_iters = best
     gamma, q, b = unpack(theta)
     law = TailLaw(gamma=gamma, q=q, b=0.0 if b < ZERO_CAPACITY else b)
-    return _fit_result(law, residual(eval_tail_law(law, d)), converged, n_iters)
+    r = residual(eval_tail_law(law, d))
+    return FitResult(law, float(r @ r), [float(v) for v in r], converged, n_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,41 @@ class TestFitTailCommand:
         assert 0.8 <= report["law"]["q"] <= 1.05
 
 
+class TestLinearSpaceOverflow:
+    """Losses whose squares overflow cannot be fitted in the linear loss
+    space: every fitter exits 2 naming it, warns nothing and writes nothing."""
+
+    HUGE = ((1, 1e300), (2, 9e299), (4, 8e299), (8, 7.5e299), (16, 7e299))
+    JOINT = ["--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fit"], ["fit-shared"], ["fit-tail", "--d-min", "1"], ["fit-joint", *JOINT],
+    ])
+    def test_fitters_exit_2(self, capsys, tmp_path, argv):
+        path, out = tmp_path / "huge.csv", tmp_path / "report.json"
+        path.write_text(
+            "condition,d_millions,loss,n_enc,n_dec\n"
+            + "".join(f"base,{d},{loss!r},100000000,100000000\n" for d, loss in self.HUGE),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *argv, "--input", str(path), "--seed", "1",
+                               "--loss-space", "linear", "--output", str(out))
+        assert code == 2
+        assert "linear loss space" in err
+        assert not out.exists()
+
+    def test_mc_exits_2(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "mc", "--input", str(csv_path), "--seed", "1",
+                                 "--loss-space", "linear", "--noise-frac", "1e300", "--n-reps", "5")
+        assert code == 2
+        assert out == "" and "linear loss space" in err
+
+
 class TestFitLinearCommand:
     def test_line_between_columns(self, capsys, tmp_path):
         path = tmp_path / "xy.csv"

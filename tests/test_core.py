@@ -1,4 +1,4 @@
-"""Closed-form evaluators: exact values, derivatives, and invariants."""
+"""Closed-form evaluators: exact values and invariants."""
 
 import math
 
@@ -8,12 +8,6 @@ from mpmath import mp, mpf, power
 
 import datascale as ds
 from datascale.core import capacity_constant
-from datascale.fitting import (
-    _dp_dt,
-    _law_from_internal,
-    _law_to_internal,
-    _power_law_fns,
-)
 
 # Frozen from an independent 40-digit evaluation of the closed form with the
 # encoder_decoder benchmark coefficients (1.969, 0.057, 0.285).
@@ -103,68 +97,6 @@ class TestEvalLaw:
         law = ds.PowerLaw(1.7, 0.21, 0.33)
         floor = ds.asymptotic_loss(law)
         assert ds.eval_law(law, 1e12) == pytest.approx(floor, rel=1e-9)
-
-
-def law_gradient(theta, d):
-    """The law at internal parameters ``theta`` and its gradient
-    ``(dL/dalpha, dL/dc, dL/dp)`` at size ``d``, read off the Jacobian that
-    ``fit_single`` optimizes with.  That Jacobian is taken with respect to
-    ``(ln alpha, ln c, logit(p/2))``, so each column is divided by the
-    derivative of its parameter with respect to the internal one."""
-    theta = np.asarray(theta, dtype=float)
-    alpha, c, p = _law_from_internal(theta)
-    model, jacobian = _power_law_fns(np.array([float(d)]), log_space=False)
-    cols = jacobian(theta, model(theta))[0]
-    return ds.PowerLaw(alpha, c, p), (cols[0] / alpha, cols[1] / c, cols[2] / _dp_dt(p))
-
-
-class TestEvalLawGradient:
-    def test_unit_base_kills_log_term(self):
-        # c = exp(-300) vanishes next to 1/d = 1, so base = 1 exactly and
-        # the exponent derivative vanishes
-        law, grad = law_gradient([0.0, -300.0, 0.0], 1.0)
-        assert (law.alpha, law.p) == (1.0, 1.0)
-        assert grad == (1.0, 1.0, 0.0)
-
-    def test_hand_evaluated_alpha_component(self):
-        _, (g_alpha, _, _) = law_gradient(_law_to_internal(2.0, 0.1, 0.5), 10.0)
-        np.testing.assert_allclose(g_alpha, 0.2**0.5, rtol=1e-15)
-
-    def test_matches_central_differences_on_random_grid(self):
-        rng = np.random.default_rng(2024)
-        h = 1e-6
-        for _ in range(300):
-            alpha = rng.uniform(0.5, 5.0)
-            c = rng.uniform(0.0, 0.5)
-            p = rng.uniform(0.05, 1.5)
-            d = rng.uniform(0.25, 1024.0)
-            law, analytic = law_gradient(_law_to_internal(alpha, c, p), d)
-            alpha, c, p = law.alpha, law.c, law.p
-
-            def f(a_, c_, p_):
-                return a_ * (1.0 / d + c_) ** p_
-
-            numeric = (
-                (f(alpha + h, c, p) - f(alpha - h, c, p)) / (2 * h),
-                (f(alpha, c + h, p) - f(alpha, c - h, p)) / (2 * h),
-                (f(alpha, c, p + h) - f(alpha, c, p - h)) / (2 * h),
-            )
-            for g_an, g_fd in zip(analytic, numeric):
-                assert abs(g_an - g_fd) <= 1e-5 * abs(g_an)
-
-    def test_benchmark_point_against_finite_differences(self):
-        law, analytic = law_gradient(_law_to_internal(1.969, 0.057, 0.285), 1.0)
-        h = 1e-6
-
-        def f(a_, c_, p_):
-            return a_ * (1.0 + c_) ** p_
-
-        numeric = (
-            (f(law.alpha + h, law.c, law.p) - f(law.alpha - h, law.c, law.p)) / (2 * h),
-            (f(law.alpha, law.c + h, law.p) - f(law.alpha, law.c - h, law.p)) / (2 * h),
-            (f(law.alpha, law.c, law.p + h) - f(law.alpha, law.c, law.p - h)) / (2 * h),
-        )
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-5)
 
 
 class TestEvalJointLaw:

@@ -275,11 +275,11 @@ class TestGridOracle:
 
 
 def engine_sweep():
-    """Results of 160 seeded fits: 40 instances of each Gauss-Newton fitter,
-    alternating the loss space and cycling 0-3 restarts and iteration caps
-    of 3, 12, 40 and 2000."""
+    """Results of 160 seeded fits, 40 of each fitter, alternating the loss
+    space and cycling 0-3 restarts and iteration caps of 3, 12, 40 and 2000:
+    the 120 power-law fits, then the 40 ``fit_tail`` fits."""
     rng = np.random.default_rng(2202)
-    results = []
+    power_law, tail = [], []
 
     def config(i):
         return ds.FitConfig(
@@ -300,14 +300,14 @@ def engine_sweep():
         ]
 
     for i in range(40):
-        results.append(ds.fit_single(curve("single"), config(i)))
+        power_law.append(ds.fit_single(curve("single"), config(i)))
     for i in range(40):
         groups = {f"g{j}": curve(f"g{j}") for j in range(1 + i % 3)}
-        results.append(ds.fit_shared(groups, config(i)))
+        power_law.append(ds.fit_shared(groups, config(i)))
     for i in range(40):
         obs = curve("tail", noise=0.01)
         d_min = obs[(len(obs) - 3) // (1 + i % 2)].d_millions
-        results.append(ds.fit_tail(obs, d_min, config(i)))
+        tail.append(ds.fit_tail(obs, d_min, config(i)))
     shapes = [(10**8, 10**8), (3 * 10**8, 10**8), (10**8, 3 * 10**8)]
     for i in range(40):
         params = ds.JointLawParams(alpha=rng.uniform(0.8, 3.0), p=rng.uniform(0.15, 0.6), beta=2.2,
@@ -320,16 +320,29 @@ def engine_sweep():
         ]
         fixed = (params.beta, params.p_e, params.p_d, params.l_inf)
         hold_out = [shapes[2]] if i // 4 % 2 else []
-        results.append(ds.fit_joint(obs, fixed, config(i), hold_out=hold_out))
-    return results
+        power_law.append(ds.fit_joint(obs, fixed, config(i), hold_out=hold_out))
+    return power_law, tail
 
 
-def test_engine_sweep_is_byte_identical():
-    """Every field of 160 seeded fits (laws, objectives, residuals,
-    ``converged``, ``n_iters``) hashes to the digest recorded from an earlier
-    implementation, so a change to the Gauss-Newton engine that is meant to
-    keep its arithmetic has to keep every bit.  Like the golden fitting
-    digests, this one depends on the numpy build and the CPU: record it anew
-    on another machine from a commit known to be good."""
-    digest = hashlib.sha256(repr(engine_sweep()).encode()).hexdigest()
-    assert digest == "3c5164d643f6359e4733f0be41df8f9eea9fba1c62ac7546a61af2c0d4cb2031"
+@pytest.fixture(scope="module")
+def sweep():
+    return engine_sweep()
+
+
+# Every field of the sweep's fits (laws, objectives, residuals, ``converged``,
+# ``n_iters``) hashes to a digest recorded from an earlier implementation, so
+# a change that is meant to keep the fitters' arithmetic has to keep every
+# bit.  Like the golden fitting digests, these depend on the numpy build and
+# the CPU: record them anew on another machine from a commit known to be good.
+
+
+def test_power_law_sweep_is_byte_identical(sweep):
+    digest = hashlib.sha256(repr(sweep[0]).encode()).hexdigest()
+    assert digest == "0bab94692f498053e47ff159734fd9c2d0e66dc00c2a6df2a06a68613d729e09"
+
+
+def test_tail_sweep_is_byte_identical(sweep):
+    """The tail fits keep the Gauss-Newton engine, so their digest is the one
+    recorded before the power-law fits moved to the profiled searches."""
+    digest = hashlib.sha256(repr(sweep[1]).encode()).hexdigest()
+    assert digest == "1ea5b9890802890892dbb55a2bd0b95582706bb7f03c586b2388942299fc8899"

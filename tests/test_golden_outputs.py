@@ -97,26 +97,26 @@ COMMANDS += [
 ]
 
 DIGESTS = {
-    "fit.json": "6a5953cf5f44ab7b30afb7b415228e7335f31a4f05443a8b16493c32a7a74c5c",
-    "fit-linear-space.json": "fa9e6ae31006b346eda1f843be2d7433bb70ee40a5475e4cf954ee34ef497634",
-    "shared.json": "d2bb1089e07f27ff86814bc330c955f5f841474f9b53c1f251cabaf4f78ff0f8",
-    "shared-linear-space.json": "c604545e3f915f62b567c87071162661bb36b7e3e41f6b3aa4bdf6ec6487758b",
+    "fit.json": "987f50318e99b18aa2576445f7905a35889ee1848c0e3593d5b7a5a2a9f83eff",
+    "fit-linear-space.json": "cfe6807354a1e78e41a7ddbc4e4a2ae46576ccb35438481c1d0a0c4261760c24",
+    "shared.json": "f293ec34ad836e0fe847bf9ffacec1d31aa2a2aa83f6fa66d4b691d5f61c670d",
+    "shared-linear-space.json": "62f71066e11423c29077fcfb1ee0d5f8556a5fbd61f0233158f2e177f4fe8214",
     "tail.json": "b806de56ad7a532346049a76e6e949175979063d7f3029f7c9b6e7d69db20a32",
-    "joint.json": "d6d01d1945c0735b4cd1915f264f376aa64e946618f6916834a0b44c41067171",
+    "joint.json": "f7174c79b6d2d0a768c4561494890e23d3fd5b8ecc94e4fed86a9aeae24d56cc",
     "tail-linear-space.json": "8d6fcec60718b84d05747a8a01ce20b306c67e00834cbca890cf2ee1f9b4a214",
-    "joint-linear-space.json": "03380928eae5e292988dec69b64989eefa1fbe117dd28d1306521afa15808223",
+    "joint-linear-space.json": "ee8dc72e89e305a3291d23e1228cebb1f329d15a07b383d002aab7e937be5122",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
-    "fit-table.csv": "f9818e580ec582adb0ef7fd22a954060e45f0a0975d2f25f5e774b34f33ca384",
-    "shared-table.csv": "acfd873cf059f69a028633eed7fd018bbc3d8ca448ad68bd31cec985e6d21d5b",
+    "fit-table.csv": "bb00eb69b7416a4c72cbfc313e6ebbd925ad915f52d778dc9ae261cd1a1aebbf",
+    "shared-table.csv": "849cbf4f0e162005303eefaa96ec4aec656f20e6df9219b6fe9751f2d308a3fa",
     "tail-table.csv": "f42679021c9b04265c9e99fa8868763261515918e37dc82dffed44d3b499b5b2",
-    "joint-table.csv": "055a3591b3108c66a3c0369da097100a93c7d8ef59ec2b257268facd00638bec",
-    "fit-analysis.json": "07a019e367fbc63c275c959fb7e14cf378b9b5f392ded342734452ea9630deb8",
-    "shared-analysis.json": "e2b3855b063a7e78435a510c66ca92a1cb15b86c8163442ce31b87c7bb9cd21d",
-    "mc.json": "9c01adf6f851d262803a5a9135eef800789329e6a23262fdbd7789946dfa2883",
-    "mc-linear-space.json": "1488e2f0d4634ed0ca4933570766e711120ebd0504700b056efa38828547728c",
-    "fit-no-restarts.json": "af2a5afe2d2c536ba246a3a7b5002f331aec24f3be836fae6b45555d0accfe0e",
+    "joint-table.csv": "e944e7918e0c4f65be40796294b2272de2ac25230b2c27e9e56518487168e630",
+    "fit-analysis.json": "7a57bf43169ede3296545a920b8c8c2a66b8c5df6be93cbe8e5bb16f878de431",
+    "shared-analysis.json": "d495160c256f413d34c8e450936dee307ac1d8ed60c3a66ef3a717b1462e1aec",
+    "mc.json": "e97ca1e9f2c9cd2cf8226b1092fb741034d4a80a8e554978c0c639ad653a2fba",
+    "mc-linear-space.json": "661a20ba81785454939a1d8fd1e3f40b060a594f183e30c8177bd22d261ae5fe",
+    "fit-no-restarts.json": "0dc46b3dd6cfc9f46ff95c1cc144bb68bd132f81a60732ce56c8d52a7c2f923a",
     "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
-    "fit-iteration-cap.json": "1efbe7a8b3febd81d75179975d093233da5f1b79d541e1d28c8fb1657b901573",
+    "fit-iteration-cap.json": "e6dbd5e3e9a634d2785bdee1e5528cca9bc764ea1e639a11016b864fd3823512",
     "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
     "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
     "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",
