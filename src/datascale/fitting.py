@@ -76,8 +76,9 @@ class FitConfig:
         max_iters: Cap on the refinement steps of each power-law search, and
             on the iterations of each ``fit_tail`` restart.
         rel_tol: Power laws: a bracket closes once narrower than about
-            ``rel_tol * (1 + |x|)``.  ``fit_tail``: relative objective
-            decrease between accepted steps that ends the fit as converged.
+            ``max(rel_tol, 1e-15) * (1 + |x|)``, near float resolution at
+            the least.  ``fit_tail``: relative objective decrease between
+            accepted steps that ends the fit as converged.
         n_restarts: Power laws: grid local minima refined (at least 1).
             ``fit_tail``: initializations tried (the first is the
             data-driven seed, the rest log-normal perturbations of it).
@@ -188,11 +189,11 @@ def _minimize(objective, grid, cfg: FitConfig, values=None):
 def _sections(f, lo, x, hi, fx, cfg: FitConfig):
     """Refine brackets ``[lo, hi]`` around ``x`` (values ``fx``): evaluate each
     at evenly spaced points and keep the neighbours of the best, until every
-    bracket is narrower than ``rel_tol * (1 + |x|)``."""
+    bracket is narrower than ``max(rel_tol, 1e-15) * (1 + |x|)``."""
     sections = max(4, min(64, _SECTION_POINTS // x.size))
     t, at = np.linspace(0.0, 1.0, sections + 1), np.arange(x.size)
     for steps in range(cfg.max_iters + 1):
-        closed = not (hi - lo > cfg.rel_tol * (1.0 + np.abs(x))).any()
+        closed = not (hi - lo > max(cfg.rel_tol, 1e-15) * (1.0 + np.abs(x))).any()
         if closed or steps == cfg.max_iters:
             return x, fx, closed, steps
         xs = lo[..., None] + (hi - lo)[..., None] * t
@@ -213,7 +214,7 @@ def _brent(f, a, x, b, cfg: FitConfig):
     w = v = x
     d = e = 0.0
     for steps in range(cfg.max_iters + 1):
-        xm, tol = 0.5 * (a + b), cfg.rel_tol * (1.0 + abs(x))
+        xm, tol = 0.5 * (a + b), max(cfg.rel_tol, 1e-15) * (1.0 + abs(x))
         closed = abs(x - xm) <= 2.0 * tol - 0.5 * (b - a)
         if closed or steps == cfg.max_iters:
             return x, fx, closed, steps

@@ -80,6 +80,17 @@ class TestFitSingle:
         res = ds.fit_single(obs, ds.FitConfig(seed=3, max_iters=1, rel_tol=1e-18, n_restarts=1))
         assert not res.converged
 
+    def test_tolerance_below_float_resolution_still_converges(self):
+        # brackets close at float resolution, so a tiny rel_tol neither
+        # spins to the step cap nor reports a closed bracket as open
+        rng = np.random.default_rng(14)
+        obs = curve_observations(
+            ds.PowerLaw(2.0, 0.05, 0.3), DOUBLING_GRID, noise_frac=0.02, rng=rng
+        )
+        cfg = ds.FitConfig(rel_tol=1e-300, max_iters=200)
+        assert ds.fit_single(obs, cfg).converged
+        assert ds.fit_shared({"a": obs}, cfg).converged
+
     def test_law_valid_even_on_pathological_data(self):
         # increasing losses cannot come from the model; the reparameterized
         # optimizer must still return something inside the law's domain

@@ -162,7 +162,9 @@ def _reference_minimum(row):
 
     if row["loss_space"] != "log" or row["fitter"] not in ("fit_single", "fit_joint"):
         return float("inf")
-    rng = np.random.default_rng([2202, FITTERS.index(row["fitter"]), 0, row["index"]])  # log space
+    rng = np.random.default_rng(
+        [2202, FITTERS.index(row["fitter"]), LOSS_SPACES.index(row["loss_space"]), row["index"]]
+    )
     if row["fitter"] == "fit_single":
         obs = _curve(rng, "single", 0.03)
         return _single_minimum(*(np.array(v) for v in zip(*[(o.d_millions, o.loss) for o in obs])))
