@@ -146,16 +146,16 @@ class JointFitResult:
 # ---------------------------------------------------------------------------
 
 
-def _minimize(objective, grid, cfg: FitConfig, values=None):
+def _minimize(objective, grid, cfg: FitConfig, values=None, costly=False):
     """Minimize a batch of 1-D functions over the range of an ascending grid.
 
     ``objective(x)`` maps ``x`` of shape ``(rows, m)``, or ``(1, m)`` to be
     broadcast, to each row's values (NaN counts as infinite); ``values``, if
-    given, ranks the grid cells instead (it may approximate ``objective``).
-    A leading ``-inf`` grid point is an endpoint.  Each row's best cell and next best local minima,
+    given, ranks the grid cells in its place, and a leading ``-inf`` grid
+    point is an endpoint.  Each row's best cell and next best local minima,
     ``n_restarts`` in all (at least 1), are refined between their neighbours
-    by :func:`_brent` for one row, else by :func:`_sections`.  Returns each
-    row's best ``x`` and value, whether every bracket closed, and the steps.
+    by :func:`_sections`, or by :func:`_brent` for a ``costly`` single row.
+    Returns each row's best ``x`` and value, whether all brackets closed, and the steps.
     """
     with np.errstate(all="ignore"):
 
@@ -173,7 +173,7 @@ def _minimize(objective, grid, cfg: FitConfig, values=None):
         i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, :n]
         i = np.where(np.take_along_axis(local, i, 1), i, i[:, :1])
         lo, x, hi = cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)]
-        if len(x) == 1:
+        if costly:  # one row, each evaluation a search of its own: fewest evaluations
             x, fx, closed, steps = np.array([_brent(lambda u: f(np.array([[u]]))[0, 0], *z, cfg)
                                              for z in zip(lo[0], x[0], hi[0])]).T[:, None]
             closed, steps = bool(closed.all()), int(steps.max())
@@ -300,7 +300,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
     cells = len(_P_GRID) * k * len(_LN_C_GRID) * (1 if log_space else n)  # of the coarse tables
     chunks = np.array_split(_P_GRID, min(len(_P_GRID), -(-cells // _CHUNK)))
     coarse = np.concatenate([search(ps, replace(cfg, max_iters=2))[1] for ps in chunks])
-    p, _, converged, n_iters = _minimize(lambda x: search(x[0])[1][None], _P_GRID, cfg, coarse[None])
+    p, _, converged, n_iters = _minimize(lambda x: search(x[0])[1][None], _P_GRID, cfg, coarse[None], True)
     ln_c, _, inner_converged = search(p)
     alpha, _ = fit_alpha(np.arange(k), np.repeat(p, k), ln_c[:, None])
     return float(p[0]), alpha[:, 0].tolist(), np.exp(ln_c).tolist(), converged and inner_converged, n_iters

@@ -349,7 +349,7 @@ def sweep():
 
 def test_power_law_sweep_is_byte_identical(sweep):
     digest = hashlib.sha256(repr(sweep[0]).encode()).hexdigest()
-    assert digest == "0bab94692f498053e47ff159734fd9c2d0e66dc00c2a6df2a06a68613d729e09"
+    assert digest == "0af7114cfade798baaa6212d1257cd82f3ea425fe8a7f1e21f81800880157900"
 
 
 def test_tail_sweep_is_byte_identical(sweep):

@@ -97,26 +97,26 @@ COMMANDS += [
 ]
 
 DIGESTS = {
-    "fit.json": "987f50318e99b18aa2576445f7905a35889ee1848c0e3593d5b7a5a2a9f83eff",
-    "fit-linear-space.json": "cfe6807354a1e78e41a7ddbc4e4a2ae46576ccb35438481c1d0a0c4261760c24",
+    "fit.json": "7004ace2af54366a7fd87d308b6f1286937c789a6b8131fa9780023348e29d71",
+    "fit-linear-space.json": "9815a12efe88b31bd70b655805029dac32ecb3056b3584bcd5c2f26e9c8761ac",
     "shared.json": "f293ec34ad836e0fe847bf9ffacec1d31aa2a2aa83f6fa66d4b691d5f61c670d",
     "shared-linear-space.json": "62f71066e11423c29077fcfb1ee0d5f8556a5fbd61f0233158f2e177f4fe8214",
     "tail.json": "b806de56ad7a532346049a76e6e949175979063d7f3029f7c9b6e7d69db20a32",
-    "joint.json": "f7174c79b6d2d0a768c4561494890e23d3fd5b8ecc94e4fed86a9aeae24d56cc",
+    "joint.json": "6ee95b7e758f66e905767ca330b5c14f8c23a82825f3ecd121e7b480a522b4ac",
     "tail-linear-space.json": "8d6fcec60718b84d05747a8a01ce20b306c67e00834cbca890cf2ee1f9b4a214",
-    "joint-linear-space.json": "ee8dc72e89e305a3291d23e1228cebb1f329d15a07b383d002aab7e937be5122",
+    "joint-linear-space.json": "4f6809b18ffd0daf45048270369aacb3531031d5f6bac3adb02b8c9f8dee3faa",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
-    "fit-table.csv": "bb00eb69b7416a4c72cbfc313e6ebbd925ad915f52d778dc9ae261cd1a1aebbf",
+    "fit-table.csv": "f8b2836af52e45906d78bb6a6c86bf9873a99afd262d62b37f29e66e680d1cce",
     "shared-table.csv": "849cbf4f0e162005303eefaa96ec4aec656f20e6df9219b6fe9751f2d308a3fa",
     "tail-table.csv": "f42679021c9b04265c9e99fa8868763261515918e37dc82dffed44d3b499b5b2",
-    "joint-table.csv": "e944e7918e0c4f65be40796294b2272de2ac25230b2c27e9e56518487168e630",
-    "fit-analysis.json": "7a57bf43169ede3296545a920b8c8c2a66b8c5df6be93cbe8e5bb16f878de431",
+    "joint-table.csv": "fc54f5e1cf7b3a6066f3f47ae17443c2e58600423d278096b5f86170d2b3acfd",
+    "fit-analysis.json": "5f5d1b2621fcfeec99c933e36732b5321eb802d2325761e43714aac17c291669",
     "shared-analysis.json": "d495160c256f413d34c8e450936dee307ac1d8ed60c3a66ef3a717b1462e1aec",
-    "mc.json": "e97ca1e9f2c9cd2cf8226b1092fb741034d4a80a8e554978c0c639ad653a2fba",
-    "mc-linear-space.json": "661a20ba81785454939a1d8fd1e3f40b060a594f183e30c8177bd22d261ae5fe",
-    "fit-no-restarts.json": "0dc46b3dd6cfc9f46ff95c1cc144bb68bd132f81a60732ce56c8d52a7c2f923a",
+    "mc.json": "66f98697d9396d79d2fb576203d9f3d942e51023d748dd910b236ec284f0957c",
+    "mc-linear-space.json": "0446c39b165736d7041bc3ea36ddda32da4f6b7c3887610d8eab11018fc60737",
+    "fit-no-restarts.json": "b9ff4243de60407341d4f0380204365e439a762932f59a2b49b84525f2192db8",
     "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
-    "fit-iteration-cap.json": "e6dbd5e3e9a634d2785bdee1e5528cca9bc764ea1e639a11016b864fd3823512",
+    "fit-iteration-cap.json": "6764d46809f75081aeb95b6c4a4446b26150040be4fe78bd8d8c80878eac7dbc",
     "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
     "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
     "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",
