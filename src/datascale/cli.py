@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-frac", type=float, default=0.02)
     p.add_argument("--n-reps", type=int, default=1000)
     p.add_argument("--condition")
-    p.add_argument("--fit-seed", type=int, default=0, help="--seed of each replicate's fit (draws none)")
+    p.add_argument("--fit-seed", type=int, default=0, help="--seed of each replicate's fit (power laws draw none)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("simulate", help="generate synthetic observations from a law")

@@ -92,8 +92,8 @@ class TestFitSingle:
         assert ds.fit_shared({"a": obs}, cfg).converged
 
     def test_law_valid_even_on_pathological_data(self):
-        # increasing losses cannot come from the model; the reparameterized
-        # optimizer must still return something inside the law's domain
+        # increasing losses cannot come from the model; the bounded searches
+        # must still return something inside the law's domain
         obs = [ds.Observation("a", d, 0.1 * d + 0.5) for d in (1, 2, 4, 8, 16)]
         res = ds.fit_single(obs, ds.FitConfig(seed=5))
         assert res.law.alpha > 0 and res.law.c >= 0 and 0 < res.law.p <= 2
