@@ -7,13 +7,16 @@ or in linear space.
 The power laws ``alpha * (1/d + c)**p`` are fitted by variable projection
 (Golub & Pereyra, 1973): for fixed ``c`` and ``p`` the best ``alpha`` has a
 closed form (:func:`_fit_alpha`), and in log space so does the best ``p`` for
-fixed ``c`` (:func:`_log_line`).  The rest is a bracketed 1-D search
-(:func:`_minimize`) over ``ln c`` for log :func:`fit_single`, over ``p`` for
-:func:`fit_joint` (``c = beta * g**(1/p)``), and otherwise over ``p`` around
-a batched search over each group's ``ln c``, with ``c`` in ``[1e-12, 1e12]``
-or 0 (below 1e-12 it is reported as 0) and ``p`` in ``[1e-12, 2]``.  The
-searches draw no random numbers and use elementwise operations and last-axis
-sums only, so a row's bits do not depend on the rows batched with it.
+fixed ``c`` (:func:`_log_line`).  The rest is bracketed 1-D searches: a grid
+stage, then a refinement between the neighbours of the best cells
+(:func:`_minimize`), over ``ln c`` for log :func:`fit_single` and over ``p``
+for :func:`fit_joint` (``c = beta * g**(1/p)``).  :func:`fit_shared` and
+linear :func:`fit_single` search ``p`` by Brent's method around a batched
+search over each group's ``ln c`` (:func:`_shared_exponent`).  ``c`` lies in
+``[1e-12, 1e12]`` or is 0 (below 1e-12 it is reported as 0) and ``p`` in
+``[1e-12, 2]``.  The searches draw no random numbers and use elementwise
+operations and last-axis sums only: a BLAS matmul can make a row's bits
+depend on how many rows share the call.
 
 :func:`fit_tail` runs a damped Gauss-Newton loop with adaptive
 (Marquardt-style) damping from a data-driven seed plus log-normally perturbed
@@ -63,7 +66,13 @@ _P_MIN = 1e-12
 _LN_C_GRID = np.concatenate([[-np.inf], np.linspace(math.log(ZERO_CAPACITY), math.log(1e12), 401)])
 _P_GRID = 2.0 * np.linspace(math.sqrt(_P_MIN / 2.0), 1.0, 31) ** 2
 _CHUNK = 2**14  # most elements of one temporary array of a grid table
-_SECTION_POINTS = 512  # points evaluated per step of a batched refinement
+_SECTION_POINTS = 128  # points evaluated per step of a batched refinement
+# Inner ln c searches of a shared p: the grid stage's bracket tolerance, the
+# slope in ln c per unit p allowed for beside a line through two optima, and
+# the widest half-width tried before the grid is searched again.
+_COARSE = 0.01
+_SLOPE = 4.0
+_WARM = 4.0
 
 
 @dataclass(frozen=True)
@@ -77,9 +86,12 @@ class FitConfig:
             on the iterations of each ``fit_tail`` restart.
         rel_tol: Power laws: a bracket closes once narrower than about
             ``max(rel_tol, 1e-15) * (1 + |x|)``, near float resolution at
-            the least.  ``fit_tail``: relative objective decrease between
-            accepted steps that ends the fit as converged.
-        n_restarts: Power laws: grid local minima refined (at least 1).
+            the least (``rel_tol**(2/3)`` for the ``ln c`` searches that only
+            steer the search over a shared ``p``).  ``fit_tail``: relative
+            objective decrease between accepted steps that ends the fit as
+            converged.
+        n_restarts: Power laws: grid local minima refined (at least 1), of
+            ``ln c`` for log ``fit_single`` and of ``p`` otherwise.
             ``fit_tail``: initializations tried (the first is the
             data-driven seed, the rest log-normal perturbations of it).
         seed: Seed of ``fit_tail``'s perturbations, which fixes its result
@@ -146,81 +158,96 @@ class JointFitResult:
 # ---------------------------------------------------------------------------
 
 
-def _minimize(objective, grid, cfg: FitConfig, values=None, costly=False):
+def _minimize(objective, grid, cfg: FitConfig):
     """Minimize a batch of 1-D functions over the range of an ascending grid.
 
     ``objective(x)`` maps ``x`` of shape ``(rows, m)``, or ``(1, m)`` to be
-    broadcast, to each row's values (NaN counts as infinite); ``values``, if
-    given, ranks the grid cells in its place, and a leading ``-inf`` grid
-    point is an endpoint.  Each row's best cell and next best local minima,
-    ``n_restarts`` in all (at least 1), are refined between their neighbours
-    by :func:`_sections`, or by :func:`_brent` for a ``costly`` single row.
-    Returns each row's best ``x`` and value, whether all brackets closed, and the steps.
+    broadcast, to each row's values.  A leading ``-inf`` grid point is an
+    endpoint.  The brackets of :func:`_brackets` are refined by
+    :func:`_sections`.  Returns each row's best ``x`` and value, whether all
+    brackets closed, and the steps.
     """
     with np.errstate(all="ignore"):
-
-        def f(x):
-            fx = objective(x)
-            return np.where(np.isnan(fx), np.inf, fx)
-
+        values = objective(grid[None, :])
         first = int(np.isinf(grid[0]))
-        cells = grid[first:]
-        fc = f(cells[None, :]) if values is None else np.where(np.isnan(values), np.inf, values)[:, first:]
-        edge = np.full((len(fc), 1), np.inf)
-        local = (fc <= np.hstack([edge, fc[:, :-1]])) & (fc <= np.hstack([fc[:, 1:], edge]))
-        local[np.arange(len(fc)), fc.argmin(1)] = True
-        n = max(1, min(cfg.n_restarts, int(local.sum(1).max())))
-        i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, :n]
-        i = np.where(np.take_along_axis(local, i, 1), i, i[:, :1])
-        lo, x, hi = cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)]
-        if costly:  # one row, each evaluation a search of its own: fewest evaluations
-            x, fx, closed, steps = np.array([_brent(lambda u: f(np.array([[u]]))[0, 0], *z, cfg)
-                                             for z in zip(lo[0], x[0], hi[0])]).T[:, None]
-            closed, steps = bool(closed.all()), int(steps.max())
-        else:
-            x, fx, closed, steps = _sections(f, lo, x, hi, f(x), cfg)
+        lo, x, hi = _brackets(values[:, first:], grid[first:], cfg.n_restarts)
+        x, fx, closed, steps = _sections(objective, lo, x, hi, cfg)
         if first:
             x = np.hstack([np.full((len(x), 1), grid[0]), x])
-            fx = np.hstack([np.broadcast_to(f(grid[None, :1]), (len(x), 1)), fx])
+            fx = np.hstack([objective(x[:, :1]), fx])
         best = (np.arange(len(x)), fx.argmin(1))
         return x[best], fx[best], closed, steps
 
 
-def _sections(f, lo, x, hi, fx, cfg: FitConfig):
-    """Refine brackets ``[lo, hi]`` around ``x`` (values ``fx``): evaluate each
-    at evenly spaced points and keep the neighbours of the best, until every
-    bracket is narrower than ``max(rel_tol, 1e-15) * (1 + |x|)``."""
+def _brackets(values, cells, n_restarts):
+    """Brackets ``(lo, x, hi)`` between the neighbours of each row's best cell
+    by ``values`` (NaN counts as infinite) and of its next best local minima,
+    ``n_restarts`` in all (at least 1)."""
+    fc = np.where(np.isnan(values), np.inf, values)
+    edge = np.full((len(fc), 1), np.inf)
+    left = np.hstack([edge, fc[:, :-1]])
+    right = np.hstack([fc[:, 1:], edge])
+    # a local minimum sits below a neighbour by more than rounding: flat runs hold none
+    local = (fc <= left) & (fc <= right) & (np.maximum(left, right) - fc > 1e-9 * np.abs(fc))
+    local[np.arange(len(fc)), fc.argmin(1)] = True
+    n = max(1, min(n_restarts, int(local.sum(1).max())))
+    i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, :n]
+    i = np.where(np.take_along_axis(local, i, 1), i, i[:, :1])
+    return cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)]
+
+
+def _sections(f, lo, x, hi, cfg: FitConfig):
+    """Refine brackets ``[lo, hi]`` around ``x``: evaluate each at evenly
+    spaced points and keep the neighbours of the best, until every bracket
+    is narrower than ``max(rel_tol, 1e-15) * (1 + |x|)``.  Returns the best
+    points and values (``x`` and its value if no step was taken), whether
+    all brackets closed, and the steps."""
+    shape = x.shape
+    lo = lo.ravel()
+    x = x.ravel()
+    hi = hi.ravel()
+    fx = np.full(x.size, np.inf)
     sections = max(4, min(64, _SECTION_POINTS // x.size))
-    t, at = np.linspace(0.0, 1.0, sections + 1), np.arange(x.size)
+    t = np.arange(sections + 1) / sections
+    at = np.arange(x.size)
+    tol = max(cfg.rel_tol, 1e-15)
     for steps in range(cfg.max_iters + 1):
-        closed = not (hi - lo > max(cfg.rel_tol, 1e-15) * (1.0 + np.abs(x))).any()
+        closed = not (hi - lo > tol * (1.0 + np.abs(x))).any()
         if closed or steps == cfg.max_iters:
-            return x, fx, closed, steps
-        xs = lo[..., None] + (hi - lo)[..., None] * t
-        fs = f(xs.reshape(len(xs), -1)).reshape(-1, sections + 1)
-        xs, j = xs.reshape(fs.shape), fs.argmin(1)
-        x = np.where(fs[at, j] < fx.ravel(), xs[at, j], x.ravel()).reshape(x.shape)
-        fx = np.minimum(fs[at, j], fx.ravel()).reshape(fx.shape)
+            fx = fx if steps else f(x.reshape(shape))
+            return x.reshape(shape), fx.reshape(shape), closed, steps
+        xs = lo[:, None] + (hi - lo)[:, None] * t
+        fs = f(xs.reshape(shape[0], -1)).reshape(xs.shape)
+        j = fs.argmin(1)
+        fj = fs[at, j]
+        x = np.where(fj < fx, xs[at, j], x)
+        fx = np.minimum(fj, fx)
         j = np.minimum(np.maximum(j, 1), sections - 1)
-        lo, hi = xs[at, j - 1].reshape(x.shape), xs[at, j + 1].reshape(x.shape)
+        lo = xs[at, j - 1]
+        hi = xs[at, j + 1]
 
 
 def _brent(f, a, x, b, cfg: FitConfig):
     """Brent's method (*Algorithms for Minimization without Derivatives*,
     1973) for a scalar ``f`` on ``[a, b]`` from ``x``, until the bracket is
-    narrower than about ``4 * rel_tol * (1 + |x|)``: ``(x, f(x), closed,
-    steps)``."""
+    narrower than about ``4 * max(rel_tol, 1e-15) * (1 + |x|)``: ``(x, f(x),
+    closed, steps)``."""
     fx = fw = fv = float(f(x))
     w = v = x
     d = e = 0.0
     for steps in range(cfg.max_iters + 1):
-        xm, tol = 0.5 * (a + b), max(cfg.rel_tol, 1e-15) * (1.0 + abs(x))
+        xm = 0.5 * (a + b)
+        tol = max(cfg.rel_tol, 1e-15) * (1.0 + abs(x))
         closed = abs(x - xm) <= 2.0 * tol - 0.5 * (b - a)
         if closed or steps == cfg.max_iters:
             return x, fx, closed, steps
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        p, q = (-p if q > 0.0 else p), abs(q)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
         if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
             e, d = d, p / q
             if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
@@ -231,10 +258,16 @@ def _brent(f, a, x, b, cfg: FitConfig):
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = float(f(u))
         if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
+            if u >= x:
+                a = x
+            else:
+                b = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, b = (u, b) if u < x else (a, u)
+            if u < x:
+                a = u
+            else:
+                b = u
             if fu <= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
@@ -244,66 +277,164 @@ def _brent(f, a, x, b, cfg: FitConfig):
 def _fit_alpha(u, p, target, w, log_space: bool):
     """Least-squares ``alpha`` of ``alpha * u**p`` against ``target`` (``ln y``
     in log space) along the last axis, each point weighted by ``w`` (1, or 0
-    for padding); returns ``(alpha, objective)``."""
+    for padding); returns ``(alpha, objective)``, a NaN objective as inf."""
     if log_space:
         r = target - p * np.log(u)
         ln_alpha = (w * r).sum(-1) / w.sum(-1)
+        alpha = np.exp(ln_alpha)
         r = w * (r - ln_alpha[..., None])
-        return np.exp(ln_alpha), (r * r).sum(-1)
-    b = w * u**p
-    alpha = (b * target).sum(-1) / (b * b).sum(-1)
-    r = w * target - alpha[..., None] * b
-    return alpha, (r * r).sum(-1)
+    else:
+        b = w * u**p
+        alpha = (b * target).sum(-1) / (b * b).sum(-1)
+        r = w * target - alpha[..., None] * b
+    objective = (r * r).sum(-1)
+    return alpha, np.where(np.isnan(objective), np.inf, objective)
+
+
+def _centred_sums(inv_d, ln_y, ln_c):
+    """For each ``ln c``, the sums ``(sxy, sxx, syy)`` over the points (last
+    axis) of products of the centred ``x = ln(1/d + c)`` and ``ln y``: the
+    least-squares slope of ``ln y`` on ``x`` is ``sxy / sxx``, and at slope
+    ``p`` the objective is ``syy - 2 p sxy + p**2 sxx``."""
+    x = np.log(inv_d + np.exp(ln_c)[..., None])
+    x = x - x.mean(-1, keepdims=True)
+    ln_y = ln_y - ln_y.mean(-1, keepdims=True)
+    return (x * ln_y).sum(-1), (x * x).sum(-1), (ln_y * ln_y).sum(-1)
 
 
 def _log_line(inv_d, ln_y, ln_c):
     """Least-squares ``ln y = ln alpha + p * ln(1/d + c)`` for each ``ln c``,
     with ``p`` clipped to ``[1e-12, 2]``: ``(p, alpha, objective)``."""
+    sxy, sxx, _ = _centred_sums(inv_d, ln_y, ln_c)
+    p = np.clip(sxy / sxx, _P_MIN, 2.0)
     u = inv_d + np.exp(ln_c)[..., None]
-    x = np.log(u) - np.log(u).mean(-1, keepdims=True)
-    p = np.clip((x * ln_y).sum(-1) / (x * x).sum(-1), _P_MIN, 2.0)
     return (p, *_fit_alpha(u, p[..., None], ln_y, np.ones_like(ln_y), True))
 
 
 def _shared_exponent(arrays, cfg: FitConfig):
     """Least-squares ``p`` shared by the groups ``arrays`` of ``(d, y)``: a
-    search over ``p`` around a batched search over each group's ``ln c``
-    (stopped after two steps on the ``p`` grid).  Returns ``p``, the groups'
-    ``alpha`` and ``c``, whether every bracket closed, and the steps over ``p``."""
+    search over ``p`` around a batched search over each group's ``ln c``.
+
+    The grid stage takes each group's best ``ln c`` cell at each ``p`` cell
+    and refines it to ``_COARSE``.  Brent's method then refines the best
+    ``p`` cells.  Each of its evaluations starts every group's ``ln c``
+    where a line through its optima at the two nearest ``p`` searched puts
+    it, brackets it as widely as that line may err, and closes the bracket
+    at ``rel_tol**(2/3)``: the objective's error is quadratic in it, so near
+    ``rel_tol**(4/3)``.  A bracket whose optimum reaches its edge is widened up
+    to ``_WARM``, and beyond that the ``ln c`` grid is searched again.  At
+    the ``p`` found each group's optimum is refined to ``rel_tol``, or the
+    grid searched again if one of its cells beats it.  Returns ``p``, the
+    groups' ``alpha`` and ``c``, whether every bracket closed, and the steps
+    over ``p``.
+    """
     log_space = cfg.loss_space == "log"
-    k, n = len(arrays), max(len(d) for d, _ in arrays)
-    inv_d, target, weight = np.ones((k, n)), np.zeros((k, n)), np.zeros((k, n))
+    k = len(arrays)
+    n = max(len(d) for d, _ in arrays)
+    inv_d = np.ones((k, n))
+    target = np.zeros((k, n))
+    weight = np.zeros((k, n))
     for i, (d, y) in enumerate(arrays):
-        inv_d[i, : len(d)], weight[i, : len(d)] = 1.0 / d, 1.0
+        inv_d[i, : len(d)] = 1.0 / d
         target[i, : len(d)] = np.log(y) if log_space else y
+        weight[i, : len(d)] = 1.0
+    if log_space:  # a group's objective on the c grid is syy - 2 p sxy + p**2 sxx
+        sums = [_centred_sums(1.0 / d, np.log(y), _LN_C_GRID) for d, y in arrays]
+        sxy, sxx, syy = (np.array(v) for v in zip(*sums))
+    else:  # and here <y, y> - <y, b>**2 / <b, b> with b = (1/d + c)**p
+        u_grid = inv_d[:, None] + np.exp(_LN_C_GRID)[:, None]
+        yy = (target * target).sum(-1)
 
-    def fit_alpha(rows, p, ln_c):
-        u = inv_d[rows, None] + np.exp(ln_c)[..., None]
-        return _fit_alpha(u, p[:, None, None], target[rows, None], weight[rows, None], log_space)
+    def on_grid(ps):
+        """Every group's objective on the ln c grid at each of ``ps``: shape ``(len(ps), k, cells)``."""
+        p = ps[:, None, None]
+        if log_space:
+            return syy[:, None] - p * (2.0 * sxy - p * sxx)
+        b = weight[:, None] * u_grid ** p[..., None]
+        by = (b * target[:, None]).sum(-1)
+        return yy[:, None] - by * by / (b * b).sum(-1)
 
-    # In log space a group's objective at (p, c) is syy - 2 p sxy + p^2 sxx,
-    # with sums over centred ln y and ln(1/d + c) tabulated on the c grid.
-    sxy, sxx, syy = np.empty((k, len(_LN_C_GRID))), np.empty((k, len(_LN_C_GRID))), np.empty(k)
-    for i, (d, y) in enumerate(arrays):
-        x, ln_y = np.log(1.0 / d + np.exp(_LN_C_GRID)[:, None]), np.log(y) - np.log(y).mean()
-        x -= x.mean(-1, keepdims=True)
-        sxy[i], sxx[i], syy[i] = (x * ln_y).sum(-1), (x * x).sum(-1), (ln_y * ln_y).sum()
+    def objective(rows, p):
+        """The objectives of the groups ``rows`` at ``p``, as a function of their ``ln c``."""
+        return lambda ln_c: _fit_alpha(inv_d[rows, None] + np.exp(ln_c)[..., None], p, target[rows, None],
+                                       weight[rows, None], log_space)[1]
 
-    def search(ps, cfg=cfg):
-        rows, p = np.tile(np.arange(k), len(ps)), np.repeat(ps, k)
-        with np.errstate(all="ignore"):
-            values = (syy[rows, None] - p[:, None] * (2.0 * sxy[rows] - p[:, None] * sxx[rows]) if log_space
-                      else fit_alpha(rows, p, _LN_C_GRID[None])[1])
-        ln_c, f, converged, _ = _minimize(lambda x: fit_alpha(rows, p, x)[1], _LN_C_GRID, cfg, values)
-        return ln_c, f.reshape(len(ps), k).sum(1), converged
+    def grid_search(ps, cfg):
+        """Every group's ln c and objective at each of ``ps``, flattened: its best cell of the ln c grid
+        refined, or c = 0; and whether every bracket closed."""
+        cells = k * len(_LN_C_GRID) * (1 if log_space else n)  # of the grid table at one p
+        chunks = np.array_split(ps, min(len(ps), -(-len(ps) * cells // _CHUNK)))
+        tables = (np.where(np.isnan(v), np.inf, v) for v in map(on_grid, chunks))
+        best = [(v[..., 1:].argmin(-1) + 1, v[..., 0].copy()) for v in tables]  # finite cell, and c = 0
+        i, zero = (np.concatenate(v).ravel() for v in zip(*best))
+        rows = np.tile(np.arange(k), len(ps))
+        p = np.repeat(ps, k)[:, None, None]
+        ln_c = np.empty((len(rows), 1))
+        values = np.empty((len(rows), 1))
+        closed = True
+        for r in np.array_split(np.arange(len(rows)), -(-len(rows) * 5 * n // _CHUNK)):  # 5 points at least
+            lo = _LN_C_GRID[np.maximum(i[r] - 1, 1), None]
+            x = _LN_C_GRID[i[r], None]
+            hi = _LN_C_GRID[np.minimum(i[r] + 1, len(_LN_C_GRID) - 1), None]
+            ln_c[r], values[r], done, _ = _sections(objective(rows[r], p[r]), lo, x, hi, cfg)
+            closed = closed and done
+        at_zero = zero <= values[:, 0]
+        ln_c[at_zero] = -np.inf
+        values[at_zero, 0] = zero[at_zero]
+        return ln_c, values, closed
 
-    cells = len(_P_GRID) * k * len(_LN_C_GRID) * (1 if log_space else n)  # of the coarse tables
-    chunks = np.array_split(_P_GRID, min(len(_P_GRID), -(-cells // _CHUNK)))
-    coarse = np.concatenate([search(ps, replace(cfg, max_iters=2))[1] for ps in chunks])
-    p, _, converged, n_iters = _minimize(lambda x: search(x[0])[1][None], _P_GRID, cfg, coarse[None], True)
-    ln_c, _, inner_converged = search(p)
-    alpha, _ = fit_alpha(np.arange(k), np.repeat(p, k), ln_c[:, None])
-    return float(p[0]), alpha[:, 0].tolist(), np.exp(ln_c).tolist(), converged and inner_converged, n_iters
+    def refine(f, start, width, cfg):
+        """Search each group's ln c within ``width`` of ``start`` and the c range; and whether an
+        optimum reached an edge inside the range, beyond which it may lie."""
+        lo = np.maximum(start - width, _LN_C_GRID[1])
+        hi = np.minimum(start + width, _LN_C_GRID[-1])
+        ln_c, fx, closed, _ = _sections(f, lo, start, hi, cfg)
+        low = (ln_c < lo + 0.1 * width) & (lo > _LN_C_GRID[1])
+        high = (ln_c > hi - 0.1 * width) & (hi < _LN_C_GRID[-1])
+        return ln_c, fx, closed, (low | high).any()
+
+    inner = replace(cfg, rel_tol=cfg.rel_tol ** (2.0 / 3.0))
+    optima = {}  # each p searched: every group's ln c, and how far from its optimum it may lie
+    searched = []  # the keys of optima, in an order that breaks ties in distance
+
+    def profile(p):
+        """The pooled objective at ``p``."""
+        q1, q2 = (searched[i] for i in np.argsort(np.abs(np.array(searched) - p), kind="stable")[:2])
+        (c1, e1), (c2, e2) = optima[q1], optima[q2]
+        t = (p - q1) / (q1 - q2)
+        move = t * (c1 - c2)
+        start = np.clip(c1 + move, _LN_C_GRID[1], _LN_C_GRID[-1])
+        width = np.minimum(_WARM, e1 + abs(t) * (e1 + e2) + 0.5 * abs(move) + _SLOPE * abs(p - q1))
+        while True:
+            ln_c, fx, _, edge = refine(objective(slice(None), p), start, width, inner)
+            if not edge or width.min() == _WARM:
+                break
+            width = np.minimum(_WARM, 32.0 * width)
+        if edge:
+            ln_c, fx, _ = grid_search(np.array([p]), inner)
+        if p not in optima:
+            searched.append(p)
+        optima[p] = (np.maximum(ln_c, _LN_C_GRID[1]), 0.0)  # c = 0 is followed from the grid's low end
+        return fx.sum()
+
+    with np.errstate(all="ignore"):
+        ln_c, values, _ = grid_search(_P_GRID, replace(cfg, rel_tol=_COARSE))
+        ln_c = np.maximum(ln_c, _LN_C_GRID[1]).reshape(-1, k, 1)
+        optima.update((p, (c, _COARSE)) for p, c in zip(_P_GRID.tolist(), ln_c))
+        searched.extend(optima)
+        lo, x, hi = _brackets(values.reshape(-1, k).sum(1)[None], _P_GRID, cfg.n_restarts)
+        brackets = zip(lo[0].tolist(), x[0].tolist(), hi[0].tolist())
+        runs = [_brent(profile, a, x, b, cfg) for a, x, b in brackets]
+        p = min(runs, key=lambda run: run[1])[0]
+        f = objective(slice(None), p)
+        start = optima[p][0]  # within its bracket's width, inner.rel_tol * (1 + |ln c|), of the optimum
+        ln_c, fx, inner_converged, edge = refine(f, start, 4.0 * inner.rel_tol * (1.0 + np.abs(start)), cfg)
+        if edge or (on_grid(np.array([p]))[0, :, 1:].min(1) < fx[:, 0] * (1.0 - 1e-9)).any():
+            ln_c, fx, inner_converged = grid_search(np.array([p]), cfg)
+        ln_c[f(np.full((k, 1), -np.inf)) <= fx] = -np.inf
+        alpha, _ = _fit_alpha(inv_d + np.exp(ln_c), p, target, weight, log_space)
+    converged = inner_converged and all(run[2] for run in runs)
+    return p, alpha.tolist(), np.exp(ln_c[:, 0]).tolist(), converged, max(run[3] for run in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +576,12 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
 # ---------------------------------------------------------------------------
 
 
+def _residuals(law: PowerLaw, d, y, loss_space: str) -> np.ndarray:
+    """Residuals of losses ``y`` at sizes ``d`` under ``law`` in ``loss_space``."""
+    m = eval_law(law, d)
+    return np.log(y) - np.log(m) if loss_space == "log" else y - m
+
+
 def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit one power law to observations of a single condition.
 
@@ -463,15 +600,15 @@ def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResul
     """
     d, y = _single_group_arrays(obs, cfg.loss_space)
     if cfg.loss_space == "log":
-        inv_d, ln_y = 1.0 / d, np.log(y)
-        ln_c, _, converged, n_iters = _minimize(lambda x: _log_line(inv_d, ln_y, x)[2], _LN_C_GRID, cfg)
-        p, alpha, _ = _log_line(inv_d, ln_y, ln_c)
-        alpha, c, p = float(alpha[0]), math.exp(ln_c[0]), float(p[0])
+        ln_y = np.log(y)
+        ln_c, _, converged, n_iters = _minimize(lambda x: _log_line(1.0 / d, ln_y, x)[2], _LN_C_GRID, cfg)
+        (p,), (alpha,), _ = _log_line(1.0 / d, ln_y, ln_c)
+        c = math.exp(ln_c[0])
     else:
         p, (alpha,), (c,), converged, n_iters = _shared_exponent([(d, y)], cfg)
-    law = PowerLaw(alpha, 0.0 if c < ZERO_CAPACITY else c, p)
-    residuals = [observation_residual(law, o, cfg.loss_space) for o in obs]
-    return FitResult(law, sum(v * v for v in residuals), residuals, converged, n_iters)
+    law = PowerLaw(float(alpha), 0.0 if c < ZERO_CAPACITY else c, float(p))
+    r = _residuals(law, d, y, cfg.loss_space)
+    return FitResult(law, float((r * r).sum()), r.tolist(), converged, n_iters)
 
 
 def fit_shared(
@@ -497,9 +634,10 @@ def fit_shared(
     arrays = [_single_group_arrays(groups[label], cfg.loss_space) for label in labels]
     p, alphas, cs, converged, _ = _shared_exponent(arrays, cfg)
     laws = {label: PowerLaw(a, 0.0 if c < ZERO_CAPACITY else c, p) for label, a, c in zip(labels, alphas, cs)}
-    residuals = [observation_residual(laws[label], o, cfg.loss_space) for label in labels for o in groups[label]]
+    residuals = [_residuals(law, d, y, cfg.loss_space) for law, (d, y) in zip(laws.values(), arrays)]
+    objective = sum(float((r * r).sum()) for r in residuals)
     per_condition = {label: (law.alpha, law.c) for label, law in laws.items()}
-    return SharedFitResult(p, per_condition, sum(v * v for v in residuals), converged)
+    return SharedFitResult(p, per_condition, objective, converged)
 
 
 def fit_joint(
@@ -538,22 +676,19 @@ def fit_joint(
 
     _arrays(out_obs, cfg.loss_space)  # held-out rows get residuals too
     d, y = _arrays(fit_obs, cfg.loss_space)
-    ln_g = np.array(
-        [
-            np.logaddexp(-p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec), np.log(l_inf))
-            if l_inf > 0
-            else -p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec)
-            for o in fit_obs
-        ]
-    )
+    ln_g = np.array([-p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec) for o in fit_obs])
+    if l_inf > 0:
+        ln_g = np.logaddexp(ln_g, np.log(l_inf))
     log_space = cfg.loss_space == "log"
-    target, ln_beta, inv_d, weight = np.log(y) if log_space else y, math.log(beta), 1.0 / d, np.ones(len(d))
+    target = np.log(y) if log_space else y
 
     def fit_alpha(p):
-        return _fit_alpha(inv_d + np.exp(ln_beta + ln_g / p[..., None]), p[..., None], target, weight, log_space)
+        u = 1.0 / d + np.exp(math.log(beta) + ln_g / p[..., None])
+        return _fit_alpha(u, p[..., None], target, np.ones(len(d)), log_space)
 
-    p, _, converged, n_iters = _minimize(lambda x: fit_alpha(x)[1], _P_GRID, cfg)
-    alpha, p = float(fit_alpha(p)[0][0]), float(p[0])
+    (p,), _, converged, n_iters = _minimize(lambda x: fit_alpha(x)[1], _P_GRID, cfg)
+    alpha = float(fit_alpha(np.array([p]))[0][0])
+    p = float(p)
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):

@@ -349,7 +349,7 @@ def sweep():
 
 def test_power_law_sweep_is_byte_identical(sweep):
     digest = hashlib.sha256(repr(sweep[0]).encode()).hexdigest()
-    assert digest == "0af7114cfade798baaa6212d1257cd82f3ea425fe8a7f1e21f81800880157900"
+    assert digest == "9c8ff2d924ed8d93b4fdde39b17a7ad93ba1ad4684863e2d8c3ad63316db4ff9"
 
 
 def test_tail_sweep_is_byte_identical(sweep):

@@ -97,26 +97,26 @@ COMMANDS += [
 ]
 
 DIGESTS = {
-    "fit.json": "7004ace2af54366a7fd87d308b6f1286937c789a6b8131fa9780023348e29d71",
-    "fit-linear-space.json": "9815a12efe88b31bd70b655805029dac32ecb3056b3584bcd5c2f26e9c8761ac",
-    "shared.json": "f293ec34ad836e0fe847bf9ffacec1d31aa2a2aa83f6fa66d4b691d5f61c670d",
-    "shared-linear-space.json": "62f71066e11423c29077fcfb1ee0d5f8556a5fbd61f0233158f2e177f4fe8214",
+    "fit.json": "9df7dcd50e6f2c3ac3f064d3f9058150552911cfc16fe9c7791554242944c3eb",
+    "fit-linear-space.json": "fb96491f88452aa058f900d94bbed62350c55f60ef635fa93cf3aecaa28d0ebe",
+    "shared.json": "b5b9c6254594108e14def15e827fbc0974ff64223c519256d06376740254b2ab",
+    "shared-linear-space.json": "445cc3043afef23d0dd52d91a4a718e51b13935a0b5bd767276664d62d13d4f5",
     "tail.json": "b806de56ad7a532346049a76e6e949175979063d7f3029f7c9b6e7d69db20a32",
     "joint.json": "6ee95b7e758f66e905767ca330b5c14f8c23a82825f3ecd121e7b480a522b4ac",
     "tail-linear-space.json": "8d6fcec60718b84d05747a8a01ce20b306c67e00834cbca890cf2ee1f9b4a214",
     "joint-linear-space.json": "4f6809b18ffd0daf45048270369aacb3531031d5f6bac3adb02b8c9f8dee3faa",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
-    "fit-table.csv": "f8b2836af52e45906d78bb6a6c86bf9873a99afd262d62b37f29e66e680d1cce",
-    "shared-table.csv": "849cbf4f0e162005303eefaa96ec4aec656f20e6df9219b6fe9751f2d308a3fa",
+    "fit-table.csv": "fb66a3a2c24155f5a8cfddaca6c1280df5577720813005e8dd3057e39e0c19ad",
+    "shared-table.csv": "11d62a93fcfd80f44459271f049cac11bec62305129270b7cb17bc539d776bc6",
     "tail-table.csv": "f42679021c9b04265c9e99fa8868763261515918e37dc82dffed44d3b499b5b2",
     "joint-table.csv": "fc54f5e1cf7b3a6066f3f47ae17443c2e58600423d278096b5f86170d2b3acfd",
-    "fit-analysis.json": "5f5d1b2621fcfeec99c933e36732b5321eb802d2325761e43714aac17c291669",
-    "shared-analysis.json": "d495160c256f413d34c8e450936dee307ac1d8ed60c3a66ef3a717b1462e1aec",
-    "mc.json": "66f98697d9396d79d2fb576203d9f3d942e51023d748dd910b236ec284f0957c",
-    "mc-linear-space.json": "0446c39b165736d7041bc3ea36ddda32da4f6b7c3887610d8eab11018fc60737",
-    "fit-no-restarts.json": "b9ff4243de60407341d4f0380204365e439a762932f59a2b49b84525f2192db8",
+    "fit-analysis.json": "e40c06d1c22bd8fe78b2d536da9b6a658aeed4d283e96ba0c039d77d32f694dc",
+    "shared-analysis.json": "efa569d2290108d27386347c5be3e579d7df1adf0802a0aaef51dcbdf6a1995e",
+    "mc.json": "d98c39751f567dea968af9d36491164e1b59cd272ea157c49b119f02d4cf0d46",
+    "mc-linear-space.json": "7ce6817096d0d1b3758ed6d5651eba0248ed1ec0026a58d182264f06a61822ac",
+    "fit-no-restarts.json": "714779dc08c008576ec4d57485105aa9f3127f2209e8c0093079098fcc2a679a",
     "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
-    "fit-iteration-cap.json": "6764d46809f75081aeb95b6c4a4446b26150040be4fe78bd8d8c80878eac7dbc",
+    "fit-iteration-cap.json": "ba9ac5089a912586a249d9b344f364d430eba00c3592268f94c1ef054d1cd869",
     "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
     "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
     "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",
