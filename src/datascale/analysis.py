@@ -6,17 +6,23 @@ capacity-limited approximations steepen equally), the marginal value of
 additional data, the data-equivalence factor between two conditions sharing
 an exponent, and Monte Carlo estimation of the exponent's sampling
 variability under multiplicative loss noise.
+
+Monte Carlo draws every replicate first, then fits them as the rows of one
+batched search in blocks of bounded size (``fitting._fit_laws``).  Each row
+gets the bits that :func:`~datascale.fitting.fit_single` gives that
+replicate alone, so the summary does not depend on how the replicates are
+batched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Observation, PowerLaw, _as_positive_d
 from .errors import DomainError, ExponentMismatchError, MonteCarloError
-from .fitting import FitConfig, _single_group_arrays, fit_single
+from .fitting import FitConfig, _fit_laws, _single_group_arrays
 
 # Replicate losses are redrawn while non-positive, up to this many attempts
 # per observation; a replicate that exhausts them is dropped as unusable.
@@ -128,6 +134,31 @@ def _replicate_losses(losses, noise_frac, rng) -> np.ndarray | None:
     return out
 
 
+def _replicate_draws(losses: np.ndarray, cfg_mc: McConfig) -> np.ndarray:
+    """Every usable replicate's losses, one row each in replicate order.
+
+    Replicate ``r`` is one ``normal(losses, noise_frac * losses)`` draw from
+    the stream ``(seed, r)``, which gives the numbers of a draw point by
+    point; only a replicate holding a non-positive draw is drawn again by
+    :func:`_replicate_losses`, from the start of its stream, and left out if
+    that runs out of redraws.
+    """
+    with np.errstate(over="ignore"):
+        scale = cfg_mc.noise_frac * losses
+    if not np.isfinite(scale).all():
+        raise DomainError(
+            f"--noise-frac {cfg_mc.noise_frac:g} times losses up to {losses.max():g} overflows a float"
+        )
+    rows = []
+    for rep in range(cfg_mc.n_reps):
+        draw = np.random.default_rng([cfg_mc.seed, rep]).normal(losses, scale)
+        if not (draw > 0).all():
+            draw = _replicate_losses(losses, cfg_mc.noise_frac, np.random.default_rng([cfg_mc.seed, rep]))
+        if draw is not None:
+            rows.append(draw)
+    return np.array(rows).reshape(len(rows), len(losses))
+
+
 def mc_uncertainty(
     obs: list[Observation], cfg_fit: FitConfig, cfg_mc: McConfig
 ) -> McSummary:
@@ -141,20 +172,18 @@ def mc_uncertainty(
 
     Raises:
         MonteCarloError: No replicate produced a converged fit.
-        DataScaleError: ``obs`` fails the checks of :func:`fit_single`;
-            raised before any draw.
+        DataScaleError: ``obs`` fails the checks of :func:`fit_single`, or
+            ``noise_frac`` times a loss overflows; raised before any draw.
+            A replicate holding an infinite draw, or one ``fit_single``
+            rejects, raises once the replicates before it are fitted.
     """
-    _, losses = _single_group_arrays(obs, cfg_fit.loss_space)
-    ps = []
-    for rep in range(cfg_mc.n_reps):
-        rng = np.random.default_rng([cfg_mc.seed, rep])
-        noisy = _replicate_losses(losses, cfg_mc.noise_frac, rng)
-        if noisy is None:
-            continue
-        replicate = [replace(o, loss=float(l)) for o, l in zip(obs, noisy)]
-        result = fit_single(replicate, cfg_fit)
-        if result.converged:
-            ps.append(result.law.p)
+    d, losses = _single_group_arrays(obs, cfg_fit.loss_space)
+    draws = _replicate_draws(losses, cfg_mc)
+    finite = np.isfinite(draws).all(1)
+    n = len(draws) if finite.all() else int(finite.argmin())
+    ps = [law.p for law, converged, _ in _fit_laws(d, draws[:n], cfg_fit) if converged]
+    if n < len(draws):  # the finite-loss check of an Observation
+        raise DomainError(f"loss must be finite, got {draws[n].max()}")
     if not ps:
         raise MonteCarloError("no Monte Carlo replicate converged")
     arr = np.array(ps)

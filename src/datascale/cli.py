@@ -17,6 +17,7 @@ only once it is complete; a failed command leaves it as it was.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -326,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one condition's power law")
     _add_fit_options(p)
     p.add_argument("--condition", help="condition to fit when the file holds several")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(handler="cmd_fit")
 
     p = sub.add_parser("fit-shared", help="fit all conditions with a common exponent")
     _add_fit_options(p)
-    p.set_defaults(func=cmd_fit_shared)
+    p.set_defaults(handler="cmd_fit_shared")
 
     p = sub.add_parser("fit-joint", help="fit (alpha, p) of the joint data/parameter law")
     _add_fit_options(p)
@@ -344,20 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N_ENCxN_DEC",
         help="exclude a parameter-count shape from fitting (repeatable)",
     )
-    p.set_defaults(func=cmd_fit_joint)
+    p.set_defaults(handler="cmd_fit_joint")
 
     p = sub.add_parser("fit-tail", help="fit the large-data tail law gamma*(1/d)^q + b")
     _add_fit_options(p)
     p.add_argument("--d-min", type=float, required=True, help="smallest size (millions) to include")
     p.add_argument("--condition", help="condition to fit when the file holds several")
-    p.set_defaults(func=cmd_fit_tail)
+    p.set_defaults(handler="cmd_fit_tail")
 
     p = sub.add_parser("fit-linear", help="ordinary least squares between two CSV columns")
     p.add_argument("--input", required=True)
     p.add_argument("--x-column", required=True)
     p.add_argument("--y-column", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_fit_linear)
+    p.set_defaults(handler="cmd_fit_linear")
 
     p = sub.add_parser("analyze", help="derive regime quantities from a fit report")
     p.add_argument("report", nargs="?", help="fit report JSON")
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition-a", help="condition selector for FIT1 when shared")
     p.add_argument("--condition-b", help="condition selector for FIT2 when shared")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("mc", help="Monte Carlo uncertainty of the fitted exponent")
     _add_fit_options(p, seed_help="Monte Carlo master seed")
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-reps", type=int, default=1000)
     p.add_argument("--condition")
     p.add_argument("--fit-seed", type=int, default=0, help="--seed of each replicate's fit (power laws draw none)")
-    p.set_defaults(func=cmd_mc)
+    p.set_defaults(handler="cmd_mc")
 
     p = sub.add_parser("simulate", help="generate synthetic observations from a law")
     p.add_argument("--seed", type=int, required=True)
@@ -403,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-inf", type=float, dest="l_inf")
     p.add_argument("--shapes", help="comma-separated N_ENCxN_DEC shapes for --joint")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(handler="cmd_simulate")
 
     p = sub.add_parser("report", help="render a fit report as a plot-ready CSV table")
     p.add_argument("--report", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(handler="cmd_report")
 
     corpus = sub.add_parser("corpus", help="deterministic parallel-corpus operations")
     corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
@@ -432,29 +433,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_corpus_corrupt)
+    p.set_defaults(handler="cmd_corpus_corrupt")
 
     p = corpus_sub.add_parser("filter", help="keep the top-scoring fraction of pairs")
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_corpus_filter)
+    p.set_defaults(handler="cmd_corpus_filter")
 
     p = corpus_sub.add_parser("sample", help="uniform subsample without replacement")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_corpus_sample)
+    p.set_defaults(handler="cmd_corpus_sample")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was, and
+    the ``append`` options start each parse from a fresh list."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # handlers are looked up by name at each call, so a wrapper put in
+        # place of one after the parser was built (as bench/spans.py does) runs
+        return globals()[args.handler](args)
     except MonteCarloError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

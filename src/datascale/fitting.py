@@ -18,6 +18,17 @@ search over each group's ``ln c`` (:func:`_shared_exponent`).  ``c`` lies in
 operations and last-axis sums only: a BLAS matmul can make a row's bits
 depend on how many rows share the call.
 
+Log :func:`fit_single` is one row of the batched search of
+:func:`_log_fits`, which Monte Carlo runs on all its replicates.  A row of
+the batch keeps the bits of a lone fit: besides taking only elementwise
+operations and last-axis sums, it refines as many brackets as it has alone
+with as many section points per step, stops at its own step, and compares
+its best bracket with the ``c = 0`` endpoint on its own; rows with as many
+brackets are refined together (:func:`_minimize`, :func:`_sections`).  The
+rows go ``_BLOCK`` at a time, and their grid stage ``_CHUNK`` elements at a
+time, so no temporary grows with the number of replicates: one unblocked
+table of 200 replicates on 402 cells would take tens of MB.
+
 :func:`fit_tail` runs a damped Gauss-Newton loop with adaptive
 (Marquardt-style) damping from a data-driven seed plus log-normally perturbed
 restarts (:func:`_restart_points`); the lowest objective wins, ties going to
@@ -67,6 +78,7 @@ _LN_C_GRID = np.concatenate([[-np.inf], np.linspace(math.log(ZERO_CAPACITY), mat
 _P_GRID = 2.0 * np.linspace(math.sqrt(_P_MIN / 2.0), 1.0, 31) ** 2
 _CHUNK = 2**14  # most elements of one temporary array of a grid table
 _SECTION_POINTS = 128  # points evaluated per step of a batched refinement
+_BLOCK = 16  # rows of one batched single-curve search: a few hundred kB of temporaries
 # Inner ln c searches of a shared p: the grid stage's bracket tolerance, the
 # slope in ln c per unit p allowed for beside a line through two optima, and
 # the widest half-width tried before the grid is searched again.
@@ -158,31 +170,41 @@ class JointFitResult:
 # ---------------------------------------------------------------------------
 
 
-def _minimize(objective, grid, cfg: FitConfig):
+def _minimize(values, grid, objective, cfg: FitConfig):
     """Minimize a batch of 1-D functions over the range of an ascending grid.
 
-    ``objective(x)`` maps ``x`` of shape ``(rows, m)``, or ``(1, m)`` to be
-    broadcast, to each row's values.  A leading ``-inf`` grid point is an
+    ``values`` holds each function's values on the grid, one row each, and
+    ``objective(rows, x)`` maps ``x`` of shape ``(len(rows), m)`` to the
+    values of the functions ``rows``.  A leading ``-inf`` grid point is an
     endpoint.  The brackets of :func:`_brackets` are refined by
-    :func:`_sections`.  Returns each row's best ``x`` and value, whether all
-    brackets closed, and the steps.
+    :func:`_sections`, the rows with as many brackets together: how many
+    points a row evaluates per step depends only on its number of brackets,
+    so each row gets the bits it gets alone.  Returns each row's best ``x``
+    and value, whether its brackets closed, and its steps.
     """
     with np.errstate(all="ignore"):
-        values = objective(grid[None, :])
         first = int(np.isinf(grid[0]))
-        lo, x, hi = _brackets(values[:, first:], grid[first:], cfg.n_restarts)
-        x, fx, closed, steps = _sections(objective, lo, x, hi, cfg)
-        if first:
-            x = np.hstack([np.full((len(x), 1), grid[0]), x])
-            fx = np.hstack([objective(x[:, :1]), fx])
-        best = (np.arange(len(x)), fx.argmin(1))
-        return x[best], fx[best], closed, steps
+        lo, x, hi, n = _brackets(values[:, first:], grid[first:], cfg.n_restarts)
+        best, f_best = np.empty(len(x)), np.empty(len(x))
+        closed, steps = np.empty(len(x), bool), np.empty(len(x), int)
+        for k in sorted(set(n.tolist())):
+            rows = np.flatnonzero(n == k)
+            xk, fk, closed[rows], steps[rows] = _sections(
+                lambda sub, points: objective(rows[sub], points), lo[rows, :k], x[rows, :k], hi[rows, :k], cfg
+            )
+            if first:
+                xk = np.hstack([np.full((len(rows), 1), grid[0]), xk])
+                fk = np.hstack([values[rows, :1], fk])
+            at = (np.arange(len(rows)), fk.argmin(1))
+            best[rows], f_best[rows] = xk[at], fk[at]
+        return best, f_best, closed, steps
 
 
 def _brackets(values, cells, n_restarts):
     """Brackets ``(lo, x, hi)`` between the neighbours of each row's best cell
     by ``values`` (NaN counts as infinite) and of its next best local minima,
-    ``n_restarts`` in all (at least 1)."""
+    ``n_restarts`` in all (at least 1), and how many each row has: a row's
+    columns past that hold no bracket."""
     fc = np.where(np.isnan(values), np.inf, values)
     edge = np.full((len(fc), 1), np.inf)
     left = np.hstack([edge, fc[:, :-1]])
@@ -190,34 +212,47 @@ def _brackets(values, cells, n_restarts):
     # a local minimum sits below a neighbour by more than rounding: flat runs hold none
     local = (fc <= left) & (fc <= right) & (np.maximum(left, right) - fc > 1e-9 * np.abs(fc))
     local[np.arange(len(fc)), fc.argmin(1)] = True
-    n = max(1, min(n_restarts, int(local.sum(1).max())))
-    i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, :n]
-    i = np.where(np.take_along_axis(local, i, 1), i, i[:, :1])
-    return cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)]
+    n = np.maximum(1, np.minimum(n_restarts, local.sum(1)))
+    i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, : n.max()]
+    return cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)], n
 
 
 def _sections(f, lo, x, hi, cfg: FitConfig):
-    """Refine brackets ``[lo, hi]`` around ``x``: evaluate each at evenly
-    spaced points and keep the neighbours of the best, until every bracket
-    is narrower than ``max(rel_tol, 1e-15) * (1 + |x|)``.  Returns the best
-    points and values (``x`` and its value if no step was taken), whether
-    all brackets closed, and the steps."""
-    shape = x.shape
-    lo = lo.ravel()
-    x = x.ravel()
-    hi = hi.ravel()
-    fx = np.full(x.size, np.inf)
-    sections = max(4, min(64, _SECTION_POINTS // x.size))
+    """Refine brackets ``[lo, hi]`` around ``x``, arrays of shape ``(rows,
+    ...)``: evaluate each at evenly spaced points and keep the neighbours of
+    the best.  The brackets of a row take ``max(4, min(64, _SECTION_POINTS //
+    size))`` sections each, ``size`` being their number, and stop together,
+    once all are narrower than ``max(rel_tol, 1e-15) * (1 + |x|)`` or after
+    ``max_iters`` steps; each row stops on its own.  ``f(rows, points)`` maps
+    the points of the rows ``rows``, of shape ``(len(rows), ..., m)``, to
+    their values.  Returns each row's best points and values (``x`` and its
+    value if it took no step), whether its brackets closed, and its steps."""
+    shape, rows = x.shape, len(x)
+    size = x.size // rows
+    sections = max(4, min(64, _SECTION_POINTS // size))
     t = np.arange(sections + 1) / sections
-    at = np.arange(x.size)
     tol = max(cfg.rel_tol, 1e-15)
-    for steps in range(cfg.max_iters + 1):
-        closed = not (hi - lo > tol * (1.0 + np.abs(x))).any()
-        if closed or steps == cfg.max_iters:
-            fx = fx if steps else f(x.reshape(shape))
-            return x.reshape(shape), fx.reshape(shape), closed, steps
+    best, f_best = np.empty((rows, size)), np.empty((rows, size))
+    closed, steps = np.zeros(rows, bool), np.zeros(rows, int)
+    live = np.arange(rows)
+    lo, x, hi = lo.ravel(), x.ravel(), hi.ravel()
+    fx = np.full(x.size, np.inf)
+    at = np.arange(x.size)
+    for step in range(cfg.max_iters + 1):
+        shut = ~(hi - lo > tol * (1.0 + np.abs(x))).reshape(-1, size).any(1)
+        if step == cfg.max_iters or shut.any():
+            stop = shut | (step == cfg.max_iters)
+            done = live[stop]
+            best[done] = x.reshape(-1, size)[stop]
+            f_best[done] = (fx if step else f(live, x.reshape(-1, *shape[1:]))).reshape(-1, size)[stop]
+            closed[done], steps[done] = shut[stop], step
+            live = live[~stop]
+            if not live.size:
+                return best.reshape(shape), f_best.reshape(shape), closed, steps
+            keep = np.repeat(~stop, size)
+            lo, x, hi, fx, at = lo[keep], x[keep], hi[keep], fx[keep], at[: keep.sum()]
         xs = lo[:, None] + (hi - lo)[:, None] * t
-        fs = f(xs.reshape(shape[0], -1)).reshape(xs.shape)
+        fs = f(live, xs.reshape(len(live), *shape[1:-1], -1)).reshape(xs.shape)
         j = fs.argmin(1)
         fj = fs[at, j]
         x = np.where(fj < fx, xs[at, j], x)
@@ -279,36 +314,79 @@ def _fit_alpha(u, p, target, w, log_space: bool):
     in log space) along the last axis, each point weighted by ``w`` (1, or 0
     for padding); returns ``(alpha, objective)``, a NaN objective as inf."""
     if log_space:
-        r = target - p * np.log(u)
-        ln_alpha = (w * r).sum(-1) / w.sum(-1)
-        alpha = np.exp(ln_alpha)
-        r = w * (r - ln_alpha[..., None])
-    else:
-        b = w * u**p
-        alpha = (b * target).sum(-1) / (b * b).sum(-1)
-        r = w * target - alpha[..., None] * b
+        return _log_alpha(np.log(u), p, target, w)
+    b = w * u**p
+    alpha = (b * target).sum(-1) / (b * b).sum(-1)
+    return alpha, _squares(w * target - alpha[..., None] * b)
+
+
+def _log_alpha(ln_u, p, ln_y, w):
+    """:func:`_fit_alpha` in log space, from ``ln u``."""
+    r = ln_y - p * ln_u
+    ln_alpha = (w * r).sum(-1) / w.sum(-1)
+    return np.exp(ln_alpha), _squares(w * (r - ln_alpha[..., None]))
+
+
+def _squares(r):
+    """The sum of squares of ``r`` along the last axis, NaN as inf."""
     objective = (r * r).sum(-1)
-    return alpha, np.where(np.isnan(objective), np.inf, objective)
+    return np.where(np.isnan(objective), np.inf, objective)
 
 
-def _centred_sums(inv_d, ln_y, ln_c):
-    """For each ``ln c``, the sums ``(sxy, sxx, syy)`` over the points (last
-    axis) of products of the centred ``x = ln(1/d + c)`` and ``ln y``: the
-    least-squares slope of ``ln y`` on ``x`` is ``sxy / sxx``, and at slope
-    ``p`` the objective is ``syy - 2 p sxy + p**2 sxx``."""
-    x = np.log(inv_d + np.exp(ln_c)[..., None])
-    x = x - x.mean(-1, keepdims=True)
+def _log_parts(inv_d, ln_c):
+    """What the log-space objective takes of the sizes and of ``c``, for each
+    ``ln c``: ``ln u = ln(1/d + c)`` over the points (last axis), its centred
+    form ``x`` and ``sxx``, the sum of the squares of ``x``."""
+    ln_u = np.log(inv_d + np.exp(ln_c)[..., None])
+    x = ln_u - ln_u.mean(-1, keepdims=True)
+    return ln_u, x, (x * x).sum(-1)
+
+
+def _centred_sums(ln_y, parts):
+    """The sums ``(sxy, sxx, syy)`` for each row of ``ln_y`` and each ``ln c``
+    of the :func:`_log_parts` ``parts``, over the points of products of the
+    centred ``x`` and ``ln y``: the least-squares slope of ``ln y`` on ``x``
+    is ``sxy / sxx``, and at slope ``p`` the objective is ``syy - 2 p sxy +
+    p**2 sxx``."""
+    _, x, sxx = parts
     ln_y = ln_y - ln_y.mean(-1, keepdims=True)
-    return (x * ln_y).sum(-1), (x * x).sum(-1), (ln_y * ln_y).sum(-1)
+    return (x * ln_y[..., None, :]).sum(-1), sxx, (ln_y * ln_y).sum(-1)
 
 
-def _log_line(inv_d, ln_y, ln_c):
-    """Least-squares ``ln y = ln alpha + p * ln(1/d + c)`` for each ``ln c``,
-    with ``p`` clipped to ``[1e-12, 2]``: ``(p, alpha, objective)``."""
-    sxy, sxx, _ = _centred_sums(inv_d, ln_y, ln_c)
+def _log_line(ln_y, parts):
+    """Least-squares ``ln y = ln alpha + p * ln(1/d + c)`` for each row of
+    ``ln_y`` and each ``ln c`` of the :func:`_log_parts` ``parts``, with ``p``
+    clipped to ``[1e-12, 2]``: ``(p, alpha, objective)``."""
+    sxy, sxx, _ = _centred_sums(ln_y, parts)
     p = np.clip(sxy / sxx, _P_MIN, 2.0)
-    u = inv_d + np.exp(ln_c)[..., None]
-    return (p, *_fit_alpha(u, p[..., None], ln_y, np.ones_like(ln_y), True))
+    return (p, *_log_alpha(parts[0], p[..., None], ln_y[..., None, :], np.ones(ln_y.shape[-1])))
+
+
+def _log_fits(d, y, cfg: FitConfig):
+    """Log-space fits of ``alpha * (1/d + c)**p`` to each row of losses ``y``
+    at sizes ``d``, each with the bits of a lone fit: a search over ``ln c``
+    (:func:`_minimize`) with ``p`` the clipped slope of :func:`_log_line`,
+    ``_BLOCK`` rows at a time, sharing the grid's :func:`_log_parts`.
+    Returns each row's ``p``, ``alpha``, ``ln c``, whether its brackets
+    closed, and its steps."""
+    inv_d = 1.0 / d
+    p, alpha, ln_c = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
+    closed, steps = np.empty(len(y), bool), np.empty(len(y), int)
+    with np.errstate(all="ignore"):
+        grid = _log_parts(inv_d, _LN_C_GRID)
+        chunk = max(1, _CHUNK // grid[0].size)  # rows of one grid table
+        for start in range(0, len(y), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            ln_y = np.log(y[block])
+            ln_c[block], _, closed[block], steps[block] = _minimize(
+                np.concatenate([_log_line(ln_y[i : i + chunk], grid)[2] for i in range(0, len(ln_y), chunk)]),
+                _LN_C_GRID,
+                lambda rows, points: _log_line(ln_y[rows], _log_parts(inv_d, points))[2],
+                cfg,
+            )
+            line = _log_line(ln_y, _log_parts(inv_d, ln_c[block, None]))
+            p[block], alpha[block] = line[0][:, 0], line[1][:, 0]
+    return p, alpha, ln_c, closed, steps
 
 
 def _shared_exponent(arrays, cfg: FitConfig):
@@ -339,7 +417,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
         target[i, : len(d)] = np.log(y) if log_space else y
         weight[i, : len(d)] = 1.0
     if log_space:  # a group's objective on the c grid is syy - 2 p sxy + p**2 sxx
-        sums = [_centred_sums(1.0 / d, np.log(y), _LN_C_GRID) for d, y in arrays]
+        sums = [_centred_sums(np.log(y), _log_parts(1.0 / d, _LN_C_GRID)) for d, y in arrays]
         sxy, sxx, syy = (np.array(v) for v in zip(*sums))
     else:  # and here <y, y> - <y, b>**2 / <b, b> with b = (1/d + c)**p
         u_grid = inv_d[:, None] + np.exp(_LN_C_GRID)[:, None]
@@ -359,6 +437,12 @@ def _shared_exponent(arrays, cfg: FitConfig):
         return lambda ln_c: _fit_alpha(inv_d[rows, None] + np.exp(ln_c)[..., None], p, target[rows, None],
                                        weight[rows, None], log_space)[1]
 
+    def search(f, lo, x, hi, cfg):
+        """Refine the brackets of every group in ``f`` together, to one stopping step: their best
+        ``ln c`` and values, and whether every bracket closed."""
+        (x,), (fx,), (closed,), _ = _sections(lambda _, ln_c: f(ln_c[0])[None], lo[None], x[None], hi[None], cfg)
+        return x, fx, bool(closed)
+
     def grid_search(ps, cfg):
         """Every group's ln c and objective at each of ``ps``, flattened: its best cell of the ln c grid
         refined, or c = 0; and whether every bracket closed."""
@@ -376,7 +460,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
             lo = _LN_C_GRID[np.maximum(i[r] - 1, 1), None]
             x = _LN_C_GRID[i[r], None]
             hi = _LN_C_GRID[np.minimum(i[r] + 1, len(_LN_C_GRID) - 1), None]
-            ln_c[r], values[r], done, _ = _sections(objective(rows[r], p[r]), lo, x, hi, cfg)
+            ln_c[r], values[r], done = search(objective(rows[r], p[r]), lo, x, hi, cfg)
             closed = closed and done
         at_zero = zero <= values[:, 0]
         ln_c[at_zero] = -np.inf
@@ -388,7 +472,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
         optimum reached an edge inside the range, beyond which it may lie."""
         lo = np.maximum(start - width, _LN_C_GRID[1])
         hi = np.minimum(start + width, _LN_C_GRID[-1])
-        ln_c, fx, closed, _ = _sections(f, lo, start, hi, cfg)
+        ln_c, fx, closed = search(f, lo, start, hi, cfg)
         low = (ln_c < lo + 0.1 * width) & (lo > _LN_C_GRID[1])
         high = (ln_c > hi - 0.1 * width) & (hi < _LN_C_GRID[-1])
         return ln_c, fx, closed, (low | high).any()
@@ -422,7 +506,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
         ln_c = np.maximum(ln_c, _LN_C_GRID[1]).reshape(-1, k, 1)
         optima.update((p, (c, _COARSE)) for p, c in zip(_P_GRID.tolist(), ln_c))
         searched.extend(optima)
-        lo, x, hi = _brackets(values.reshape(-1, k).sum(1)[None], _P_GRID, cfg.n_restarts)
+        lo, x, hi, _ = _brackets(values.reshape(-1, k).sum(1)[None], _P_GRID, cfg.n_restarts)
         brackets = zip(lo[0].tolist(), x[0].tolist(), hi[0].tolist())
         runs = [_brent(profile, a, x, b, cfg) for a, x, b in brackets]
         p = min(runs, key=lambda run: run[1])[0]
@@ -540,13 +624,19 @@ def _arrays(obs: list[Observation], loss_space: str) -> tuple[np.ndarray, np.nda
             )
     d = np.array([o.d_millions for o in obs], dtype=float)
     y = np.array([o.loss for o in obs], dtype=float)
+    return d, _linear_losses(y) if loss_space == "linear" else y
+
+
+def _linear_losses(y: np.ndarray) -> np.ndarray:
+    """``y``, unless the sum of its squares overflows, which the linear loss
+    space cannot fit."""
     with np.errstate(over="ignore"):
-        if loss_space == "linear" and not np.isfinite(np.sum(y * y)):
+        if not np.isfinite(np.sum(y * y)):
             raise DomainError(
                 f"losses up to {y.max():g} are too large for the linear loss space: "
                 "their squares overflow; fit them in the log loss space"
             )
-    return d, y
+    return y
 
 
 def _single_group_arrays(obs: list[Observation], loss_space: str) -> tuple[np.ndarray, np.ndarray]:
@@ -599,16 +689,25 @@ def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResul
         DuplicateAbscissaError: Two observations share a size.
     """
     d, y = _single_group_arrays(obs, cfg.loss_space)
-    if cfg.loss_space == "log":
-        ln_y = np.log(y)
-        ln_c, _, converged, n_iters = _minimize(lambda x: _log_line(1.0 / d, ln_y, x)[2], _LN_C_GRID, cfg)
-        (p,), (alpha,), _ = _log_line(1.0 / d, ln_y, ln_c)
-        c = math.exp(ln_c[0])
-    else:
-        p, (alpha,), (c,), converged, n_iters = _shared_exponent([(d, y)], cfg)
-    law = PowerLaw(float(alpha), 0.0 if c < ZERO_CAPACITY else c, float(p))
+    ((law, converged, n_iters),) = _fit_laws(d, y[None], cfg)
     r = _residuals(law, d, y, cfg.loss_space)
     return FitResult(law, float((r * r).sum()), r.tolist(), converged, n_iters)
+
+
+def _fit_laws(d, y, cfg: FitConfig):
+    """:func:`fit_single` on each row of losses ``y`` at sizes ``d``, bit for
+    bit: each row's law, whether its search converged, and its steps, in row
+    order, raising what ``fit_single`` raises on the first row it rejects.
+    Log space searches every row in one batch (:func:`_log_fits`); linear
+    space one row at a time, as its search over ``p`` is scalar."""
+    if cfg.loss_space == "log":
+        p, alpha, ln_c, converged, n_iters = _log_fits(d, y, cfg)
+        fits = zip(p.tolist(), alpha.tolist(), map(math.exp, ln_c.tolist()), converged.tolist(), n_iters.tolist())
+    else:
+        fits = (_shared_exponent([(d, _linear_losses(row))], cfg) for row in y)
+        fits = ((p, alpha, c, ok, n) for p, (alpha,), (c,), ok, n in fits)
+    for p, alpha, c, converged, n_iters in fits:
+        yield PowerLaw(alpha, 0.0 if c < ZERO_CAPACITY else c, p), converged, n_iters
 
 
 def fit_shared(
@@ -686,7 +785,9 @@ def fit_joint(
         u = 1.0 / d + np.exp(math.log(beta) + ln_g / p[..., None])
         return _fit_alpha(u, p[..., None], target, np.ones(len(d)), log_space)
 
-    (p,), _, converged, n_iters = _minimize(lambda x: fit_alpha(x)[1], _P_GRID, cfg)
+    with np.errstate(all="ignore"):
+        values = fit_alpha(_P_GRID[None])[1]
+    (p,), _, (converged,), (n_iters,) = _minimize(values, _P_GRID, lambda _, x: fit_alpha(x)[1], cfg)
     alpha = float(fit_alpha(np.array([p]))[0][0])
     p = float(p)
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
@@ -705,8 +806,8 @@ def fit_joint(
         objective=float(sum(v * v for v in residuals)),
         residuals=residuals,
         holdout_residuals=law_residuals(out_obs),
-        converged=converged,
-        n_iters=n_iters,
+        converged=bool(converged),
+        n_iters=int(n_iters),
     )
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import datascale as ds
-from datascale.analysis import _replicate_losses
+from datascale.analysis import _replicate_draws, _replicate_losses
+from datascale.fitting import _fit_laws
 
 from conftest import DOUBLING_GRID, curve_observations
 
@@ -157,6 +158,26 @@ class TestMcUncertainty:
         q05, q50, q95 = summary.quantiles
         assert q05 <= q50 <= q95
         assert summary.n_converged <= 40
+
+    def test_batched_replicates_match_lone_fits(self):
+        # Each replicate of the batch gets the p, convergence and steps that
+        # fit_single gives it alone: across blocks, bracket counts (n_restarts
+        # 0 to 8), iteration caps that stop some rows early, a coarse
+        # tolerance, a curve without and one deep in saturation, and noise
+        # that goes through the redraw loop.
+        grid = np.array([1.0, 3.0, 7.0, 20.0, 50.0, 120.0, 300.0])
+        curves = (ds.PowerLaw(1.9, 1e-6, 0.6), ds.PowerLaw(3.0, 50.0, 0.2), self.BASE_LAW)
+        configs = [ds.FitConfig(n_restarts=0), ds.FitConfig(n_restarts=8, max_iters=3),
+                   ds.FitConfig(n_restarts=3, rel_tol=1e-3), ds.FitConfig(n_restarts=2, max_iters=1)]
+        for i, law in enumerate(curves):
+            losses = ds.eval_law(law, grid)
+            for noise_frac in (0.02, 0.6):
+                draws = _replicate_draws(losses, ds.McConfig(noise_frac=noise_frac, n_reps=18, seed=i))
+                for cfg in configs:
+                    batch = [(fit.p, converged, n_iters) for fit, converged, n_iters in _fit_laws(grid, draws, cfg)]
+                    lone = [ds.fit_single([ds.Observation("c", d, y) for d, y in zip(grid.tolist(), row.tolist())],
+                                          cfg) for row in draws]
+                    assert batch == [(fit.law.p, fit.converged, fit.n_iters) for fit in lone]
 
     def test_redraw_keeps_replicate_losses_positive(self):
         # even when the noise dwarfs the loss, rejected draws are retried

@@ -465,6 +465,27 @@ class TestMc:
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("space", ["log", "linear"])
+    def test_overflowing_noise_frac_exits_2_before_any_draw(self, capsys, tmp_path, space):
+        # 1e308 times a loss of 2 overflows; the draws would be infinite
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "mc", "--input", str(csv_path), "--seed", "1",
+                                 "--noise-frac", "1e308", "--n-reps", "5", "--loss-space", space)
+        assert code == 2
+        assert out == "" and err.startswith("error: --noise-frac 1e+308 ")
+
+    def test_infinite_first_draw_exits_2(self, capsys, tmp_path):
+        # noise_frac * loss is finite, but replicate 0 of seed 3 draws inf
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "mc", "--input", str(csv_path), "--seed", "3",
+                                 "--noise-frac", "5e307", "--n-reps", "5")
+        assert code == 2
+        assert out == "" and err == "error: loss must be finite, got inf\n"
+
     def test_bleu_exits_2_as_fit_does(self, capsys, tmp_path):
         # A BLEU of 0 cannot be redrawn positive, so drawing replicates
         # before the input check would end in exit 3 instead.
@@ -499,6 +520,39 @@ class TestFitJointCommand:
         assert abs(report["law"]["alpha"] - 1.5) < 1e-4
         assert abs(report["law"]["p"] - 0.3) < 1e-4
         assert len(report["holdout_residuals"]) == 6
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see the
+    repeatable options of an earlier one."""
+
+    def test_repeatable_options_do_not_carry_over(self, capsys, tmp_path):
+        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
+        shapes = [(10**8, 10**8), (2 * 10**8, 10**8), (4 * 10**8, 10**8)]
+        joint = tmp_path / "joint.csv"
+        ds.write_observations(joint, ds.simulate_joint(params, shapes, [1, 2, 4, 8, 16, 32], 0.0, seed=1))
+        fit_joint = ("fit-joint", "--input", str(joint), "--seed", "2",
+                     "--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2")
+        fit = tmp_path / "fit.json"
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        assert run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(fit))[0] == 0
+
+        runs = [
+            run(capsys, *fit_joint, "--hold-out", "200000000x100000000"),
+            run(capsys, *fit_joint),
+            run(capsys, *fit_joint, "--hold-out", "400000000x100000000"),
+            run(capsys, "analyze", str(fit), "--marginal-at", "1", "--marginal-at", "16"),
+            run(capsys, "analyze", str(fit)),
+            run(capsys, "analyze", str(fit), "--marginal-at", "4"),
+        ]
+        assert [code for code, _, _ in runs] == [0] * 6
+        held, free, other, marginal, plain, one = (json.loads(out) for _, out, _ in runs)
+        assert len(held["holdout_residuals"]) == 6 and len(held["residuals"]) == 12
+        assert free["holdout_residuals"] == [] and len(free["residuals"]) == 18
+        assert len(other["holdout_residuals"]) == 6 and other["residuals"] != held["residuals"]
+        assert [d for d, _ in marginal["marginal_value"]] == [1.0, 16.0]
+        assert "marginal_value" not in plain
+        assert [d for d, _ in one["marginal_value"]] == [4.0]
 
 
 class TestFitTailCommand:

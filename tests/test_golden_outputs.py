@@ -73,6 +73,18 @@ COMMANDS = [
                                "--d-min", "4", "--seed", "9", "--n-restarts", "1"]),
     ("fit-iteration-cap.json", ["fit", "--input", "obs.csv", "--condition", "no_noise",
                                 "--seed", "10", "--max-iters", "3"]),
+    # Monte Carlo replicates without restarts, through the redraw loop (8 of
+    # the 20 replicates hold a non-positive first draw), stopped by an
+    # iteration cap that leaves 10 of 20 unconverged, and with noise so
+    # large that the losses reach 1e300.
+    ("mc-no-restarts.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
+                             "--seed", "13", "--n-reps", "20", "--n-restarts", "0"]),
+    ("mc-redraw.json", ["mc", "--input", "obs.csv", "--condition", "no_noise", "--seed", "14",
+                        "--n-reps", "20", "--noise-frac", "0.6"]),
+    ("mc-iteration-cap.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
+                               "--seed", "15", "--n-reps", "20", "--max-iters", "6"]),
+    ("mc-huge-noise.json", ["mc", "--input", "obs.csv", "--condition", "no_noise", "--seed", "16",
+                            "--n-reps", "5", "--noise-frac", "1e300"]),
 ]
 
 # Exit codes other than 0: a fit that hits its iteration cap still writes
@@ -117,6 +129,10 @@ DIGESTS = {
     "fit-no-restarts.json": "714779dc08c008576ec4d57485105aa9f3127f2209e8c0093079098fcc2a679a",
     "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
     "fit-iteration-cap.json": "ba9ac5089a912586a249d9b344f364d430eba00c3592268f94c1ef054d1cd869",
+    "mc-no-restarts.json": "6bc5f6803b74a3edf126fd9de879f635cd3038f869bc35dfa3b887e98e694a09",
+    "mc-redraw.json": "29bac0df9dfb3163d269efd3a9a4c88a1e94b57e6b35a389eccf324cce5b0ed2",
+    "mc-iteration-cap.json": "062d36e47f1281881c2c752eec9863f85a4c4922f8a5df151f361cd315ed02ee",
+    "mc-huge-noise.json": "145907444aad175fdc498d745ce576bfa710c33c15c34c0eaf1c4abb9595ff84",
     "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
     "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
     "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",

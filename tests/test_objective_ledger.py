@@ -12,8 +12,11 @@ and, in log space, the profiled reference searches of ``bench/workloads.py``
 
 The gate is that every fit ends at most ``objective * (1 + 1e-9)``.  It has a
 tolerance, so it holds on any machine.  How many fits lie above
-``best * (1 + 1e-9)``, now and when recorded, and the per-fit time
-percentiles are printed (``pytest -s``), not asserted.
+``best * (1 + 1e-9)``, now and when recorded, and the current per-fit time
+percentiles are printed (``pytest -s``), not asserted.  The recorded
+``time_ms`` is not printed beside them: it was taken in another session, on
+a machine whose speed drifts by up to 2x, so only alternating runs of two
+engines compare their times.
 
 Tier-1 runs every fifth instance; ``pytest -m ledger`` runs the whole ledger.
 ``python tests/test_objective_ledger.py`` records it anew from the fitters on
@@ -118,8 +121,7 @@ def _check(fitter, loss_space, step):
     recorded_above = sum(row["objective"] > row["best"] * (1.0 + SLACK) for row in rows)
     print(
         f"\n{fitter}/{loss_space}: {len(rows)} fits, {above_best} above best "
-        f"({recorded_above} when recorded); now {_percentiles(times)}, "
-        f"recorded {_percentiles([row['time_ms'] for row in rows])}"
+        f"({recorded_above} when recorded); {_percentiles(times)}"
     )
     assert not worse, f"objectives above the ledger's (instance, now, recorded): {worse}"
 
