@@ -149,14 +149,16 @@ def _replicate_draws(losses: np.ndarray, cfg_mc: McConfig) -> np.ndarray:
         raise DomainError(
             f"--noise-frac {cfg_mc.noise_frac:g} times losses up to {losses.max():g} overflows a float"
         )
-    rows = []
+    draws = np.empty((cfg_mc.n_reps, len(losses)))
+    kept = 0
     for rep in range(cfg_mc.n_reps):
         draw = np.random.default_rng([cfg_mc.seed, rep]).normal(losses, scale)
         if not (draw > 0).all():
             draw = _replicate_losses(losses, cfg_mc.noise_frac, np.random.default_rng([cfg_mc.seed, rep]))
         if draw is not None:
-            rows.append(draw)
-    return np.array(rows).reshape(len(rows), len(losses))
+            draws[kept] = draw
+            kept += 1
+    return draws[:kept]
 
 
 def mc_uncertainty(

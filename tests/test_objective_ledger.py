@@ -14,7 +14,7 @@ The gate is that every fit ends at most ``objective * (1 + 1e-9)``.  It has a
 tolerance, so it holds on any machine.  How many fits lie above
 ``best * (1 + 1e-9)``, now and when recorded, and the current per-fit time
 percentiles are printed (``pytest -s``), not asserted.  The recorded
-``time_ms`` is not printed beside them: it was taken in another session, on
+``time_ms`` is not printed beside them: it was taken in an earlier run, on
 a machine whose speed drifts by up to 2x, so only alternating runs of two
 engines compare their times.
 
