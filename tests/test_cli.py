@@ -206,6 +206,34 @@ class TestFit:
         assert code == 0
         assert json.loads(out_m)["law"] == json.loads(out_r)["law"]
 
+    def test_raw_counts_read_the_d_column(self, capsys, tmp_path):
+        path = tmp_path / "both.csv"
+        path.write_text(
+            "condition,d,d_millions,loss\n"
+            + "".join(f"base,{d * 1e6!r},{2 * d!r},{2.0 / d + 0.5!r}\n" for d in (1.0, 2.0, 4.0, 8.0)),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "1", "--raw-counts")
+        assert code == 0, err
+        assert [o["d_millions"] for o in json.loads(out)["observations"]] == [1.0, 2.0, 4.0, 8.0]
+        code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "1")
+        assert code == 0, err
+        assert [o["d_millions"] for o in json.loads(out)["observations"]] == [2.0, 4.0, 8.0, 16.0]
+
+    @pytest.mark.parametrize(
+        "b_rows, line",
+        [("b,1,2.0\nb,2,-1\n", 7), ("b,1,2.0\nb,1,1.9\n", 7), ("b,one,2.0\n", 6)],
+        ids=["invalid", "duplicate", "non_numeric"],
+    )
+    def test_bad_row_of_another_condition_exits_2_with_its_line(self, capsys, tmp_path, b_rows, line):
+        path = tmp_path / "two.csv"
+        a_rows = "".join(f"a,{d},{2.0 / d + 0.5}\n" for d in (1, 2, 4, 8))
+        path.write_text("condition,d_millions,loss\n" + a_rows + b_rows + a_rows.replace("a,", "c,"),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--input", str(path), "--seed", "1", "--condition", "a")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ")
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

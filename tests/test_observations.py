@@ -141,3 +141,40 @@ class TestSimulateJoint:
         for row in table.rows:
             assert row.shape == (10**8, 5 * 10**7)
             assert row.loss == ds.eval_joint_law(params, *row.shape, row.d_millions)
+
+
+class TestCsvLayout:
+    """How a table's text maps to rows and line numbers; each test pins one case."""
+
+    def test_short_row_reads_its_absent_cell_as_none(self, tmp_path):
+        path = write(tmp_path, "condition,d_millions,loss\nbase,1,2.0\nbase,2\n")
+        with pytest.raises(ds.ParseError, match=r"^line 3: non-numeric loss None$"):
+            ds.load_observations(path)
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        path = write(tmp_path, "condition,d_millions,loss\n\nbase,1,2.0\n\n\nbase,2,-1\n")
+        with pytest.raises(ds.ParseError, match=r"^line 6: "):
+            ds.load_observations(path)
+        path = write(tmp_path, "condition,d_millions,loss\n\nbase,1,2.0\n\nbase,2,1.9\n\n")
+        assert [row.d_millions for row in ds.load_observations(path).rows] == [1.0, 2.0]
+
+    def test_quoted_multi_line_field_is_numbered_by_its_last_line(self, tmp_path):
+        path = write(tmp_path, 'condition,d_millions,loss\n"ba\nse",1,2.0\nbase,2,-1\n')
+        with pytest.raises(ds.ParseError, match=r"^line 4: "):
+            ds.load_observations(path)
+        path = write(tmp_path, 'condition,d_millions,loss\nbase,1,2.0\n"ba\n\nse",2,-1\n')
+        with pytest.raises(ds.ParseError, match=r"^line 5: "):
+            ds.load_observations(path)
+
+    def test_byte_order_mark_and_spaced_header_names(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"\xef\xbb\xbf condition , d_millions ,loss \nbase,1,2.0\n")
+        assert ds.load_observations(path).rows == [ds.Observation("base", 1.0, 2.0)]
+
+    def test_last_of_duplicate_header_names_wins(self, tmp_path):
+        path = write(tmp_path, "condition,loss,d_millions,loss\nbase,9,1,2.0\n")
+        assert ds.load_observations(path).rows == [ds.Observation("base", 1.0, 2.0)]
+
+    def test_extra_cells_of_a_long_row_are_ignored(self, tmp_path):
+        path = write(tmp_path, "condition,d_millions,loss\nbase,1,2.0,x,\nbase,2,1.9,,,y\n")
+        assert [row.loss for row in ds.load_observations(path).rows] == [2.0, 1.9]
