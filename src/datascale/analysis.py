@@ -94,7 +94,9 @@ def marginal_value(law: PowerLaw, d_millions) -> float:
     capacity-limited regime.
     """
     d = _as_positive_d(d_millions)
-    out = law.alpha * law.p * d**-2.0 * (1.0 / d + law.c) ** (law.p - 1.0)
+    # d**-2 goes through numpy's power even for a float d: for some d it
+    # differs in the last bit from the float pow, and reports keep numpy's.
+    out = law.alpha * law.p * np.power(d, -2.0) * (1.0 / d + law.c) ** (law.p - 1.0)
     return float(out) if np.isscalar(d_millions) else out
 
 

@@ -147,7 +147,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_fit(args) -> int:
-    table = load_observations(args.input, raw_counts=args.raw_counts)
+    table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg = _fit_config(args, args.seed)
     return _emit_fit(build_fit_report(fit_single(obs, cfg), obs, cfg, args.input), args)
@@ -170,7 +170,7 @@ def cmd_fit_joint(args) -> int:
 
 
 def cmd_fit_tail(args) -> int:
-    table = load_observations(args.input, raw_counts=args.raw_counts)
+    table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg = _fit_config(args, args.seed)
     result = fit_tail(obs, args.d_min, cfg)
@@ -180,9 +180,9 @@ def cmd_fit_tail(args) -> int:
 
 def cmd_fit_linear(args) -> int:
     xs, ys = [], []
-    for line, record in read_csv_records(args.input, (args.x_column, args.y_column)):
-        xs.append(parse_float(record[args.x_column], args.x_column, line))
-        ys.append(parse_float(record[args.y_column], args.y_column, line))
+    for line, (x, y) in read_csv_records(args.input, (args.x_column, args.y_column)):
+        xs.append(parse_float(x, args.x_column, line))
+        ys.append(parse_float(y, args.y_column, line))
     fit = fit_linear(xs, ys)
     _emit(
         dumps_report(
@@ -234,7 +234,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    table = load_observations(args.input, raw_counts=args.raw_counts)
+    table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg_mc = McConfig(noise_frac=args.noise_frac, n_reps=args.n_reps, seed=args.seed)
     summary = mc_uncertainty(obs, _fit_config(args, args.fit_seed), cfg_mc)

@@ -54,18 +54,7 @@ class Observation:
     metric: str = "log_perplexity"
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise DomainError(f"unknown metric {self.metric!r}")
-        if not (self.d_millions > 0 and math.isfinite(self.d_millions)):
-            raise DomainError(f"d_millions must be positive and finite, got {self.d_millions}")
-        if not math.isfinite(self.loss):
-            raise DomainError(f"loss must be finite, got {self.loss}")
-        if self.metric == "log_perplexity" and not self.loss > 0:
-            raise DomainError(f"loss must be positive, got {self.loss}")
-        if (self.n_enc is None) != (self.n_dec is None):
-            raise DomainError("n_enc and n_dec must be given together or not at all")
-        if self.n_enc is not None and (self.n_enc <= 0 or self.n_dec <= 0):
-            raise DomainError("parameter counts must be positive")
+        check_observation(self.d_millions, self.loss, self.n_enc, self.n_dec, self.metric)
 
     @property
     def shape(self) -> tuple[int, int] | None:
@@ -73,6 +62,23 @@ class Observation:
         if self.n_enc is None:
             return None
         return (self.n_enc, self.n_dec)
+
+
+def check_observation(d_millions, loss, n_enc, n_dec, metric) -> None:
+    """The checks of an :class:`Observation`'s fields, without building one:
+    a DomainError naming the first field that fails."""
+    if metric not in METRICS:
+        raise DomainError(f"unknown metric {metric!r}")
+    if not (d_millions > 0 and math.isfinite(d_millions)):
+        raise DomainError(f"d_millions must be positive and finite, got {d_millions}")
+    if not math.isfinite(loss):
+        raise DomainError(f"loss must be finite, got {loss}")
+    if metric == "log_perplexity" and not loss > 0:
+        raise DomainError(f"loss must be positive, got {loss}")
+    if (n_enc is None) != (n_dec is None):
+        raise DomainError("n_enc and n_dec must be given together or not at all")
+    if n_enc is not None and (n_enc <= 0 or n_dec <= 0):
+        raise DomainError("parameter counts must be positive")
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,12 @@ class LinearFit:
 
 
 def _as_positive_d(d_millions):
-    """Validate and return dataset sizes as a float array (or scalar flag)."""
+    """Validate dataset sizes: a Python float is returned as it is, anything
+    else as a float array."""
+    if type(d_millions) is float:
+        if not 0 < d_millions < math.inf:
+            raise DomainError(f"dataset size must be positive and finite, got {d_millions}")
+        return d_millions
     d = np.asarray(d_millions, dtype=float)
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
         raise DomainError(f"dataset size must be positive and finite, got {d_millions}")
@@ -184,7 +195,8 @@ def eval_law(law: PowerLaw, d_millions):
     Returns:
         The loss, as a float for scalar input or an ndarray otherwise.
         Values are strictly decreasing in ``d`` and bounded below by
-        ``alpha * c ** p``.
+        ``alpha * c ** p``.  A float ``d`` is computed with plain float
+        operators, which give the bits of numpy's scalar ones.
     """
     d = _as_positive_d(d_millions)
     out = law.alpha * (1.0 / d + law.c) ** law.p

@@ -707,7 +707,22 @@ def _fit_laws(d, y, cfg: FitConfig):
         fits = (_shared_exponent([(d, _linear_losses(row))], cfg) for row in y)
         fits = ((p, alpha, c, ok, n) for p, (alpha,), (c,), ok, n in fits)
     for p, alpha, c, converged, n_iters in fits:
-        yield PowerLaw(alpha, 0.0 if c < ZERO_CAPACITY else c, p), converged, n_iters
+        yield _power_law(alpha, c, p), converged, n_iters
+
+
+def _power_law(alpha: float, c: float, p: float) -> PowerLaw:
+    """The fitted law, with ``c`` below ``ZERO_CAPACITY`` reported as zero.
+
+    Raises:
+        DomainError: ``alpha`` underflowed to zero, as it can for losses
+            near the bottom of the float range.
+    """
+    if alpha == 0:
+        raise DomainError(
+            "the fitted alpha underflows to 0: the losses lie too close to the "
+            "bottom of the float range; rescale them"
+        )
+    return PowerLaw(alpha, 0.0 if c < ZERO_CAPACITY else c, p)
 
 
 def fit_shared(
@@ -732,7 +747,7 @@ def fit_shared(
     labels = sorted(groups)
     arrays = [_single_group_arrays(groups[label], cfg.loss_space) for label in labels]
     p, alphas, cs, converged, _ = _shared_exponent(arrays, cfg)
-    laws = {label: PowerLaw(a, 0.0 if c < ZERO_CAPACITY else c, p) for label, a, c in zip(labels, alphas, cs)}
+    laws = {label: _power_law(a, c, p) for label, a, c in zip(labels, alphas, cs)}
     residuals = [_residuals(law, d, y, cfg.loss_space) for law, (d, y) in zip(laws.values(), arrays)]
     objective = sum(float((r * r).sum()) for r in residuals)
     per_condition = {label: (law.alpha, law.c) for label, law in laws.items()}

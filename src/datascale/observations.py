@@ -7,9 +7,12 @@ column is converted on load with ``raw_counts=True``.
 
 Every CSV input of the package goes through :func:`read_csv_records`
 (UTF-8 with an optional byte-order mark, header names stripped of
-surrounding spaces) and every numeric cell through :func:`parse_float`,
-which accepts finite numbers only.  Errors carry the 1-based line number,
-the header being line 1.
+surrounding spaces, one ``csv.reader`` pass) and every numeric cell through
+:func:`parse_float`, which accepts finite numbers only.  Errors carry the
+1-based line number, the header being line 1.  :func:`load_observations`
+checks every row with :func:`~datascale.core.check_observation`, the checks
+of an :class:`~datascale.core.Observation`, and builds observations only for
+the condition asked for, if one is.
 """
 
 from __future__ import annotations
@@ -17,12 +20,20 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observation, JointLawParams, PowerLaw, eval_joint_law, eval_law
+from .core import (
+    JointLawParams,
+    Observation,
+    PowerLaw,
+    check_observation,
+    eval_joint_law,
+    eval_law,
+)
 from .errors import DataScaleError, DomainError, ParseError
 from .files import replace_on_success
 
@@ -41,27 +52,43 @@ class ObservationTable:
         return groups
 
 
-def read_csv_records(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line, record)`` for every data row of a CSV file.
+def read_csv_records(
+    path, required: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[tuple[int, tuple]]:
+    """Yield ``(line, cells)`` for every data row of a CSV file.
 
-    Header names are stripped of surrounding spaces, so the keys of each
-    record are too.  Blank lines are skipped but counted, and a record
-    whose quoted field spans lines is numbered by its last line.
+    ``cells`` holds the row's cell of each ``required`` column and then of
+    each ``optional`` one, in the order given; ask for two columns or more,
+    as one gives a bare cell.  A cell is None where the header lacks an
+    optional column or a short row ends before the column; cells past the
+    header's end are ignored.  Header names are stripped of surrounding
+    spaces, and of two columns with one name the last counts.  Blank lines
+    are skipped but counted, and a record whose quoted field spans lines is
+    numbered by its last line.
 
     Raises:
         ParseError: The file is empty or lacks a ``required`` column
             (reported at line 1).
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty file", line=1)
-        reader.fieldnames = [name.strip() for name in reader.fieldnames]
-        missing = [col for col in required if col not in reader.fieldnames]
+        index = {name.strip(): i for i, name in enumerate(header)}
+        missing = [col for col in required if col not in index]
         if missing:
             raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
-        for record in reader:
-            yield reader.line_num, record
+        # an absent column reads the None appended to every row
+        cells = operator.itemgetter(*(index.get(col, -1) for col in (*required, *optional)))
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            row.append(None)
+            yield reader.line_num, cells(row)
 
 
 def parse_float(value: str | None, column: str, line: int) -> float:
@@ -76,7 +103,7 @@ def parse_float(value: str | None, column: str, line: int) -> float:
     return number
 
 
-def _parse_count(value: str, column: str, line: int) -> int | None:
+def _parse_count(value: str | None, column: str, line: int) -> int | None:
     if value is None or value.strip() == "":
         return None
     count = parse_float(value, column, line)
@@ -85,7 +112,7 @@ def _parse_count(value: str, column: str, line: int) -> int | None:
     return int(count)
 
 
-def load_observations(path, raw_counts: bool = False) -> ObservationTable:
+def load_observations(path, raw_counts: bool = False, condition: str | None = None) -> ObservationTable:
     """Load an observation table from a CSV file.
 
     Args:
@@ -93,6 +120,9 @@ def load_observations(path, raw_counts: bool = False) -> ObservationTable:
         raw_counts: When True the size column must be named ``d`` and hold
             raw sentence-pair counts, which are divided by 1e6; otherwise
             the column must be ``d_millions``.
+        condition: When given, only this condition's rows become
+            observations of the table.  Every row is still parsed and
+            checked, so a bad row of another condition raises all the same.
 
     Raises:
         ParseError: Missing columns, non-numeric or non-finite fields,
@@ -104,35 +134,33 @@ def load_observations(path, raw_counts: bool = False) -> ObservationTable:
     size_column = "d" if raw_counts else "d_millions"
     rows: list[Observation] = []
     seen: set[tuple] = set()
-    for line, record in read_csv_records(path, ("condition", "loss", size_column)):
-        condition = (record.get("condition") or "").strip()
-        if not condition:
+    records = read_csv_records(
+        path, ("condition", "loss", size_column), ("n_enc", "n_dec", "metric", "replicate")
+    )
+    for line, (label, loss, d_value, n_enc, n_dec, metric, replicate) in records:
+        label = (label or "").strip()
+        if not label:
             raise ParseError("empty condition", line=line)
-        d_value = parse_float(record[size_column], size_column, line)
-        d_millions = d_value / 1e6 if raw_counts else d_value
-        loss = parse_float(record["loss"], "loss", line)
-        n_enc = _parse_count(record.get("n_enc"), "n_enc", line)
-        n_dec = _parse_count(record.get("n_dec"), "n_dec", line)
-        metric = (record.get("metric") or "").strip() or "log_perplexity"
+        d_millions = parse_float(d_value, size_column, line)
+        if raw_counts:
+            d_millions /= 1e6
+        loss = parse_float(loss, "loss", line)
+        n_enc = _parse_count(n_enc, "n_enc", line)
+        n_dec = _parse_count(n_dec, "n_dec", line)
+        metric = (metric or "").strip() or "log_perplexity"
         try:
-            row = Observation(
-                condition=condition,
-                d_millions=d_millions,
-                loss=loss,
-                n_enc=n_enc,
-                n_dec=n_dec,
-                metric=metric,
-            )
+            check_observation(d_millions, loss, n_enc, n_dec, metric)
         except DataScaleError as exc:
             raise ParseError(str(exc), line=line) from None
-        key = (condition, d_millions, (record.get("replicate") or "").strip())
+        key = (label, d_millions, (replicate or "").strip())
         if key in seen:
             raise ParseError(
-                f"duplicate observation for condition {condition!r} at d={d_millions}",
+                f"duplicate observation for condition {label!r} at d={d_millions}",
                 line=line,
             )
         seen.add(key)
-        rows.append(row)
+        if condition is None or label == condition:
+            rows.append(Observation(label, d_millions, loss, n_enc, n_dec, metric))
     return ObservationTable(rows=rows, source_path=str(path))
 
 

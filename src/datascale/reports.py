@@ -257,11 +257,13 @@ def render_table(report: dict) -> list[list]:
     if kind == "fit_shared":
         observations = _observations(report, ("d_millions", "loss"))
         header = ["condition", "d", "observed", "predicted", "residual"]
-        rows = []
+        rows, laws = [], {}
         for obs, residual in zip(observations, _numbers(report, "residuals", len(observations))):
-            law = law_from_report(report, obs["condition"])
+            label = obs["condition"]
+            if not isinstance(label, str) or label not in laws:  # law_from_report rejects a non-string
+                laws[label] = law_from_report(report, label)
             d = obs["d_millions"]
-            rows.append([obs["condition"], d, obs["loss"], eval_law(law, d), residual])
+            rows.append([label, d, obs["loss"], eval_law(laws[label], d), residual])
         return [header] + rows
     if kind == "fit":
         law, evaluate = law_from_report(report), eval_law

@@ -51,6 +51,16 @@ def curve_observations(law, d_grid, condition="curve", noise_frac=0.0, rng=None)
     return rows
 
 
+def law_size_sweep(seed, n=2000):
+    """``n`` seeded ``(law, d)`` pairs: laws over the ranges the fitters
+    search (one in five with ``c = 0``), sizes from 1e-4 to 1e6 millions."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        c = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-6.0, 1.0)
+        law = ds.PowerLaw(10.0 ** rng.uniform(-3.0, 3.0), c, rng.uniform(1e-3, 2.0))
+        yield law, 10.0 ** rng.uniform(-4.0, 6.0)
+
+
 # Brute-force verification oracle: an independent upper bound on the fit
 # objective, which the optimizer must never exceed.
 

@@ -7,7 +7,7 @@ import datascale as ds
 from datascale.analysis import _replicate_draws, _replicate_losses
 from datascale.fitting import _fit_laws
 
-from conftest import DOUBLING_GRID, curve_observations
+from conftest import DOUBLING_GRID, curve_observations, law_size_sweep
 
 # Frozen from independent 40-digit evaluations of the closed forms with the
 # encoder_decoder (1.969, 0.057, 0.285) and filtering-block coefficients.
@@ -65,6 +65,19 @@ class TestMarginalValue:
     def test_rejects_non_positive_size(self):
         with pytest.raises(ds.DomainError):
             ds.marginal_value(ds.PowerLaw(1.0, 0.1, 0.3), 0.0)
+
+    def test_float_input_gives_a_float(self):
+        assert type(ds.marginal_value(ds.PowerLaw(2.0, 0.05, 0.4), 2.5)) is float
+
+    def test_float_path_matches_numpy_scalar_path(self):
+        for law, d in law_size_sweep(seed=43):
+            assert ds.marginal_value(law, float(d)) == ds.marginal_value(law, np.float64(d)), (law, d)
+
+    def test_float_path_rejects_bad_sizes(self):
+        law = ds.PowerLaw(1.0, 0.1, 0.3)
+        for d in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ds.DomainError):
+                ds.marginal_value(law, d)
 
 
 class TestDataEquivalenceFactor:

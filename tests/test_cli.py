@@ -234,6 +234,43 @@ class TestFit:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.parametrize(
+        "command", [["fit"], ["fit-tail", "--d-min", "2"], ["mc", "--n-reps", "2"]], ids=lambda c: c[0]
+    )
+    def test_only_the_selected_condition_becomes_observations(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "two.csv"
+        path.write_text(
+            "condition,d_millions,loss\n"
+            + "".join(f"{c},{d},{2.0 / d + 0.5}\n" for c in "bac" for d in (1, 2, 4, 8)),
+            encoding="utf-8",
+        )
+        built = []
+        init = ds.Observation.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.condition)
+
+        monkeypatch.setattr(ds.Observation, "__init__", recording_init)
+        code, _, err = run(capsys, *command, "--input", str(path), "--seed", "1", "--condition", "a")
+        assert code == 0, err
+        assert built == ["a"] * 4
+
+    def test_losses_at_the_bottom_of_the_float_range_exit_2_naming_alpha(self, capsys, tmp_path):
+        # a flat curve near 1e-319: the search takes c near 1e12, where the
+        # least-squares alpha underflows to 0
+        losses = [1.0105e-319, 1.01778e-319, 9.7445e-320, 9.986e-320, 1.0101e-319, 1.01353e-319]
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "condition,d_millions,loss\n" + "".join(f"a,{2.0**k!r},{y!r}\n" for k, y in enumerate(losses)),
+            encoding="utf-8",
+        )
+        for command in ("fit", "fit-shared"):
+            code, out, err = run(capsys, command, "--input", str(path), "--seed", "1")
+            assert (code, out) == (2, "")
+            assert err == "error: the fitted alpha underflows to 0: the losses lie too close to " \
+                "the bottom of the float range; rescale them\n"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

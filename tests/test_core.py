@@ -9,6 +9,8 @@ from mpmath import mp, mpf, power
 import datascale as ds
 from datascale.core import capacity_constant
 
+from conftest import law_size_sweep
+
 # Frozen from an independent 40-digit evaluation of the closed form with the
 # encoder_decoder benchmark coefficients (1.969, 0.057, 0.285).
 EVAL_AT_1 = 2.000355052632167
@@ -72,6 +74,20 @@ class TestEvalLaw:
     def test_rejects_non_positive_size(self):
         law = ds.PowerLaw(1.0, 0.1, 0.3)
         for d in (0.0, -2.0, math.inf):
+            with pytest.raises(ds.DomainError):
+                ds.eval_law(law, d)
+
+    def test_float_input_gives_a_float(self):
+        assert type(ds.eval_law(ds.PowerLaw(2.0, 0.05, 0.4), 2.5)) is float
+
+    def test_float_path_matches_numpy_scalar_path(self):
+        # a float runs on float operators, an np.float64 on numpy: same bits
+        for law, d in law_size_sweep(seed=41):
+            assert ds.eval_law(law, float(d)) == ds.eval_law(law, np.float64(d)), (law, d)
+
+    def test_float_path_rejects_bad_sizes(self):
+        law = ds.PowerLaw(1.0, 0.1, 0.3)
+        for d in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ds.DomainError):
                 ds.eval_law(law, d)
 
