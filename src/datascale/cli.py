@@ -86,7 +86,7 @@ def _fit_config(args, seed: int) -> FitConfig:
         loss_space=args.loss_space,
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
-        n_restarts=args.n_restarts,
+        n_restarts=getattr(args, "n_restarts", FitConfig.n_restarts),  # fit-tail's option alone
         seed=seed,
     )
 
@@ -101,8 +101,6 @@ def _add_fit_options(
                         help="refinement steps per search (fit-tail: iterations per restart)")
     parser.add_argument("--rel-tol", type=float, default=1e-10,
                         help="relative bracket width that closes a search (fit-tail: objective decrease)")
-    parser.add_argument("--n-restarts", type=int, default=8,
-                        help="grid local minima refined, at least 1 (fit-tail: restarts)")
     parser.add_argument(
         "--raw-counts",
         action="store_true",
@@ -350,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-tail", help="fit the large-data tail law gamma*(1/d)^q + b")
     _add_fit_options(p)
     p.add_argument("--d-min", type=float, required=True, help="smallest size (millions) to include")
+    p.add_argument("--n-restarts", type=int, default=FitConfig.n_restarts,
+                   help="starting points, at least 1: the data-driven seed, then perturbations of it")
     p.add_argument("--condition", help="condition to fit when the file holds several")
     p.set_defaults(handler="cmd_fit_tail")
 

@@ -196,7 +196,11 @@ def eval_law(law: PowerLaw, d_millions):
         The loss, as a float for scalar input or an ndarray otherwise.
         Values are strictly decreasing in ``d`` and bounded below by
         ``alpha * c ** p``.  A float ``d`` is computed with plain float
-        operators, which give the bits of numpy's scalar ones.
+        operators, which give the bits of numpy's scalar ones.  An array
+        goes through numpy's array ``power``, which differs from libm's
+        ``pow`` in the last bit for about 5 % of sizes: a float and an array
+        holding it can disagree there.  An element of an array gets the same
+        bits whatever the array's length or its position in it.
     """
     d = _as_positive_d(d_millions)
     out = law.alpha * (1.0 / d + law.c) ** law.p

@@ -8,7 +8,7 @@ The power laws ``alpha * (1/d + c)**p`` are fitted by variable projection
 (Golub & Pereyra, 1973): for fixed ``c`` and ``p`` the best ``alpha`` has a
 closed form (:func:`_fit_alpha`), and in log space so does the best ``p`` for
 fixed ``c`` (:func:`_log_line`).  The rest is bracketed 1-D searches: a grid
-stage, then a refinement between the neighbours of the best cells
+stage, then a refinement between the neighbours of the best cell
 (:func:`_minimize`), over ``ln c`` for log :func:`fit_single` and over ``p``
 for :func:`fit_joint` (``c = beta * g**(1/p)``).  :func:`fit_shared` and
 linear :func:`fit_single` search ``p`` by Brent's method around a batched
@@ -21,13 +21,12 @@ depend on how many rows share the call.
 Log :func:`fit_single` is one row of the batched search of
 :func:`_log_fits`, which Monte Carlo runs on all its replicates.  A row of
 the batch keeps the bits of a lone fit: besides taking only elementwise
-operations and last-axis sums, it refines as many brackets as it has alone
-with as many section points per step, stops at its own step, and compares
-its best bracket with the ``c = 0`` endpoint on its own; rows with as many
-brackets are refined together (:func:`_minimize`, :func:`_sections`).  The
-rows go ``_BLOCK`` at a time, and their grid stage ``_CHUNK`` elements at a
-time, so no temporary grows with the number of replicates: one unblocked
-table of 200 replicates on 402 cells would take tens of MB.
+operations and last-axis sums, it stops at its own step and compares its
+refined cell with the ``c = 0`` endpoint on its own (:func:`_minimize`,
+:func:`_sections`).  The rows go ``_BLOCK`` at a time, and their grid stage
+``_CHUNK`` elements at a time, so no temporary grows with the number of
+replicates: one unblocked table of 200 replicates on 402 cells would take
+tens of MB.
 
 :func:`fit_tail` runs a damped Gauss-Newton loop with adaptive
 (Marquardt-style) damping from a data-driven seed plus log-normally perturbed
@@ -102,10 +101,9 @@ class FitConfig:
             steer the search over a shared ``p``).  ``fit_tail``: relative
             objective decrease between accepted steps that ends the fit as
             converged.
-        n_restarts: Power laws: grid local minima refined (at least 1), of
-            ``ln c`` for log ``fit_single`` and of ``p`` otherwise.
-            ``fit_tail``: initializations tried (the first is the
-            data-driven seed, the rest log-normal perturbations of it).
+        n_restarts: ``fit_tail``'s initializations, at least 1 (the first
+            is the data-driven seed, the rest log-normal perturbations of
+            it); the power-law fits refine only their best grid cell.
         seed: Seed of ``fit_tail``'s perturbations, which fixes its result
             exactly; the power-law fits draw no random numbers.
     """
@@ -176,45 +174,27 @@ def _minimize(values, grid, objective, cfg: FitConfig):
     ``values`` holds each function's values on the grid, one row each, and
     ``objective(rows, x)`` maps ``x`` of shape ``(len(rows), m)`` to the
     values of the functions ``rows``.  A leading ``-inf`` grid point is an
-    endpoint.  The brackets of :func:`_brackets` are refined by
-    :func:`_sections`, the rows with as many brackets together: how many
-    points a row evaluates per step depends only on its number of brackets,
-    so each row gets the bits it gets alone.  Returns each row's best ``x``
-    and value, whether its brackets closed, and its steps.
+    endpoint.  Each row's bracket of :func:`_brackets` is refined by
+    :func:`_sections`, all rows in one call: a row's arithmetic is its own,
+    so it gets the bits it gets alone.  Returns each row's best ``x`` and
+    value, whether its bracket closed, and its steps.
     """
     with np.errstate(all="ignore"):
         first = int(np.isinf(grid[0]))
-        lo, x, hi, n = _brackets(values[:, first:], grid[first:], cfg.n_restarts)
-        best, f_best = np.empty(len(x)), np.empty(len(x))
-        closed, steps = np.empty(len(x), bool), np.empty(len(x), int)
-        for k in sorted(set(n.tolist())):
-            rows = np.flatnonzero(n == k)
-            xk, fk, closed[rows], steps[rows] = _sections(
-                lambda sub, points: objective(rows[sub], points), lo[rows, :k], x[rows, :k], hi[rows, :k], cfg
-            )
-            if first:
-                xk = np.hstack([np.full((len(rows), 1), grid[0]), xk])
-                fk = np.hstack([values[rows, :1], fk])
-            at = (np.arange(len(rows)), fk.argmin(1))
-            best[rows], f_best[rows] = xk[at], fk[at]
-        return best, f_best, closed, steps
+        x, fx, closed, steps = _sections(objective, *_brackets(values[:, first:], grid[first:]), cfg)
+        if first:
+            x = np.hstack([np.full((len(x), 1), grid[0]), x])
+            fx = np.hstack([values[:, :1], fx])
+        at = (np.arange(len(x)), fx.argmin(1))
+        return x[at], fx[at], closed, steps
 
 
-def _brackets(values, cells, n_restarts):
-    """Brackets ``(lo, x, hi)`` between the neighbours of each row's best cell
-    by ``values`` (NaN counts as infinite) and of its next best local minima,
-    ``n_restarts`` in all (at least 1), and how many each row has: a row's
-    columns past that hold no bracket."""
-    fc = np.where(np.isnan(values), np.inf, values)
-    edge = np.full((len(fc), 1), np.inf)
-    left = np.hstack([edge, fc[:, :-1]])
-    right = np.hstack([fc[:, 1:], edge])
-    # a local minimum sits below a neighbour by more than rounding: flat runs hold none
-    local = (fc <= left) & (fc <= right) & (np.maximum(left, right) - fc > 1e-9 * np.abs(fc))
-    local[np.arange(len(fc)), fc.argmin(1)] = True
-    n = np.maximum(1, np.minimum(n_restarts, local.sum(1)))
-    i = np.argsort(np.where(local, fc, np.inf), axis=1, kind="stable")[:, : n.max()]
-    return cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)], n
+def _brackets(values, cells):
+    """Brackets ``(lo, x, hi)``, of shape ``(rows, 1)``, between the
+    neighbours of each row's best cell by ``values`` (NaN counts as
+    infinite)."""
+    i = np.where(np.isnan(values), np.inf, values).argmin(1)[:, None]
+    return cells[np.maximum(i - 1, 0)], cells[i], cells[np.minimum(i + 1, len(cells) - 1)]
 
 
 def _sections(f, lo, x, hi, cfg: FitConfig):
@@ -367,7 +347,7 @@ def _log_fits(d, y, cfg: FitConfig):
     at sizes ``d``, each with the bits of a lone fit: a search over ``ln c``
     (:func:`_minimize`) with ``p`` the clipped slope of :func:`_log_line`,
     ``_BLOCK`` rows at a time, sharing the grid's :func:`_log_parts`.
-    Returns each row's ``p``, ``alpha``, ``ln c``, whether its brackets
+    Returns each row's ``p``, ``alpha``, ``ln c``, whether its bracket
     closed, and its steps."""
     inv_d = 1.0 / d
     p, alpha, ln_c = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
@@ -395,7 +375,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
 
     The grid stage takes each group's best ``ln c`` cell at each ``p`` cell
     and refines it to ``_COARSE``.  Brent's method then refines the best
-    ``p`` cells.  Each of its evaluations starts every group's ``ln c``
+    ``p`` cell.  Each of its evaluations starts every group's ``ln c``
     where a line through its optima at the two nearest ``p`` searched puts
     it, brackets it as widely as that line may err, and closes the bracket
     at ``rel_tol**(2/3)``: the objective's error is quadratic in it, so near
@@ -506,10 +486,8 @@ def _shared_exponent(arrays, cfg: FitConfig):
         ln_c = np.maximum(ln_c, _LN_C_GRID[1]).reshape(-1, k, 1)
         optima.update((p, (c, _COARSE)) for p, c in zip(_P_GRID.tolist(), ln_c))
         searched.extend(optima)
-        lo, x, hi, _ = _brackets(values.reshape(-1, k).sum(1)[None], _P_GRID, cfg.n_restarts)
-        brackets = zip(lo[0].tolist(), x[0].tolist(), hi[0].tolist())
-        runs = [_brent(profile, a, x, b, cfg) for a, x, b in brackets]
-        p = min(runs, key=lambda run: run[1])[0]
+        a, x, b = (float(v[0, 0]) for v in _brackets(values.reshape(-1, k).sum(1)[None], _P_GRID))
+        p, _, p_closed, p_steps = _brent(profile, a, x, b, cfg)
         f = objective(slice(None), p)
         start = optima[p][0]  # within its bracket's width, inner.rel_tol * (1 + |ln c|), of the optimum
         ln_c, fx, inner_converged, edge = refine(f, start, 4.0 * inner.rel_tol * (1.0 + np.abs(start)), cfg)
@@ -517,8 +495,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
             ln_c, fx, inner_converged = grid_search(np.array([p]), cfg)
         ln_c[f(np.full((k, 1), -np.inf)) <= fx] = -np.inf
         alpha, _ = _fit_alpha(inv_d + np.exp(ln_c), p, target, weight, log_space)
-    converged = inner_converged and all(run[2] for run in runs)
-    return p, alpha.tolist(), np.exp(ln_c[:, 0]).tolist(), converged, max(run[3] for run in runs)
+    return p, alpha.tolist(), np.exp(ln_c[:, 0]).tolist(), inner_converged and p_closed, p_steps
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +813,8 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
 
     Raises:
         InsufficientDataError: Fewer than 3 qualifying observations.
+        DomainError: In log space, the fitted law underflows to 0 at a size,
+            as it can for losses near the bottom of the float range.
     """
     subset = [o for o in obs if o.d_millions >= d_min]
     if len(subset) < 3:
@@ -884,7 +863,13 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
     theta, _, converged, n_iters = best
     gamma, q, b = unpack(theta)
     law = TailLaw(gamma=gamma, q=q, b=0.0 if b < ZERO_CAPACITY else b)
-    r = residual(eval_tail_law(law, d))
+    m = eval_tail_law(law, d)
+    if log_space and not m.all():
+        raise DomainError(
+            f"the fitted tail law underflows to 0 at d = {d[m == 0].min():g}: the losses lie too "
+            "close to the bottom of the float range; rescale them"
+        )
+    r = residual(m)
     return FitResult(law, float(r @ r), [float(v) for v in r], converged, n_iters)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, determinism, output shapes."""
 
 import json
+import math
 import os
 import warnings
 
@@ -171,7 +172,7 @@ class TestFit:
         code, _, _ = run(
             capsys,
             "fit", "--input", str(csv_path), "--seed", "1",
-            "--max-iters", "1", "--rel-tol", "1e-18", "--n-restarts", "1",
+            "--max-iters", "1", "--rel-tol", "1e-18",
             "--output", str(out),
         )
         assert code == 3
@@ -512,7 +513,7 @@ class TestMc:
         csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
         args = (
             "mc", "--input", str(csv_path), "--seed", "7",
-            "--noise-frac", "0.02", "--n-reps", "40", "--n-restarts", "2",
+            "--noise-frac", "0.02", "--n-reps", "40",
         )
         code, out, _ = run(capsys, *args)
         assert code == 0
@@ -630,6 +631,54 @@ class TestFitTailCommand:
         report = json.loads(out)
         assert report["kind"] == "fit_tail"
         assert 0.8 <= report["law"]["q"] <= 1.05
+
+    # a flat curve near 1e-319: the log fit ends at gamma = e**-300, q near
+    # 4e29 and b below the reporting floor, a law that is 0 beyond d = 1
+    TINY = ((1, 1.0105e-319), (2, 1.0112e-319), (4, 1.012e-319), (8, 1.0127e-319),
+            (16, 1.0131e-319), (32, 1.01353e-319))
+
+    def test_losses_at_the_bottom_of_the_float_range_exit_2_naming_the_underflow(self, capsys, tmp_path):
+        path, out = tmp_path / "tiny.csv", tmp_path / "tail.json"
+        path.write_text("condition,d_millions,loss\n" + "".join(f"a,{d},{y!r}\n" for d, y in self.TINY),
+                        encoding="utf-8")
+        argv = ("fit-tail", "--input", str(path), "--seed", "1", "--d-min", "1", "--output", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: the fitted tail law underflows to 0 at d = 2: the losses lie too close " \
+            "to the bottom of the float range; rescale them\n"
+        assert not out.exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run(capsys, *argv, "--loss-space", "linear")
+        assert code == 0
+        assert math.isfinite(json.loads(out.read_text(encoding="utf-8"))["objective"])
+
+
+class TestRestartsAreFitTailsOption:
+    """Only ``fit-tail`` takes ``--n-restarts``: the power-law searches refine
+    their best grid cell alone, so the other fit commands reject it."""
+
+    JOINT = ["--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2"]
+
+    @pytest.mark.parametrize("argv", [["fit"], ["fit-shared"], ["fit-joint", *JOINT], ["mc", "--n-reps", "5"]])
+    def test_power_law_commands_reject_it(self, capsys, tmp_path, argv):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--input", str(csv_path), "--seed", "1", "--n-restarts", "1", "--output", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --n-restarts 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_tail_takes_it(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        argv = ("fit-tail", "--input", str(csv_path), "--seed", "4", "--d-min", "32")
+        code, out, _ = run(capsys, *argv, "--n-restarts", "1")
+        assert code == 0
+        assert json.loads(out)["provenance"]["config"]["n_restarts"] == 1
+        assert json.loads(run(capsys, *argv)[1])["provenance"]["config"]["n_restarts"] == 8
 
 
 class TestLinearSpaceOverflow:

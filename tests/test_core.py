@@ -91,12 +91,22 @@ class TestEvalLaw:
             with pytest.raises(ds.DomainError):
                 ds.eval_law(law, d)
 
-    def test_vectorized_matches_scalar(self):
-        law = ds.PowerLaw(2.0, 0.05, 0.4)
-        d = np.array([0.5, 1.0, 7.0, 300.0])
-        np.testing.assert_array_equal(
-            ds.eval_law(law, d), [ds.eval_law(law, float(v)) for v in d]
-        )
+    def test_float_size_gives_the_bits_of_numpy_scalars(self):
+        for law, d in law_size_sweep(seed=44):
+            alpha, c, p, size = (np.float64(v) for v in (law.alpha, law.c, law.p, d))
+            assert ds.eval_law(law, float(d)) == alpha * (1.0 / size + c) ** p, (law, d)
+
+    def test_array_elements_do_not_depend_on_length_or_position(self):
+        # an element of an array gets the bits it gets in a one-element array,
+        # though not always those of the float path: numpy's array power and
+        # libm's pow differ in the last bit for about 5 % of sizes
+        rng = np.random.default_rng(45)
+        for law, _ in law_size_sweep(seed=45, n=200):
+            d = 10.0 ** rng.uniform(-4.0, 6.0, size=rng.integers(1, 80))
+            values = ds.eval_law(law, d).tolist()
+            assert values == [ds.eval_law(law, d[i : i + 1])[0] for i in range(len(d))], law
+            for start in range(1, min(9, len(d))):
+                assert ds.eval_law(law, d[start:]).tolist() == values[start:], (law, start)
 
     def test_strictly_decreasing_and_bounded_below(self):
         rng = np.random.default_rng(7)

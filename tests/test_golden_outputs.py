@@ -62,23 +62,24 @@ COMMANDS = [
     ("mc.json", ["mc", "--input", "obs.csv", "--condition", "no_noise", "--seed", "11",
                  "--fit-seed", "2", "--n-reps", "20"]),
     # Engine branches the entries above do not reach: Monte Carlo in linear
-    # space, a fit without restarts, a tail fit with one start, and a fit
-    # stopped by its iteration cap.
+    # space, a log fit of target_noise (named from when power-law fits took
+    # restarts), a tail fit with one start, and a fit stopped by its
+    # iteration cap.
     ("mc-linear-space.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
                               "--seed", "12", "--fit-seed", "3", "--n-reps", "20",
                               "--loss-space", "linear"]),
     ("fit-no-restarts.json", ["fit", "--input", "obs.csv", "--condition", "target_noise",
-                              "--seed", "8", "--n-restarts", "0"]),
+                              "--seed", "8"]),
     ("tail-one-restart.json", ["fit-tail", "--input", "obs.csv", "--condition", "target_noise",
                                "--d-min", "4", "--seed", "9", "--n-restarts", "1"]),
     ("fit-iteration-cap.json", ["fit", "--input", "obs.csv", "--condition", "no_noise",
                                 "--seed", "10", "--max-iters", "3"]),
-    # Monte Carlo replicates without restarts, through the redraw loop (8 of
-    # the 20 replicates hold a non-positive first draw), stopped by an
+    # Monte Carlo of target_noise (named as above), through the redraw loop
+    # (8 of the 20 replicates hold a non-positive first draw), stopped by an
     # iteration cap that leaves 10 of 20 unconverged, and with noise so
     # large that the losses reach 1e300.
     ("mc-no-restarts.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
-                             "--seed", "13", "--n-reps", "20", "--n-restarts", "0"]),
+                             "--seed", "13", "--n-reps", "20"]),
     ("mc-redraw.json", ["mc", "--input", "obs.csv", "--condition", "no_noise", "--seed", "14",
                         "--n-reps", "20", "--noise-frac", "0.6"]),
     ("mc-iteration-cap.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
@@ -126,7 +127,7 @@ DIGESTS = {
     "shared-analysis.json": "efa569d2290108d27386347c5be3e579d7df1adf0802a0aaef51dcbdf6a1995e",
     "mc.json": "d98c39751f567dea968af9d36491164e1b59cd272ea157c49b119f02d4cf0d46",
     "mc-linear-space.json": "7ce6817096d0d1b3758ed6d5651eba0248ed1ec0026a58d182264f06a61822ac",
-    "fit-no-restarts.json": "714779dc08c008576ec4d57485105aa9f3127f2209e8c0093079098fcc2a679a",
+    "fit-no-restarts.json": "d2bf6de0111c308d06ac21d34c4b66b1d53d9d1c5252681f59778f8fe7d95737",
     "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
     "fit-iteration-cap.json": "ba9ac5089a912586a249d9b344f364d430eba00c3592268f94c1ef054d1cd869",
     "mc-no-restarts.json": "6bc5f6803b74a3edf126fd9de879f635cd3038f869bc35dfa3b887e98e694a09",

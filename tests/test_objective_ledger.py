@@ -9,6 +9,9 @@ was fitted with, and what the reference engine reached: ``objective``,
 objective known for the instance: the reference engine's with 32 restarts
 and, in log space, the profiled reference searches of ``bench/workloads.py``
 (``_single_minimum`` for ``fit_single``, ``_joint_minimum`` for ``fit_joint``).
+The recorded ``best`` of the power laws came from a Gauss-Newton engine whose
+restarts explored; today's power-law fits take no restarts, so a ledger
+recorded anew gets nothing from the 32-restart refit except for ``fit_tail``.
 
 The gate is that every fit ends at most ``objective * (1 + 1e-9)``.  It has a
 tolerance, so it holds on any machine.  How many fits lie above
@@ -178,6 +181,15 @@ def _reference_minimum(row):
 
 
 def record(fitters=FITTERS):
+    """Ledger rows of ``fitters`` from the fitters on the import path.
+
+    ``best`` takes the least of the fit, a refit with ``BEST_RESTARTS``
+    restarts and :func:`_reference_minimum`.  Only ``fit_tail`` reads
+    ``n_restarts``: a power-law refit repeats the fit, so a power law's
+    ``best`` is its own objective unless the bench's profiled search (log
+    ``fit_single`` and ``fit_joint``) finds less; to gate power laws against
+    more than themselves, bring another reference.
+    """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     rows = [
         {"fitter": fitter, "loss_space": space, "index": i,
