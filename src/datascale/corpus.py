@@ -1,8 +1,9 @@
 """Deterministic parallel-corpus operations.
 
-A corpus is a sequence of :class:`SentencePair` records.  The noise
-operations (character substitution, word deletion, pair shuffling) draw all
-their randomness from per-pair SplitMix64 streams derived from
+A corpus is a sequence of :class:`SentencePair` records: named tuples
+``(source, target, score, index)``, immutable, hashable and equal by value.
+The noise operations (character substitution, word deletion, pair shuffling)
+draw all their randomness from per-pair SplitMix64 streams derived from
 ``(seed, pair.index)``, so the output for any pair is independent of
 processing order, chunking, or concurrency; the same seed always yields a
 byte-identical corpus.
@@ -16,6 +17,11 @@ compute the draws of a chunk of pairs together as numpy ``uint64`` arrays
 (Salmon et al., SC'11); :class:`SplitMix64` gives the same stream one draw
 at a time.
 
+Character noise stays on arrays too: the coins alone fix which draws are
+hits, where each character's substitution lands and which draw is its symbol.
+The symbols are written into one ``uint32`` code-point array of the chunk's
+concatenated text, which is decoded once and sliced per pair.
+
 File format: UTF-8 text, one pair per line, ``source<TAB>target`` with an
 optional third TAB-separated field holding a decimal quality score.
 """
@@ -25,8 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError, SchemaError
 from .files import replace_on_success
@@ -47,8 +55,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # Draws computed together for one chunk of pairs: enough that numpy's
 # per-call overhead is small against the work, few enough that a chunk's
-# arrays stay a few hundred kB.  Output does not depend on it.
-_CHUNK_DRAWS = 4096
+# arrays stay well under a MB.  Output does not depend on it.
+_CHUNK_DRAWS = 1 << 13
 
 
 def _mix64(x: int) -> int:
@@ -89,8 +97,7 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     """One aligned source/target sentence pair.
 
     Args:
@@ -125,26 +132,28 @@ class CorruptionSpec:
             raise DomainError(f"prob must lie in [0, 1], got {self.prob}")
 
 
-def _streams(seed: int, indices: list[int], counts: list[int]):
+def _streams(seed: int, indices: Iterable[int], counts):
     """Draws ``1 … counts[j]`` of ``SplitMix64.for_item(seed, indices[j])``.
 
     Returns the draws of all streams concatenated into one ``uint64`` array,
-    and the list of each stream's start offset in it.
+    and the ``int64`` array of each stream's start offset in it.
     """
     import numpy as np
 
     # Python ints reduce any seed and index, negative or beyond 64 bits,
     # exactly as ``for_item`` does; the rest is uint64 array arithmetic,
-    # which wraps without a warning.
-    bases = np.array([(seed + (index + 1) * _GOLDEN) & _MASK64 for index in indices], dtype=np.uint64)
-    starts = [0, *itertools.accumulate(counts)]
-    total = starts.pop()
+    # which wraps without a warning.  The bases are seed + (index + 1)·G.
     golden = np.uint64(_GOLDEN)
+    bases = np.array([index & _MASK64 for index in indices], dtype=np.uint64) * golden
+    bases += np.uint64((seed + _GOLDEN) & _MASK64)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
     # Draw k of stream j sits at offset p = starts[j] + k - 1, so its state
     # s_j + k·G is (s_j + (1 - starts[j])·G) + p·G.
-    first = _mix64_array(bases) + golden - np.array(starts, dtype=np.uint64) * golden
+    first = _mix64_array(bases) + golden - starts.astype(np.uint64) * golden
     state = np.repeat(first, counts)
-    state += np.arange(total, dtype=np.uint64) * golden
+    state += np.arange(len(state), dtype=np.uint64) * golden
     return _mix64_array(state), starts
 
 
@@ -161,20 +170,25 @@ def _mix64_array(z):
 
 
 def _coins(u, prob: float):
-    """``SplitMix64.next_float() < prob`` for each draw in ``u``."""
+    """``SplitMix64.next_float() < prob`` for each draw in ``u``.
+
+    ``(u >> 11)·2⁻⁵³ < prob`` holds exactly when the integer ``u >> 11`` is
+    below ``ceil(prob·2⁵³)``, as scaling by a power of two is exact.
+    """
     import numpy as np
 
-    return (u >> np.uint64(11)) * 2.0**-53 < prob
+    return (u >> np.uint64(11)) < np.uint64(math.ceil(prob * 2.0**53))
 
 
-def _chunks(items: Iterable, draws: Callable[[object], int]) -> Iterator[list]:
-    """Group ``items`` in order into lists needing about ``_CHUNK_DRAWS``
-    draws, at least one item each."""
+def _chunks(pairs: Iterable[SentencePair], column: int, draws_per_char: int) -> Iterator[list]:
+    """Group ``pairs`` in order into lists whose ``column`` texts need about
+    ``_CHUNK_DRAWS`` draws at ``draws_per_char``, at least one pair each."""
+    chars = _CHUNK_DRAWS // draws_per_char
     chunk, budget = [], 0
-    for item in items:
-        chunk.append(item)
-        budget += draws(item)
-        if budget >= _CHUNK_DRAWS:
+    for pair in pairs:
+        chunk.append(pair)
+        budget += len(pair[column])
+        if budget >= chars:
             yield chunk
             chunk, budget = [], 0
     if chunk:
@@ -184,17 +198,6 @@ def _chunks(items: Iterable, draws: Callable[[object], int]) -> Iterator[list]:
 def _check_kind(spec: CorruptionSpec, expected: str):
     if spec.kind != expected:
         raise DomainError(f"spec kind is {spec.kind!r}, expected {expected!r}")
-
-
-def _side_text(pair: SentencePair, side: str) -> str:
-    return pair.source if side == "source" else pair.target
-
-
-def _with_side(pair: SentencePair, side: str, text: str) -> SentencePair:
-    # Called once per pair: the constructor costs a third of ``replace``.
-    if side == "source":
-        return SentencePair(text, pair.target, pair.score, pair.index)
-    return SentencePair(pair.source, text, pair.score, pair.index)
 
 
 def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterator[SentencePair]:
@@ -212,33 +215,40 @@ def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterat
     import numpy as np
 
     _check_kind(spec, "char_noise")
-    side = spec.side
-    texts = ((pair, _side_text(pair, side)) for pair in pairs)
-    for chunk in _chunks(texts, lambda item: 2 * len(item[1])):
-        u, starts = _streams(spec.seed, [pair.index for pair, _ in chunk], [2 * len(t) for _, t in chunk])
-        # nxt[k]: offset of the first hitting coin at or after offset k; the
-        # two sentinels let the walk look two past a hit on the last draw.
-        n = len(u)
-        hit_at = np.where(_coins(u, spec.prob), np.arange(n), n)
-        nxt = np.minimum.accumulate(hit_at[::-1])[::-1].tolist() + [n, n]
-        symbols = (u % np.uint64(len(REPLACEMENT_ALPHABET))).tolist()
-        for (pair, text), start in zip(chunk, starts):
-            # Before its first hit a pair's draws are all coins, and after a
-            # hit at t they are again from t + 2 on; h hits so far put the
-            # coin of character i at start + i + h.
-            t = nxt[start]
-            i = t - start
-            if i >= len(text):
-                yield pair
-                continue
-            chars = list(text)
-            h = 0
-            while i < len(chars):
-                chars[i] = REPLACEMENT_ALPHABET[symbols[t + 1]]
-                h += 1
-                t = nxt[t + 2]
-                i = t - start - h
-            yield _with_side(pair, side, "".join(chars))
+    column = SentencePair._fields.index(spec.side)
+    alphabet = np.frombuffer(REPLACEMENT_ALPHABET.encode("utf-32-le"), dtype=np.uint32)
+    for chunk in _chunks(pairs, column, 2):
+        fields = list(zip(*chunk))  # source, target, score and index columns
+        lengths = np.fromiter(map(len, fields[column]), dtype=np.int64, count=len(chunk))
+        ends = np.cumsum(lengths)
+        offsets = ends - lengths
+        u, starts = _streams(spec.seed, fields[3], 2 * lengths)
+        # A pair's first draw is a coin, and a hit at t makes t + 1 its symbol
+        # and t + 2 a coin again.  So within a run of consecutive hitting
+        # coins, the 1st, 3rd, 5th ... are hits and the others their symbols.
+        # A pair's last draw is never a coin, so clearing it ends every run
+        # at its pair.
+        coin = _coins(u, spec.prob)
+        coin[starts[starts > 0] - 1] = False
+        t = np.flatnonzero(coin)
+        run_start = np.ones(len(t), dtype=bool)
+        run_start[1:] = t[1:] != t[:-1] + 1
+        t = t[((t - np.maximum.accumulate(np.where(run_start, t, 0))) & 1) == 0]
+        # With h hits of its pair before it, hit t is the coin of character
+        # t - start - h, which sits at t - h - offset in the chunk's text
+        # (a pair's draws start at twice its offset).  The walk ends once
+        # that is past the pair's text.
+        pair = np.searchsorted(starts, t, side="right") - 1
+        h = np.arange(len(t)) - np.searchsorted(t, starts)[pair]
+        at = t - h - offsets[pair]
+        inside = at < ends[pair]
+        # A str may hold a lone surrogate, which only surrogatepass encodes.
+        encoded = "".join(fields[column]).encode("utf-32-le", "surrogatepass")
+        codes = np.frombuffer(encoded, dtype=np.uint32).copy()
+        codes[at[inside]] = alphabet[u[t[inside] + 1] % np.uint64(len(alphabet))]
+        text = codes.tobytes().decode("utf-32-le", "surrogatepass")
+        fields[column] = [text[a:b] for a, b in zip(offsets.tolist(), ends.tolist())]
+        yield from map(SentencePair._make, zip(*fields))
 
 
 def delete_words(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterator[SentencePair]:
@@ -251,13 +261,19 @@ def delete_words(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterato
     ``w + 1`` of its pair's stream is a hitting coin.
     """
     _check_kind(spec, "word_delete")
-    split = ((pair, _side_text(pair, spec.side).split()) for pair in pairs)
-    for chunk in _chunks(split, lambda item: len(item[1])):
-        u, starts = _streams(spec.seed, [pair.index for pair, _ in chunk], [len(w) for _, w in chunk])
+    column = SentencePair._fields.index(spec.side)
+    # A word holds at least one character, so it needs at most one draw per
+    # character.
+    for chunk in _chunks(pairs, column, 1):
+        fields = list(zip(*chunk))  # source, target, score and index columns
+        words = [text.split() for text in fields[column]]
+        u, starts = _streams(spec.seed, fields[3], list(map(len, words)))
         keep = (~_coins(u, spec.prob)).tolist()
-        for (pair, words), start in zip(chunk, starts):
-            kept = itertools.compress(words, keep[start : start + len(words)])
-            yield _with_side(pair, spec.side, " ".join(kept))
+        fields[column] = [
+            " ".join(itertools.compress(kept, keep[start : start + len(kept)]))
+            for kept, start in zip(words, starts.tolist())
+        ]
+        yield from map(SentencePair._make, zip(*fields))
 
 
 def shuffle_pairs(pairs: list[SentencePair], spec: CorruptionSpec) -> list[SentencePair]:
@@ -271,17 +287,18 @@ def shuffle_pairs(pairs: list[SentencePair], spec: CorruptionSpec) -> list[Sente
     preserved.  ``spec.side`` is ignored: the operation is symmetric in
     effect.
     """
+    import numpy as np
+
     _check_kind(spec, "pair_shuffle")
     selected = []
-    for chunk in _chunks(enumerate(pairs), lambda item: 1):
-        u, _ = _streams(spec.seed, [pair.index for _, pair in chunk], [1] * len(chunk))
-        hits = _coins(u, spec.prob).tolist()
-        selected += itertools.compress((i for i, _ in chunk), hits)
+    for start in range(0, len(pairs), _CHUNK_DRAWS):
+        chunk = pairs[start : start + _CHUNK_DRAWS]
+        u, _ = _streams(spec.seed, [pair.index for pair in chunk], [1] * len(chunk))
+        selected += (np.flatnonzero(_coins(u, spec.prob)) + start).tolist()
     out = list(pairs)
     if len(selected) >= 2:
-        rotated_targets = [pairs[selected[(j + 1) % len(selected)]].target for j in range(len(selected))]
-        for pos, target in zip(selected, rotated_targets):
-            out[pos] = replace(out[pos], target=target)
+        for pos, donor in zip(selected, selected[1:] + selected[:1]):
+            out[pos] = out[pos]._replace(target=pairs[donor].target)
     return out
 
 
@@ -292,7 +309,8 @@ def filter_top_fraction(pairs: list[SentencePair], fraction: float) -> list[Sent
     is returned in original corpus order.
 
     Raises:
-        SchemaError: Some pair has no score.
+        SchemaError: Some pair has no score, or a NaN score, which has no
+            rank.
         DomainError: ``fraction`` outside (0, 1].
     """
     if not 0 < fraction <= 1:
@@ -300,15 +318,20 @@ def filter_top_fraction(pairs: list[SentencePair], fraction: float) -> list[Sent
     for pair in pairs:
         if pair.score is None:
             raise SchemaError(f"pair at index {pair.index} has no score")
+        if math.isnan(pair.score):
+            raise SchemaError(f"pair at index {pair.index} has a NaN score")
     k = math.ceil(fraction * len(pairs))
-    ranked = sorted(pairs, key=lambda pair: (-pair.score, pair.index))
-    return sorted(ranked[:k], key=lambda pair: pair.index)
+    # Sorting by index and then, stably, by descending score ranks ties at
+    # the cutoff in index order.
+    by_index = attrgetter("index")
+    ranked = sorted(sorted(pairs, key=by_index), key=attrgetter("score"), reverse=True)
+    return sorted(ranked[:k], key=by_index)
 
 
 def sample_subset(pairs: Iterable[SentencePair], size: int, seed: int) -> list[SentencePair]:
     """Uniform sample without replacement via single-pass reservoir sampling.
 
-    The acceptance draw for the i-th arriving pair comes from a stream
+    The acceptance draw for the i-th arriving pair is draw 1 of the stream
     keyed by ``(seed, i)``, so the sample depends only on the seed and the
     arrival order, never on chunking.  The result is sorted by original
     index.
@@ -324,14 +347,15 @@ def sample_subset(pairs: Iterable[SentencePair], size: int, seed: int) -> list[S
         if arrivals < size:
             reservoir.append(pair)
         else:
-            u = SplitMix64.for_item(seed, arrivals).next_float()
+            # SplitMix64.for_item(seed, arrivals).next_float(), without the object.
+            u = (_mix64(_mix64(seed + (arrivals + 1) * _GOLDEN) + _GOLDEN) >> 11) * 2.0**-53
             slot = int(u * (arrivals + 1))
             if slot < size:
                 reservoir[slot] = pair
         arrivals += 1
     if arrivals < size:
         raise DomainError(f"sample size {size} exceeds corpus size {arrivals}")
-    return sorted(reservoir, key=lambda pair: pair.index)
+    return sorted(reservoir, key=attrgetter("index"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,32 +363,32 @@ def sample_subset(pairs: Iterable[SentencePair], size: int, seed: int) -> list[S
 # ---------------------------------------------------------------------------
 
 
-def parse_pair_line(line: str, line_number: int, index: int) -> SentencePair:
-    """Parse one ``source<TAB>target[<TAB>score]`` record."""
-    fields = line.split("\t")
-    if len(fields) not in (2, 3):
-        raise ParseError(
-            f"expected 2 or 3 TAB-separated fields, got {len(fields)}", line=line_number
-        )
-    score = None
-    if len(fields) == 3:
-        try:
-            score = float(fields[2])
-        except ValueError:
-            raise ParseError(f"bad score {fields[2]!r}", line=line_number) from None
-    return SentencePair(source=fields[0], target=fields[1], score=score, index=index)
-
-
 def read_pairs(path) -> Iterator[SentencePair]:
     """Stream pairs from a TAB-separated corpus file.
 
+    Line ``n`` holds ``source<TAB>target[<TAB>score]`` and becomes the pair
+    of index ``n - 1``; the score is read by ``float``.
+
     Raises:
-        ParseError: A line does not have 2 or 3 fields (reported with its
-            1-based line number).
+        ParseError: A line does not have 2 or 3 fields, or its score is not
+            a number (reported with its 1-based line number).
     """
     with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            yield parse_pair_line(line.rstrip("\r\n"), line_number, line_number - 1)
+        for index, line in enumerate(fh):
+            fields = line.rstrip("\r\n").split("\t")
+            if len(fields) == 3:
+                try:
+                    fields[2] = float(fields[2])
+                except ValueError:
+                    raise ParseError(f"bad score {fields[2]!r}", line=index + 1) from None
+            elif len(fields) == 2:
+                fields.append(None)
+            else:
+                raise ParseError(
+                    f"expected 2 or 3 TAB-separated fields, got {len(fields)}", line=index + 1
+                )
+            fields.append(index)
+            yield SentencePair._make(fields)
 
 
 def format_pair(pair: SentencePair) -> str:

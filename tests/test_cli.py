@@ -801,6 +801,18 @@ class TestCorpusCommands:
         kept = list(ds.read_pairs(out))
         assert len(kept) == 100
 
+    def test_filter_on_a_nan_score_exits_2_naming_the_pair(self, capsys, tmp_path):
+        src = tmp_path / "corpus.tsv"
+        src.write_text("s0\tt0\t0.9\ns1\tt1\tnan\ns2\tt2\t0.1\n", encoding="utf-8")
+        out = tmp_path / "top.tsv"
+        code, _, err = run(
+            capsys,
+            "corpus", "filter", "--fraction", "0.5", "--input", str(src), "--output", str(out),
+        )
+        assert code == 2
+        assert "index 1 has a NaN score" in err
+        assert sorted(os.listdir(tmp_path)) == ["corpus.tsv"]
+
     def test_sample_without_replacement(self, capsys, tmp_path):
         src = self._write_corpus(tmp_path)
         out = tmp_path / "sample.tsv"

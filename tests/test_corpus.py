@@ -1,5 +1,6 @@
 """Corpus operations: determinism, side isolation, structural invariants."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,6 @@ from datascale.corpus import (
     REPLACEMENT_ALPHABET,
     SplitMix64,
     format_pair,
-    parse_pair_line,
 )
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
@@ -43,6 +43,20 @@ class TestSplitMix64:
         rng = SplitMix64.for_item(1, 1)
         values = [rng.next_float() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in values)
+
+
+class TestSentencePair:
+    def test_named_tuple_fields_and_defaults(self):
+        pair = ds.SentencePair("s", "t")
+        assert pair._fields == ("source", "target", "score", "index")
+        assert pair == ("s", "t", None, 0)
+        assert ds.SentencePair("s", "t", 0.5, 3) == ds.SentencePair(source="s", target="t", score=0.5, index=3)
+
+    def test_immutable_and_hashable_by_value(self):
+        pair = ds.SentencePair("s", "t", 0.5, 3)
+        with pytest.raises(AttributeError):
+            pair.source = "x"
+        assert len({pair, ds.SentencePair("s", "t", 0.5, 3)}) == 1
 
 
 class TestCorruptChars:
@@ -184,6 +198,21 @@ class TestFilterTopFraction:
         with pytest.raises(ds.DomainError):
             ds.filter_top_fraction(make_corpus(3, with_scores=True), 0.0)
 
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_nan_score_rejected_naming_the_pair(self, position):
+        # A NaN has no rank: sorting on it kept a set that depended on where
+        # it sat ([0, 1, 3] here with the NaN at 1, [0, 1, 2] at 2).
+        scores = [0.9, 0.1, 0.8, 0.2, 0.7]
+        scores.insert(position, math.nan)
+        pairs = [ds.SentencePair(f"s{i}", f"t{i}", score=x, index=i) for i, x in enumerate(scores)]
+        with pytest.raises(ds.SchemaError, match=f"index {position} has a NaN score"):
+            ds.filter_top_fraction(pairs, 0.5)
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        scores = [0.5, -math.inf, math.inf, 0.25]
+        pairs = [ds.SentencePair(f"s{i}", f"t{i}", score=x, index=i) for i, x in enumerate(scores)]
+        assert [p.index for p in ds.filter_top_fraction(pairs, 0.75)] == [0, 2, 3]
+
 
 class TestSampleSubset:
     def test_full_size_returns_whole_corpus(self):
@@ -240,9 +269,44 @@ class TestPairFiles:
         with pytest.raises(ds.ParseError, match="line 2"):
             list(ds.read_pairs(path))
 
-    def test_format_parse_inverse(self):
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a\tb\r\nc\td\r\n", [("a", "b", None, 0), ("c", "d", None, 1)]),
+            ("a\tb\rc\td\n", [("a", "b", None, 0), ("c", "d", None, 1)]),
+            ("a\tb\t0.5\nc\td", [("a", "b", 0.5, 0), ("c", "d", None, 1)]),
+            ("a\tb\t 0.5 \nc\td\t1e-3\ne\tf\t-inf\n",
+             [("a", "b", 0.5, 0), ("c", "d", 0.001, 1), ("e", "f", -math.inf, 2)]),
+            ("\t\n\tt\t2\ns\t\n", [("", "", None, 0), ("", "t", 2.0, 1), ("s", "", None, 2)]),
+        ],
+        ids=["crlf", "lone-cr", "no-final-newline", "score-spellings", "empty-fields"],
+    )
+    def test_line_ends_scores_and_empty_fields(self, tmp_path, text, expected):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(ds.read_pairs(path)) == [ds.SentencePair(*fields) for fields in expected]
+
+    def test_nan_score_is_read(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tb\tnan\n", encoding="utf-8")
+        [pair] = ds.read_pairs(path)
+        assert math.isnan(pair.score)
+
+    @pytest.mark.parametrize(
+        "line, fields", [("one field", 1), ("a\tb\t0.5\tfourth", 4), ("", 1)],
+        ids=["one", "four", "empty-line"],
+    )
+    def test_field_count_error_names_the_line(self, tmp_path, line, fields):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tb\n{line}\nc\td\n", encoding="utf-8")
+        with pytest.raises(ds.ParseError, match=f"^line 2: expected 2 or 3 TAB-separated fields, got {fields}$"):
+            list(ds.read_pairs(path))
+
+    def test_format_parse_inverse(self, tmp_path):
         pair = ds.SentencePair("source text", "target text", score=0.125, index=4)
-        assert parse_pair_line(format_pair(pair), 5, 4) == pair
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tb\n" * 4 + format_pair(pair) + "\n", encoding="utf-8")
+        assert list(ds.read_pairs(path))[4] == pair
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +322,7 @@ def oracle_chars(pair, spec):
         if rng.next_float() < spec.prob:
             chars[i] = REPLACEMENT_ALPHABET[rng.next_below(len(REPLACEMENT_ALPHABET))]
     text = "".join(chars)
-    return replace(pair, source=text) if spec.side == "source" else replace(pair, target=text)
+    return pair._replace(**{spec.side: text})
 
 
 def oracle_words(pair, spec):
@@ -266,7 +330,7 @@ def oracle_words(pair, spec):
     rng = SplitMix64.for_item(spec.seed, pair.index)
     words = (pair.source if spec.side == "source" else pair.target).split()
     text = " ".join(w for w in words if rng.next_float() >= spec.prob)
-    return replace(pair, source=text) if spec.side == "source" else replace(pair, target=text)
+    return pair._replace(**{spec.side: text})
 
 
 def oracle_shuffle(pairs, spec):
@@ -278,7 +342,7 @@ def oracle_shuffle(pairs, spec):
     out = list(pairs)
     if len(selected) >= 2:
         for j, pos in enumerate(selected):
-            out[pos] = replace(out[pos], target=pairs[selected[(j + 1) % len(selected)]].target)
+            out[pos] = out[pos]._replace(target=pairs[selected[(j + 1) % len(selected)]].target)
     return out
 
 
@@ -287,7 +351,8 @@ SWEEP_ALPHABETS = ["abc xyz", "é€ßЖ", "😀𝔘𝔫𝔦", "日本語 ", "a 
 
 def sweep_corpus(n=150, seed=17):
     """Random pairs of 0-40 characters from mixed scripts, with negative and
-    duplicate indices, plus empty, emoji-only and 5000-character sides."""
+    duplicate indices, plus empty, emoji-only and 5000-character sides and
+    sides holding lone surrogates, astral characters and combining marks."""
     pairs = []
     for k in range(n):
         rng = SplitMix64.for_item(seed, k)
@@ -302,6 +367,10 @@ def sweep_corpus(n=150, seed=17):
         ds.SentencePair("😀", "", index=-1),
         ds.SentencePair("é€ßЖ " * 1000, "a " * 2500, index=7),
         ds.SentencePair("", "é€ßЖ", index=7),
+        # Lone surrogates (two of them adjacent, as a str may hold them),
+        # astral characters and combining marks.
+        ds.SentencePair("a\ud800b\udfff𝔘" * 20, "e\u0301\u0308o😀" * 20, index=11),
+        ds.SentencePair("\ud83d\ude00\u0301x" * 30, "\udc00", index=-7),
     ]
     return pairs
 

@@ -10,8 +10,8 @@ objective known for the instance: the reference engine's with 32 restarts
 and, in log space, the profiled reference searches of ``bench/workloads.py``
 (``_single_minimum`` for ``fit_single``, ``_joint_minimum`` for ``fit_joint``).
 The recorded ``best`` of the power laws came from a Gauss-Newton engine whose
-restarts explored; today's power-law fits take no restarts, so a ledger
-recorded anew gets nothing from the 32-restart refit except for ``fit_tail``.
+restarts explored; today's power-law fits take no restarts, so recording
+anew refits only the ``fit_tail`` rows with 32 restarts.
 
 The gate is that every fit ends at most ``objective * (1 + 1e-9)``.  It has a
 tolerance, so it holds on any machine.  How many fits lie above
@@ -183,12 +183,13 @@ def _reference_minimum(row):
 def record(fitters=FITTERS):
     """Ledger rows of ``fitters`` from the fitters on the import path.
 
-    ``best`` takes the least of the fit, a refit with ``BEST_RESTARTS``
-    restarts and :func:`_reference_minimum`.  Only ``fit_tail`` reads
-    ``n_restarts``: a power-law refit repeats the fit, so a power law's
-    ``best`` is its own objective unless the bench's profiled search (log
-    ``fit_single`` and ``fit_joint``) finds less; to gate power laws against
-    more than themselves, bring another reference.
+    ``best`` takes the least of the fit and :func:`_reference_minimum`, and
+    for ``fit_tail`` rows also of a refit with ``BEST_RESTARTS`` restarts.
+    Only ``fit_tail`` reads ``n_restarts``, so a power-law row is not refitted:
+    its refit would repeat the fit.  A power law's ``best`` is its own
+    objective unless the bench's profiled search (log ``fit_single`` and
+    ``fit_joint``) finds less; to gate power laws against more than
+    themselves, bring another reference.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     rows = [
@@ -201,10 +202,11 @@ def record(fitters=FITTERS):
     for row in rows:
         fit = instance(row)
         result, ms = _timed(fit, ds.FitConfig(**row["config"]))
-        many = fit(ds.FitConfig(**{**row["config"], "n_restarts": BEST_RESTARTS}))
+        best = min(result.objective, _reference_minimum(row))
+        if row["fitter"] == "fit_tail":
+            best = min(best, fit(ds.FitConfig(**{**row["config"], "n_restarts": BEST_RESTARTS})).objective)
         row.update(objective=result.objective, converged=result.converged,
-                   n_iters=getattr(result, "n_iters", None), time_ms=round(ms, 3),
-                   best=min(result.objective, many.objective, _reference_minimum(row)))
+                   n_iters=getattr(result, "n_iters", None), time_ms=round(ms, 3), best=best)
     return rows
 
 
