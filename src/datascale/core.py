@@ -196,11 +196,12 @@ def eval_law(law: PowerLaw, d_millions):
         The loss, as a float for scalar input or an ndarray otherwise.
         Values are strictly decreasing in ``d`` and bounded below by
         ``alpha * c ** p``.  A float ``d`` is computed with plain float
-        operators, which give the bits of numpy's scalar ones.  An array
-        goes through numpy's array ``power``, which differs from libm's
-        ``pow`` in the last bit for about 5 % of sizes: a float and an array
-        holding it can disagree there.  An element of an array gets the same
-        bits whatever the array's length or its position in it.
+        operators, which give the bits of numpy's scalar ones; ``simulate``
+        draws on this path.  An array goes through numpy's array ``power``,
+        which differs from libm's ``pow`` in the last bit for about 5 % of
+        sizes.  An element of an array gets the same bits whatever the
+        array's length or its position in it, so the fitters and the tables
+        of :mod:`datascale.reports`, all on arrays, agree bit for bit.
     """
     d = _as_positive_d(d_millions)
     out = law.alpha * (1.0 / d + law.c) ** law.p
@@ -208,31 +209,24 @@ def eval_law(law: PowerLaw, d_millions):
 
 
 def eval_tail_law(law: TailLaw, d_millions):
-    """Evaluate ``gamma * d**-q + b``, the tail law, with plain operators: a
-    float ``d`` gives a float, an array gives an array."""
-    return law.gamma * d_millions**-law.q + law.b
+    """Evaluate ``gamma * d**-q + b``, the tail law, at sizes checked as
+    :func:`eval_law` checks them: a float ``d`` gives a float, an array gives
+    an array."""
+    return law.gamma * _as_positive_d(d_millions) ** -law.q + law.b
 
 
-def observation_residual(law: PowerLaw, obs: Observation, loss_space: str) -> float:
-    """Residual of one observation under ``law``: ``log(loss) - log(predicted)``
-    in the ``"log"`` loss space, ``loss - predicted`` in the ``"linear"`` one."""
-    predicted = eval_law(law, obs.d_millions)
-    if loss_space == "log":
-        return math.log(obs.loss) - math.log(predicted)
-    return obs.loss - predicted
+def count_term(params: JointLawParams, n_e, n_d):
+    """``n_e**-p_e * n_d**-p_d + l_inf`` for scalar or array counts, taken in
+    log space so that billion-parameter counts do not underflow."""
+    return np.exp(-params.p_e * np.log(n_e) - params.p_d * np.log(n_d)) + params.l_inf
 
 
 def capacity_constant(params: JointLawParams, n_e: int, n_d: int) -> float:
-    """Capacity constant implied by the parameter counts under ``params``.
-
-    Computed as ``beta * (n_e**-p_e * n_d**-p_d + l_inf) ** (1/p)``, with the
-    count term evaluated in log space so that billion-parameter counts do not
-    underflow.
-    """
+    """Capacity constant ``beta * g ** (1/p)`` implied by the parameter counts
+    under ``params``, with ``g`` the :func:`count_term`."""
     if n_e <= 0 or n_d <= 0:
         raise DomainError(f"parameter counts must be positive, got ({n_e}, {n_d})")
-    count_term = np.exp(-params.p_e * np.log(n_e) - params.p_d * np.log(n_d))
-    return float(params.beta * (count_term + params.l_inf) ** (1.0 / params.p))
+    return float(params.beta * count_term(params, n_e, n_d) ** (1.0 / params.p))
 
 
 def eval_joint_law(params: JointLawParams, n_e: int, n_d: int, d_millions):

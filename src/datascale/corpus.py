@@ -23,7 +23,9 @@ The symbols are written into one ``uint32`` code-point array of the chunk's
 concatenated text, which is decoded once and sliced per pair.
 
 File format: UTF-8 text, one pair per line, ``source<TAB>target`` with an
-optional third TAB-separated field holding a decimal quality score.
+optional third TAB-separated field holding a decimal quality score.  Lines
+end at LF, or CRLF; no field holds a TAB, CR or LF, so the reader rejects
+what the writer refuses to write.
 """
 
 from __future__ import annotations
@@ -367,15 +369,20 @@ def read_pairs(path) -> Iterator[SentencePair]:
     """Stream pairs from a TAB-separated corpus file.
 
     Line ``n`` holds ``source<TAB>target[<TAB>score]`` and becomes the pair
-    of index ``n - 1``; the score is read by ``float``.
+    of index ``n - 1``; the score is read by ``float``.  Lines end at LF, so
+    a bare CR cannot shift the index of every later pair.
 
     Raises:
-        ParseError: A line does not have 2 or 3 fields, or its score is not
-            a number (reported with its 1-based line number).
+        ParseError: A line does not have 2 or 3 fields, holds a CR before
+            its end, or its score is not a number (reported with its 1-based
+            line number).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for index, line in enumerate(fh):
-            fields = line.rstrip("\r\n").split("\t")
+            line = line.rstrip("\r\n")
+            if "\r" in line:
+                raise ParseError("bare CR inside a field", line=index + 1)
+            fields = line.split("\t")
             if len(fields) == 3:
                 try:
                     fields[2] = float(fields[2])
@@ -392,16 +399,29 @@ def read_pairs(path) -> Iterator[SentencePair]:
 
 
 def format_pair(pair: SentencePair) -> str:
+    """The line of ``pair``, without its LF.
+
+    Raises:
+        SchemaError: A field holds a TAB, CR or LF, which would not read back
+            as the same pair.
+    """
     if pair.score is None:
-        return f"{pair.source}\t{pair.target}"
-    return f"{pair.source}\t{pair.target}\t{pair.score!r}"
+        line = f"{pair.source}\t{pair.target}"
+    else:
+        line = f"{pair.source}\t{pair.target}\t{pair.score!r}"
+    # A score's repr holds none of the three.  TABs are looked for in the two
+    # text fields: counting them in the line costs several times as much.
+    if "\n" in line or "\r" in line or "\t" in pair.source or "\t" in pair.target:
+        raise SchemaError(f"pair at index {pair.index} holds a TAB, CR or LF in a field")
+    return line
 
 
 def write_pairs(path, pairs: Iterable[SentencePair]) -> int:
     """Write pairs in the TAB format; returns the number of lines written.
 
     The file appears only once every pair is written, so an error while
-    ``pairs`` is consumed leaves an existing ``path`` as it was."""
+    ``pairs`` is consumed, or a pair :func:`format_pair` rejects, leaves an
+    existing ``path`` as it was."""
     n = 0
     with replace_on_success(path) as fh:
         for pair in pairs:

@@ -2,7 +2,9 @@
 
 All fitters minimize squared residuals either in log-loss space (default;
 residuals are relative errors, appropriate when losses span a large range)
-or in linear space.
+or in linear space.  Each returns the residuals of its final law, evaluated
+on arrays (:func:`_residuals`), and their sum of squares as its objective:
+reports print them as they are, and tables evaluate the law on arrays too.
 
 The power laws ``alpha * (1/d + c)**p`` are fitted by variable projection
 (Golub & Pereyra, 1973): for fixed ``c`` and ``p`` the best ``alpha`` has a
@@ -53,10 +55,10 @@ from .core import (
     PowerLaw,
     TailLaw,
     JointLawParams,
-    capacity_constant,
+    count_term,
+    eval_joint_law,
     eval_law,
     eval_tail_law,
-    observation_residual,
 )
 from .errors import (
     DomainError,
@@ -138,11 +140,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SharedFitResult:
-    """Outcome of a multi-condition fit with one common exponent."""
+    """Outcome of a multi-condition fit with one common exponent; residuals by sorted label."""
 
     p: float
     per_condition: dict[str, tuple[float, float]]
     objective: float
+    residuals: list[float]
     converged: bool
 
     def law(self, condition: str) -> PowerLaw:
@@ -643,9 +646,9 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
 # ---------------------------------------------------------------------------
 
 
-def _residuals(law: PowerLaw, d, y, loss_space: str) -> np.ndarray:
-    """Residuals of losses ``y`` at sizes ``d`` under ``law`` in ``loss_space``."""
-    m = eval_law(law, d)
+def _residuals(m, y, loss_space: str) -> np.ndarray:
+    """Residuals of losses ``y`` against model values ``m`` in ``loss_space``:
+    ``ln y - ln m`` or ``y - m``."""
     return np.log(y) - np.log(m) if loss_space == "log" else y - m
 
 
@@ -667,7 +670,7 @@ def fit_single(obs: list[Observation], cfg: FitConfig = FitConfig()) -> FitResul
     """
     d, y = _single_group_arrays(obs, cfg.loss_space)
     ((law, converged, n_iters),) = _fit_laws(d, y[None], cfg)
-    r = _residuals(law, d, y, cfg.loss_space)
+    r = _residuals(eval_law(law, d), y, cfg.loss_space)
     return FitResult(law, float((r * r).sum()), r.tolist(), converged, n_iters)
 
 
@@ -710,9 +713,9 @@ def fit_shared(
     Minimizes the pooled squared residual over ``p`` plus a per-condition
     ``(alpha, c)`` pair: a search over ``p`` around one batched search over
     every condition's ``c``, with each ``alpha`` in closed form.  The
-    reported objective is recomputed condition by condition from the final
-    laws.  With exactly one group the optimum agrees with :func:`fit_single`
-    up to the search tolerance, not bit for bit.
+    residuals and objective are recomputed from the final laws.  With
+    exactly one group the optimum agrees with :func:`fit_single` up to the
+    search tolerance, not bit for bit.
 
     Args:
         groups: Map from condition label to that condition's observations;
@@ -725,10 +728,10 @@ def fit_shared(
     arrays = [_single_group_arrays(groups[label], cfg.loss_space) for label in labels]
     p, alphas, cs, converged, _ = _shared_exponent(arrays, cfg)
     laws = {label: _power_law(a, c, p) for label, a, c in zip(labels, alphas, cs)}
-    residuals = [_residuals(law, d, y, cfg.loss_space) for law, (d, y) in zip(laws.values(), arrays)]
-    objective = sum(float((r * r).sum()) for r in residuals)
+    r = np.concatenate([_residuals(eval_law(law, d), y, cfg.loss_space)
+                        for law, (d, y) in zip(laws.values(), arrays)])
     per_condition = {label: (law.alpha, law.c) for label, law in laws.items()}
-    return SharedFitResult(p, per_condition, objective, converged)
+    return SharedFitResult(p, per_condition, float((r * r).sum()), r.tolist(), converged)
 
 
 def fit_joint(
@@ -754,7 +757,7 @@ def fit_joint(
         InsufficientDataError: Fewer than 4 observations remain to fit.
     """
     beta, p_e, p_d, l_inf = (float(v) for v in fixed)
-    JointLawParams(1.0, 1.0, beta, p_e, p_d, l_inf)  # validates the quartet
+    quartet = JointLawParams(1.0, 1.0, beta, p_e, p_d, l_inf)  # validates it
     for o in obs:
         if o.shape is None:
             raise SchemaError(f"observation at d={o.d_millions} lacks parameter counts")
@@ -765,16 +768,13 @@ def fit_joint(
     if len(fit_obs) < 4:
         raise InsufficientDataError(f"need at least 4 observations to fit, got {len(fit_obs)}")
 
-    _arrays(out_obs, cfg.loss_space)  # held-out rows get residuals too
     d, y = _arrays(fit_obs, cfg.loss_space)
-    ln_g = np.array([-p_e * np.log(o.n_enc) - p_d * np.log(o.n_dec) for o in fit_obs])
-    if l_inf > 0:
-        ln_g = np.logaddexp(ln_g, np.log(l_inf))
+    g = count_term(quartet, *np.array([o.shape for o in fit_obs], dtype=float).T)
     log_space = cfg.loss_space == "log"
     target = np.log(y) if log_space else y
 
     def fit_alpha(p):
-        u = 1.0 / d + np.exp(math.log(beta) + ln_g / p[..., None])
+        u = 1.0 / d + beta * g ** (1.0 / p[..., None])
         return _fit_alpha(u, p[..., None], target, np.ones(len(d)), log_space)
 
     with np.errstate(all="ignore"):
@@ -785,19 +785,16 @@ def fit_joint(
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):
-        return [
-            observation_residual(
-                PowerLaw(alpha, capacity_constant(params, o.n_enc, o.n_dec), p), o, cfg.loss_space
-            )
-            for o in subset
-        ]
+        """Residuals of ``subset`` under ``params``, each evaluated as a one-element array."""
+        m = [eval_joint_law(params, o.n_enc, o.n_dec, np.array([o.d_millions]))[0] for o in subset]
+        return _residuals(np.array(m), _arrays(subset, cfg.loss_space)[1], cfg.loss_space)
 
-    residuals = law_residuals(fit_obs)
+    r = law_residuals(fit_obs)
     return JointFitResult(
         params=params,
-        objective=float(sum(v * v for v in residuals)),
-        residuals=residuals,
-        holdout_residuals=law_residuals(out_obs),
+        objective=float((r * r).sum()),
+        residuals=r.tolist(),
+        holdout_residuals=law_residuals(out_obs).tolist(),
         converged=bool(converged),
         n_iters=int(n_iters),
     )
@@ -869,8 +866,8 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
             f"the fitted tail law underflows to 0 at d = {d[m == 0].min():g}: the losses lie too "
             "close to the bottom of the float range; rescale them"
         )
-    r = residual(m)
-    return FitResult(law, float(r @ r), [float(v) for v in r], converged, n_iters)
+    r = _residuals(m, y, cfg.loss_space)
+    return FitResult(law, float(r @ r), r.tolist(), converged, n_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ canonical (sorted keys, two-space indent, trailing newline), so identical
 fits produce byte-identical files and serialize -> parse -> serialize is a
 fixed point.  Reading a file that is not JSON raises :class:`ParseError`
 with the JSON line number; a report lacking a field raises
-:class:`SchemaError` naming it.
+:class:`SchemaError` naming it.  Residuals and objectives are the fit's, and
+tables evaluate laws on arrays as the fitters do: on numpy arrays, a row's
+``residual`` is ``ln(observed) - ln(predicted)`` (or ``observed - predicted``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import csv
 import io
 import json
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__
 from .analysis import McConfig, McSummary, asymptotic_loss, marginal_value, transition_point
@@ -29,7 +33,6 @@ from .core import (
     eval_joint_law,
     eval_law,
     eval_tail_law,
-    observation_residual,
 )
 from .errors import ParseError, SchemaError
 from .fitting import FitConfig, FitResult, JointFitResult, SharedFitResult
@@ -85,16 +88,15 @@ def build_fit_report(
 def build_shared_report(
     result: SharedFitResult, groups: dict[str, list[Observation]], cfg: FitConfig, input_path: str
 ) -> dict:
-    per_condition, observations, residuals = {}, [], []
+    per_condition, observations = {}, []
     for label in sorted(groups):
         law = result.law(label)
         analysis = law_analysis(law, sorted(o.d_millions for o in groups[label]))
         per_condition[label] = {"alpha": law.alpha, "c": law.c, "analysis": analysis}
         observations += [_observation_record(o) for o in groups[label]]
-        residuals += [observation_residual(law, o, cfg.loss_space) for o in groups[label]]
     return _report("fit_shared", input_path, cfg, p=result.p, per_condition=per_condition,
                    objective=result.objective, converged=result.converged,
-                   residuals=residuals, observations=observations)
+                   residuals=list(result.residuals), observations=observations)
 
 
 def build_joint_report(
@@ -249,7 +251,7 @@ def render_table(report: dict) -> list[list]:
         for obs, is_held in zip(observations, held_rows):
             residual = next(holdout_residuals) if is_held else next(residuals)
             d = obs["d_millions"]
-            predicted = eval_joint_law(params, obs["n_enc"], obs["n_dec"], d)
+            predicted = float(eval_joint_law(params, obs["n_enc"], obs["n_dec"], np.array([d]))[0])
             rows.append(
                 [obs["condition"], obs["n_enc"], obs["n_dec"], d, obs["loss"], predicted, residual, int(is_held)]
             )
@@ -263,7 +265,7 @@ def render_table(report: dict) -> list[list]:
             if not isinstance(label, str) or label not in laws:  # law_from_report rejects a non-string
                 laws[label] = law_from_report(report, label)
             d = obs["d_millions"]
-            rows.append([label, d, obs["loss"], eval_law(laws[label], d), residual])
+            rows.append([label, d, obs["loss"], float(eval_law(laws[label], np.array([d]))[0]), residual])
         return [header] + rows
     if kind == "fit":
         law, evaluate = law_from_report(report), eval_law
@@ -271,8 +273,9 @@ def render_table(report: dict) -> list[list]:
         law, evaluate = _law(TailLaw, report["law"]), eval_tail_law
     observations = _observations(report, ("d_millions", "loss"))
     residuals = _numbers(report, "residuals", len(observations))
-    rows = [[obs["d_millions"], obs["loss"], evaluate(law, obs["d_millions"]), residual]
-            for obs, residual in zip(observations, residuals)]
+    predicted = evaluate(law, np.array([obs["d_millions"] for obs in observations], dtype=float)).tolist()
+    rows = [[obs["d_millions"], obs["loss"], m, residual]
+            for obs, m, residual in zip(observations, predicted, residuals)]
     return [["d", "observed", "predicted", "residual"]] + rows
 
 

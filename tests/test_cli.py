@@ -469,6 +469,18 @@ class TestReportCommand:
         assert code == 2
         assert out == "" and f"'{field}'" in err
 
+    @pytest.mark.parametrize("d", [0, -2.0])
+    def test_tail_report_with_a_non_positive_size_exits_2(self, capsys, tmp_path, d):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        report_path = tmp_path / "tail.json"
+        run(capsys, "fit-tail", "--input", str(csv_path), "--d-min", "8", "--seed", "7", "--output", str(report_path))
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["observations"][0]["d_millions"] = d
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and "dataset size must be positive" in err
+
     @pytest.mark.parametrize("key", ["d_millions", "loss"])
     def test_fit_report_with_mistyped_observation_exits_2(self, capsys, tmp_path, key):
         csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
@@ -871,6 +883,23 @@ class TestCorpusCommands:
         assert "line 3" in err
         assert (out.read_bytes() if out.exists() else None) == old
         assert sorted(os.listdir(tmp_path)) == sorted(["bad.tsv"] + (["o.tsv"] if old else []))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corrupt", "--kind", "char_noise", "--side", "source", "--seed", "1"],
+            ["filter", "--fraction", "0.5"],
+            ["sample", "--size", "1", "--seed", "1"],
+        ],
+        ids=["corrupt", "filter", "sample"],
+    )
+    def test_bare_cr_exits_2_naming_its_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"s0\tt0\t0.9\ns1\tt\rextra\t0.5\ns2\tt2\t0.1\n")
+        code, _, err = run(capsys, "corpus", *argv, "--input", str(path), "--output", str(tmp_path / "o.tsv"))
+        assert code == 2
+        assert "line 2" in err and "CR" in err
+        assert sorted(os.listdir(tmp_path)) == ["cr.tsv"]
 
     def test_corpus_that_is_not_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.tsv"

@@ -273,7 +273,7 @@ class TestPairFiles:
         "text, expected",
         [
             ("a\tb\r\nc\td\r\n", [("a", "b", None, 0), ("c", "d", None, 1)]),
-            ("a\tb\rc\td\n", [("a", "b", None, 0), ("c", "d", None, 1)]),
+            ("a\tb\rc\td\n", "line 1: bare CR inside a field"),
             ("a\tb\t0.5\nc\td", [("a", "b", 0.5, 0), ("c", "d", None, 1)]),
             ("a\tb\t 0.5 \nc\td\t1e-3\ne\tf\t-inf\n",
              [("a", "b", 0.5, 0), ("c", "d", 0.001, 1), ("e", "f", -math.inf, 2)]),
@@ -282,9 +282,15 @@ class TestPairFiles:
         ids=["crlf", "lone-cr", "no-final-newline", "score-spellings", "empty-fields"],
     )
     def test_line_ends_scores_and_empty_fields(self, tmp_path, text, expected):
+        # lines end only at LF: a bare CR is an error, not a line end that
+        # would shift the index of every later pair
         path = tmp_path / "corpus.tsv"
         path.write_bytes(text.encode("utf-8"))
-        assert list(ds.read_pairs(path)) == [ds.SentencePair(*fields) for fields in expected]
+        if isinstance(expected, str):
+            with pytest.raises(ds.ParseError, match=f"^{expected}$"):
+                list(ds.read_pairs(path))
+        else:
+            assert list(ds.read_pairs(path)) == [ds.SentencePair(*fields) for fields in expected]
 
     def test_nan_score_is_read(self, tmp_path):
         path = tmp_path / "corpus.tsv"
@@ -301,6 +307,16 @@ class TestPairFiles:
         path.write_text(f"a\tb\n{line}\nc\td\n", encoding="utf-8")
         with pytest.raises(ds.ParseError, match=f"^line 2: expected 2 or 3 TAB-separated fields, got {fields}$"):
             list(ds.read_pairs(path))
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("score", [None, 0.5], ids=["scoreless", "scored"])
+    def test_writer_refuses_a_field_it_could_not_read_back(self, tmp_path, char, side, score):
+        bad = ds.SentencePair("x", "y", score, index=1)._replace(**{side: f"a{char}b"})
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(ds.SchemaError, match="^pair at index 1 holds a TAB, CR or LF in a field$"):
+            ds.write_pairs(path, [ds.SentencePair("s", "t", score, 0), bad])
+        assert list(tmp_path.iterdir()) == []
 
     def test_format_parse_inverse(self, tmp_path):
         pair = ds.SentencePair("source text", "target text", score=0.125, index=4)

@@ -349,7 +349,7 @@ def sweep():
 
 def test_power_law_sweep_is_byte_identical(sweep):
     digest = hashlib.sha256(repr(sweep[0]).encode()).hexdigest()
-    assert digest == "9c8ff2d924ed8d93b4fdde39b17a7ad93ba1ad4684863e2d8c3ad63316db4ff9"
+    assert digest == "fc9d78f585447b85c38f587937e8201d6af5ebcedc9259d9285b98278acc8e50"
 
 
 def test_tail_sweep_is_byte_identical(sweep):

@@ -17,11 +17,19 @@ those digests may disagree although the code is unchanged; record them anew
 there from a commit known to be good, then compare the change against them.
 The corpus digests use only integer arithmetic and exact float comparisons,
 so they hold on any machine.
+
+``python tests/test_golden_outputs.py``, with ``datascale`` on the import
+path, runs every command in a temporary directory and prints the ``DIGESTS``
+literal of the outputs it wrote, marking each entry that differs from the
+recorded one.  Paste it in only from a commit meant as the new reference, and
+say for each marked entry why its output changed.
 """
 
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -112,17 +120,17 @@ COMMANDS += [
 DIGESTS = {
     "fit.json": "9df7dcd50e6f2c3ac3f064d3f9058150552911cfc16fe9c7791554242944c3eb",
     "fit-linear-space.json": "fb96491f88452aa058f900d94bbed62350c55f60ef635fa93cf3aecaa28d0ebe",
-    "shared.json": "b5b9c6254594108e14def15e827fbc0974ff64223c519256d06376740254b2ab",
-    "shared-linear-space.json": "445cc3043afef23d0dd52d91a4a718e51b13935a0b5bd767276664d62d13d4f5",
+    "shared.json": "55625cada9bb3f941c5b6ebe01911557fb09f98761eb78f227693d82d95d73d7",
+    "shared-linear-space.json": "714213bf95f68d7249ca00aa7d1d37b1bdc10ee94eeee23a1c12987a52386023",
     "tail.json": "b806de56ad7a532346049a76e6e949175979063d7f3029f7c9b6e7d69db20a32",
-    "joint.json": "6ee95b7e758f66e905767ca330b5c14f8c23a82825f3ecd121e7b480a522b4ac",
+    "joint.json": "37d5fa6a33e852b89daf270173299539238af46e2f3c3740d3edde998776974d",
     "tail-linear-space.json": "8d6fcec60718b84d05747a8a01ce20b306c67e00834cbca890cf2ee1f9b4a214",
-    "joint-linear-space.json": "4f6809b18ffd0daf45048270369aacb3531031d5f6bac3adb02b8c9f8dee3faa",
+    "joint-linear-space.json": "d736755d160ef5ebce1442af38b76a11bd3773c6817ab6c0726bf8cfd8d52d90",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
     "fit-table.csv": "fb66a3a2c24155f5a8cfddaca6c1280df5577720813005e8dd3057e39e0c19ad",
-    "shared-table.csv": "11d62a93fcfd80f44459271f049cac11bec62305129270b7cb17bc539d776bc6",
+    "shared-table.csv": "facb8cc7d02e0bff0d04cf1c3cf55e13adb0f56895dfc0276476b7f37448246f",
     "tail-table.csv": "f42679021c9b04265c9e99fa8868763261515918e37dc82dffed44d3b499b5b2",
-    "joint-table.csv": "fc54f5e1cf7b3a6066f3f47ae17443c2e58600423d278096b5f86170d2b3acfd",
+    "joint-table.csv": "57b72ad941c890597dfb04d55f303fa1194a0e31dadeaae55fe3ff365240c18b",
     "fit-analysis.json": "e40c06d1c22bd8fe78b2d536da9b6a658aeed4d283e96ba0c039d77d32f694dc",
     "shared-analysis.json": "efa569d2290108d27386347c5be3e579d7df1adf0802a0aaef51dcbdf6a1995e",
     "mc.json": "d98c39751f567dea968af9d36491164e1b59cd272ea157c49b119f02d4cf0d46",
@@ -192,10 +200,9 @@ def corpus_text() -> str:
     return "".join(lines)
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """Run every command once; map each output name to (exit code, bytes)."""
-    work = tmp_path_factory.mktemp("golden")
+def run_commands(work: Path) -> dict:
+    """Write the inputs into ``work`` and run every command there once; map
+    each output name to (exit code, bytes)."""
     rows = []
     for i, (label, alpha, c, p) in enumerate(NOISE_BLOCK[::2]):
         law = ds.PowerLaw(alpha, c, p)
@@ -219,6 +226,11 @@ def outputs(tmp_path_factory):
     return results
 
 
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("name", [name for name, _ in COMMANDS])
 def test_output_is_byte_identical(outputs, name):
     code, data = outputs[name]
@@ -230,3 +242,17 @@ def test_iteration_cap_is_reported(outputs):
     report = json.loads(outputs["fit-iteration-cap.json"][1])
     assert report["converged"] is False
     assert report["n_iters"] == 3
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        results = run_commands(Path(work))
+    print("DIGESTS = {")
+    for name, _ in COMMANDS:
+        code, data = results[name]
+        digest = hashlib.sha256(data).hexdigest()
+        marks = [] if DIGESTS.get(name) == digest else ["changed"]
+        if code != EXIT_CODES.get(name, 0):
+            marks.append(f"exit code {code}")
+        print(f'    "{name}": "{digest}",' + "".join(f"  # {mark}" for mark in marks))
+    print("}")

@@ -1,8 +1,10 @@
 """Report building, canonical serialization, and table rendering."""
 
+import collections
 import json
 import math
 
+import numpy as np
 import pytest
 
 import datascale as ds
@@ -18,12 +20,17 @@ from datascale.reports import (
     render_table,
 )
 
-from conftest import DOUBLING_GRID, curve_observations
+from conftest import (
+    ARCHITECTURE_BLOCK,
+    BACKTRANSLATION_BLOCK,
+    DOUBLING_GRID,
+    FILTERING_BLOCK,
+    NOISE_BLOCK,
+    curve_observations,
+)
 
 
 def single_fit_report(noise=0.01, seed=5):
-    import numpy as np
-
     law = ds.PowerLaw(1.969, 0.057, 0.285)
     rng = np.random.default_rng(seed)
     obs = curve_observations(law, DOUBLING_GRID, condition="base", noise_frac=noise, rng=rng)
@@ -139,3 +146,74 @@ class TestTables:
         for d, observed, predicted, _ in render_table(report)[1:]:
             assert predicted == pytest.approx(2.0 / d + 0.5, rel=1e-6)
             assert observed == 2.0 / d + 0.5
+
+
+JOINT_SHAPES = [(10**8, 5 * 10**7), (2 * 10**8, 10**8), (4 * 10**8, 2 * 10**8)]
+JOINT_FIXED = (2.0, 0.3, 0.25, 0.01)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """``(result, report)`` pairs of every table kind in both loss spaces, fitted
+    to seeded simulations of the benchmark blocks; joint fits hold one shape out."""
+    blocks = (ARCHITECTURE_BLOCK, NOISE_BLOCK, FILTERING_BLOCK, BACKTRANSLATION_BLOCK)
+    groups = [
+        {label: ds.simulate(ds.PowerLaw(alpha, c, p), DOUBLING_GRID, 0.02, seed=60 + 10 * b + i,
+                            condition=label).rows
+         for i, (label, alpha, c, p) in enumerate(block)}
+        for b, block in enumerate(blocks)
+    ]
+    curves = [obs for group in groups for obs in group.values()]
+    joint = [
+        ds.simulate_joint(ds.JointLawParams(alpha, p, *JOINT_FIXED), JOINT_SHAPES, DOUBLING_GRID, 0.01,
+                          seed=90 + i).rows
+        for i, (_, alpha, _, p) in enumerate(NOISE_BLOCK)
+    ]
+    out = collections.defaultdict(list)
+    for space in ("log", "linear"):
+        cfg = ds.FitConfig(loss_space=space)
+        for obs in curves:
+            result = ds.fit_single(obs, cfg)
+            out["fit", space].append((result, build_fit_report(result, obs, cfg, "obs.csv")))
+            tail = [o for o in obs if o.d_millions >= 2.0]
+            result = ds.fit_tail(tail, 2.0, cfg)
+            out["fit_tail", space].append((result, build_tail_report(result, tail, 2.0, cfg, "obs.csv")))
+        for group in groups:
+            result = ds.fit_shared(group, cfg)
+            out["fit_shared", space].append((result, build_shared_report(result, group, cfg, "obs.csv")))
+        for obs in joint:
+            result = ds.fit_joint(obs, JOINT_FIXED, cfg, hold_out=JOINT_SHAPES[-1:])
+            report = build_joint_report(result, obs, cfg, "obs.csv", JOINT_SHAPES[-1:])
+            out["fit_joint", space].append((result, report))
+    return out
+
+
+class TestTablesFromTheFit:
+    """A table's ``residual`` column is ``ln(observed) - ln(predicted)``, or
+    ``observed - predicted`` in the linear loss space, on numpy arrays."""
+
+    def test_sweep_holds_sizes_where_float_and_array_paths_disagree(self, fitted):
+        # without such a size, taking predicted on the float path would pass too
+        pairs = [(law_from_report(report), obs["d_millions"])
+                 for space in ("log", "linear") for _, report in fitted["fit", space]
+                 for obs in report["observations"]]
+        assert sum(ds.eval_law(law, d) != ds.eval_law(law, np.array([d]))[0] for law, d in pairs) > 0
+
+    @pytest.mark.parametrize("space", ["log", "linear"])
+    @pytest.mark.parametrize("kind", ["fit", "fit_shared", "fit_tail", "fit_joint"])
+    def test_residual_is_observed_against_predicted(self, fitted, kind, space):
+        for _, report in fitted[kind, space]:
+            header, *rows = render_table(report)
+            observed, predicted, residual = (np.array([row[header.index(name)] for row in rows])
+                                             for name in ("observed", "predicted", "residual"))
+            expected = np.log(observed) - np.log(predicted) if space == "log" else observed - predicted
+            assert residual.tolist() == expected.tolist()
+            assert "np.float64" not in format_table(report)
+
+    @pytest.mark.parametrize("space", ["log", "linear"])
+    @pytest.mark.parametrize("kind", ["fit_shared", "fit_joint"])
+    def test_report_prints_the_fit_residuals_and_their_sum_of_squares(self, fitted, kind, space):
+        for result, report in fitted[kind, space]:
+            assert report["residuals"] == result.residuals
+            r = np.array(report["residuals"])
+            assert report["objective"] == result.objective == float((r * r).sum())
