@@ -217,7 +217,9 @@ def eval_tail_law(law: TailLaw, d_millions):
 
 def count_term(params: JointLawParams, n_e, n_d):
     """``n_e**-p_e * n_d**-p_d + l_inf`` for scalar or array counts, taken in
-    log space so that billion-parameter counts do not underflow."""
+    log space so that billion-parameter counts do not underflow.  Counts are
+    cast to float first, as numpy cannot take the log of an int of 2⁶⁴ or more."""
+    n_e, n_d = np.asarray(n_e, dtype=float), np.asarray(n_d, dtype=float)
     return np.exp(-params.p_e * np.log(n_e) - params.p_d * np.log(n_d)) + params.l_inf
 
 

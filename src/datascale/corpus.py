@@ -3,19 +3,18 @@
 A corpus is a sequence of :class:`SentencePair` records: named tuples
 ``(source, target, score, index)``, immutable, hashable and equal by value.
 The noise operations (character substitution, word deletion, pair shuffling)
-draw all their randomness from per-pair SplitMix64 streams derived from
-``(seed, pair.index)``, so the output for any pair is independent of
-processing order, chunking, or concurrency; the same seed always yields a
-byte-identical corpus.
+draw all their randomness from per-pair streams derived from
+``(seed, pair.index)``, laid out below, so the output for any pair is
+independent of processing order, chunking, or concurrency; the same seed
+always yields a byte-identical corpus.
 
 Stream layout: pair ``i`` starts from ``s_i = mix(seed + (i + 1)·G mod 2⁶⁴)``
 and its draw ``k = 1, 2, …`` is ``mix(s_i + k·G mod 2⁶⁴)``, where ``G`` is
-the golden-ratio increment and ``mix`` the SplitMix64 finalizer.  A draw
+the golden-ratio increment and ``mix`` the SplitMix finalizer.  A draw
 ``u`` gives the coin ``(u >> 11)·2⁻⁵³ < prob`` and the symbol ``u mod 94``.
 Since every draw is a function of its counter alone, the noise operations
 compute the draws of a chunk of pairs together as numpy ``uint64`` arrays
-(Salmon et al., SC'11); :class:`SplitMix64` gives the same stream one draw
-at a time.
+(Salmon et al., SC'11).
 
 Character noise stays on arrays too: the coins alone fix which draws are
 hits, where each character's substitution lands and which draw is its symbol.
@@ -62,41 +61,12 @@ _CHUNK_DRAWS = 1 << 13
 
 
 def _mix64(x: int) -> int:
-    """SplitMix64 output scrambler (Steele, Lea & Flood's finalizer)."""
+    """The ``mix`` of the stream layout: SplitMix's 64-bit output scrambler
+    (Steele, Lea & Flood, OOPSLA 2014)."""
     z = x & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Minimal deterministic 64-bit generator.
-
-    Streams for distinct ``(seed, index)`` keys are derived through the
-    SplitMix64 finalizer, so per-item randomness never depends on how many
-    other items were processed.  The noise operations compute the same
-    streams in bulk with :func:`_streams`.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: int):
-        self._state = state & _MASK64
-
-    @classmethod
-    def for_item(cls, seed: int, index: int) -> "SplitMix64":
-        return cls(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_below(self, n: int) -> int:
-        return self.next_u64() % n
 
 
 class SentencePair(NamedTuple):
@@ -135,7 +105,8 @@ class CorruptionSpec:
 
 
 def _streams(seed: int, indices: Iterable[int], counts):
-    """Draws ``1 … counts[j]`` of ``SplitMix64.for_item(seed, indices[j])``.
+    """Draws ``1 … counts[j]`` of the stream of pair index ``indices[j]``
+    under ``seed``, in the stream layout of the module docstring.
 
     Returns the draws of all streams concatenated into one ``uint64`` array,
     and the ``int64`` array of each stream's start offset in it.
@@ -143,8 +114,8 @@ def _streams(seed: int, indices: Iterable[int], counts):
     import numpy as np
 
     # Python ints reduce any seed and index, negative or beyond 64 bits,
-    # exactly as ``for_item`` does; the rest is uint64 array arithmetic,
-    # which wraps without a warning.  The bases are seed + (index + 1)·G.
+    # modulo 2⁶⁴; the rest is uint64 array arithmetic, which wraps without a
+    # warning.  The bases are seed + (index + 1)·G.
     golden = np.uint64(_GOLDEN)
     bases = np.array([index & _MASK64 for index in indices], dtype=np.uint64) * golden
     bases += np.uint64((seed + _GOLDEN) & _MASK64)
@@ -172,7 +143,7 @@ def _mix64_array(z):
 
 
 def _coins(u, prob: float):
-    """``SplitMix64.next_float() < prob`` for each draw in ``u``.
+    """The coin ``(u >> 11)·2⁻⁵³ < prob`` of each draw in ``u``.
 
     ``(u >> 11)·2⁻⁵³ < prob`` holds exactly when the integer ``u >> 11`` is
     below ``ceil(prob·2⁵³)``, as scaling by a power of two is exact.
@@ -349,7 +320,7 @@ def sample_subset(pairs: Iterable[SentencePair], size: int, seed: int) -> list[S
         if arrivals < size:
             reservoir.append(pair)
         else:
-            # SplitMix64.for_item(seed, arrivals).next_float(), without the object.
+            # Draw 1 of stream ``arrivals``, as a float in [0, 1).
             u = (_mix64(_mix64(seed + (arrivals + 1) * _GOLDEN) + _GOLDEN) >> 11) * 2.0**-53
             slot = int(u * (arrivals + 1))
             if slot < size:
@@ -408,8 +379,9 @@ def format_pair(pair: SentencePair) -> str:
     if pair.score is None:
         line = f"{pair.source}\t{pair.target}"
     else:
-        line = f"{pair.source}\t{pair.target}\t{pair.score!r}"
-    # A score's repr holds none of the three.  TABs are looked for in the two
+        # The repr of a float, not of a numpy scalar, reads back by ``float``.
+        line = f"{pair.source}\t{pair.target}\t{float(pair.score)!r}"
+    # A float's repr holds none of the three.  TABs are looked for in the two
     # text fields: counting them in the line costs several times as much.
     if "\n" in line or "\r" in line or "\t" in pair.source or "\t" in pair.target:
         raise SchemaError(f"pair at index {pair.index} holds a TAB, CR or LF in a field")

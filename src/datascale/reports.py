@@ -154,7 +154,12 @@ def load_report(path) -> dict:
 
 
 def _law(cls, block):
-    """``cls(**block)`` for a law block of a loaded report."""
+    """``cls(**block)`` for a law block of a loaded report, each of whose
+    fields must be a number in float range."""
+    if isinstance(block, dict):
+        for field, value in block.items():
+            if not _is_number(value):
+                raise SchemaError(f"law field {field!r} is not a number in float range")
     try:
         return cls(**block)
     except TypeError as exc:
@@ -197,7 +202,15 @@ def law_from_report(report: dict, condition: str | None = None) -> PowerLaw:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int (not a bool) within float range: JSON reads any
+    integer literal as an int, however large."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _numbers(report: dict, field: str, n_rows: int) -> list:

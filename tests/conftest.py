@@ -1,5 +1,6 @@
-"""Shared fixtures: benchmark coefficient families, curve synthesis and the
-grid-search oracle the fitters are checked against."""
+"""Shared fixtures: benchmark coefficient families, curve synthesis, the
+grid-search oracle the fitters are checked against, and the one-draw-at-a-time
+random stream the corpus noise is checked against."""
 
 import itertools
 import math
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import datascale as ds
+from datascale.corpus import _GOLDEN, _MASK64, _mix64
 
 # Benchmark coefficient rows (condition, alpha, c, p): four families of
 # training setups, each family sharing one exponent.  They span the
@@ -59,6 +61,37 @@ def law_size_sweep(seed, n=2000):
         c = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-6.0, 1.0)
         law = ds.PowerLaw(10.0 ** rng.uniform(-3.0, 3.0), c, rng.uniform(1e-3, 2.0))
         yield law, 10.0 ** rng.uniform(-4.0, 6.0)
+
+
+class SplitMix64:
+    """The per-pair random stream of :mod:`datascale.corpus`, one draw at a
+    time: the scalar oracle for ``corpus._streams``, and the generator of
+    the corpus tests' inputs.
+
+    Streams for distinct ``(seed, index)`` keys are derived through the
+    SplitMix64 finalizer, so per-item randomness never depends on how many
+    other items were processed.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: int):
+        self._state = state & _MASK64
+
+    @classmethod
+    def for_item(cls, seed: int, index: int) -> "SplitMix64":
+        return cls(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix64(self._state)
+
+    def next_float(self) -> float:
+        """Uniform in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_below(self, n: int) -> int:
+        return self.next_u64() % n
 
 
 # Brute-force verification oracle: an independent upper bound on the fit

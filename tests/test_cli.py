@@ -35,6 +35,17 @@ def simulate_csv(capsys, tmp_path, name, alpha, c, p, noise="0.0", seed="3", con
     return path
 
 
+def two_condition_csv(capsys, tmp_path):
+    """Simulated curves of the first two filtering conditions, in one file."""
+    rows = []
+    for i, (label, alpha, c, p) in enumerate(FILTERING_BLOCK[:2]):
+        path = simulate_csv(capsys, tmp_path, f"{label}.csv", alpha, c, p, seed=str(i), condition=label)
+        rows += path.read_text(encoding="utf-8").splitlines()[1 if i else 0:]
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return csv_path
+
+
 class TestSimulate:
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a = simulate_csv(capsys, tmp_path, "a.csv", 1.969, 0.057, 0.285, noise="0.02")
@@ -502,12 +513,7 @@ class TestReportCommand:
         ],
     )
     def test_shared_report_with_mistyped_field_exits_2(self, capsys, tmp_path, mistype):
-        rows = []
-        for i, (label, alpha, c, p) in enumerate(FILTERING_BLOCK[:2]):
-            path = simulate_csv(capsys, tmp_path, f"{label}.csv", alpha, c, p, seed=str(i), condition=label)
-            rows += path.read_text(encoding="utf-8").splitlines()[1 if i else 0:]
-        csv_path = tmp_path / "obs.csv"
-        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        csv_path = two_condition_csv(capsys, tmp_path)
         report_path = tmp_path / "shared.json"
         code, _, err = run(capsys, "fit-shared", "--input", str(csv_path), "--seed", "1",
                            "--output", str(report_path))
@@ -518,6 +524,77 @@ class TestReportCommand:
         code, out, err = run(capsys, "report", "--report", str(report_path))
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+
+class TestReportNumbersBeyondFloatRange:
+    """A JSON integer too large for a float is a schema error naming its
+    field, in every report kind; an int within float range still reads."""
+
+    def _report(self, capsys, tmp_path, kind):
+        if kind == "fit_shared":
+            csv_path = two_condition_csv(capsys, tmp_path)
+        else:
+            csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        tail = ["--d-min", "8"] if kind == "fit_tail" else []
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, kind.replace("_", "-"), "--input", str(csv_path), "--seed", "7", *tail,
+                           "--output", str(report_path))
+        assert code == 0, err
+        return report_path, json.loads(report_path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "kind, edit, field",
+        [
+            pytest.param("fit", lambda r: r["law"].update(alpha=10**400), "'alpha'", id="fit-alpha"),
+            pytest.param("fit", lambda r: r["law"].update(c=10**400), "'c'", id="fit-c"),
+            pytest.param("fit", lambda r: r["law"].update(alpha=True), "'alpha'", id="fit-bool-alpha"),
+            pytest.param("fit", lambda r: r["observations"][2].update(d_millions=10**400), "d_millions",
+                         id="fit-d"),
+            pytest.param("fit_shared", lambda r: r["observations"][2].update(d_millions=10**400), "d_millions",
+                         id="fit_shared-d"),
+            pytest.param("fit_shared", lambda r: r["per_condition"]["cds"].update(alpha=10**400), "'alpha'",
+                         id="fit_shared-alpha"),
+            pytest.param("fit_tail", lambda r: r["observations"][2].update(d_millions=10**400), "d_millions",
+                         id="fit_tail-d"),
+        ],
+    )
+    def test_report_exits_2_naming_the_field(self, capsys, tmp_path, kind, edit, field):
+        report_path, report = self._report(capsys, tmp_path, kind)
+        edit(report)
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("field", ["alpha", "c"])
+    def test_analyze_exits_2_naming_the_law_field(self, capsys, tmp_path, field):
+        report_path, report = self._report(capsys, tmp_path, "fit")
+        report["law"][field] = 10**400
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(report_path))
+        assert code == 2
+        assert out == "" and f"'{field}'" in err
+
+    def test_joint_report_with_an_encoder_count_of_10_to_the_20_renders(self, capsys, tmp_path):
+        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
+        table = ds.simulate_joint(params, [(10**8, 10**8), (2 * 10**8, 10**8)], [1, 2, 4, 8], 0.0, seed=1)
+        csv_path = tmp_path / "joint.csv"
+        ds.write_observations(csv_path, table)
+        report_path = tmp_path / "joint.json"
+        code, _, err = run(
+            capsys, "fit-joint", "--input", str(csv_path), "--seed", "2",
+            "--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2", "--output", str(report_path),
+        )
+        assert code == 0, err
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["observations"][0]["n_enc"] = 10**20
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(report_path))
+        assert code == 0, err
+        row = out.splitlines()[1].split(",")
+        assert row[1] == str(10**20)
+        expected = ds.eval_joint_law(ds.JointLawParams(**report["law"]), 10**20, 10**8, 1.0)
+        assert float(row[5]) == expected
 
 
 class TestMc:
@@ -598,6 +675,32 @@ class TestFitJointCommand:
         assert abs(report["law"]["alpha"] - 1.5) < 1e-4
         assert abs(report["law"]["p"] - 0.3) < 1e-4
         assert len(report["holdout_residuals"]) == 6
+
+
+    def test_simulate_with_an_encoder_of_2_to_the_64_or_more(self, capsys, tmp_path):
+        csv_path = tmp_path / "joint.csv"
+        code, _, err = run(
+            capsys, "simulate", "--joint", "--alpha", "1.5", "--p", "0.3", "--beta", "2.0",
+            "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2", "--d-grid", "1,2,4,8", "--seed", "1",
+            "--shapes", f"{10**20}x10", "--output", str(csv_path),
+        )
+        assert code == 0, err
+        rows = csv_path.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 5 and all(row.endswith(f",{10**20},10") for row in rows[1:])
+
+    def test_fit_joint_on_an_encoder_count_of_1e20(self, capsys, tmp_path):
+        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
+        table = ds.simulate_joint(params, [(10**8, 10**8), (2 * 10**8, 10**8)], [1, 2, 4, 8], 0.0, seed=1)
+        csv_path = tmp_path / "joint.csv"
+        ds.write_observations(csv_path, table)
+        text = csv_path.read_text(encoding="utf-8")
+        csv_path.write_text(text.replace(",200000000,100000000\n", ",1e20,100000000\n"), encoding="utf-8")
+        code, out, err = run(
+            capsys, "fit-joint", "--input", str(csv_path), "--seed", "2",
+            "--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2",
+        )
+        assert code == 0, err
+        assert [obs["n_enc"] for obs in json.loads(out)["observations"]] == [10**8] * 4 + [10**20] * 4
 
 
 class TestParserReuse:

@@ -3,15 +3,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import datascale as ds
 from datascale import corpus
-from datascale.corpus import (
-    REPLACEMENT_ALPHABET,
-    SplitMix64,
-    format_pair,
-)
+from datascale.corpus import REPLACEMENT_ALPHABET, format_pair
+
+from conftest import SplitMix64
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
 
@@ -256,6 +255,12 @@ class TestPairFiles:
         path = tmp_path / "corpus.tsv"
         ds.write_pairs(path, pairs)
         assert list(ds.read_pairs(path)) == pairs
+
+    @pytest.mark.parametrize("score", [np.float64(0.5), np.float64(1 / 3), np.float32(0.1), np.float32(-2.5e-8)])
+    def test_numpy_scores_read_back_as_their_float(self, tmp_path, score):
+        path = tmp_path / "corpus.tsv"
+        ds.write_pairs(path, [ds.SentencePair("a", "b", score)])
+        assert list(ds.read_pairs(path)) == [("a", "b", float(score), 0)]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "corpus.tsv"

@@ -35,10 +35,9 @@ import pytest
 
 import datascale as ds
 from datascale.cli import main
-from datascale.corpus import SplitMix64
 from datascale.observations import format_observations
 
-from conftest import DOUBLING_GRID, NOISE_BLOCK
+from conftest import DOUBLING_GRID, NOISE_BLOCK, SplitMix64
 
 JOINT_FIXED = ["--beta", "2.0", "--p-e", "0.3", "--p-d", "0.25", "--l-inf", "0.01"]
 SHAPES = [(10**8, 5 * 10**7), (2 * 10**8, 10**8), (4 * 10**8, 2 * 10**8)]
