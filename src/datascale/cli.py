@@ -86,21 +86,20 @@ def _fit_config(args, seed: int) -> FitConfig:
         loss_space=args.loss_space,
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
-        n_restarts=getattr(args, "n_restarts", FitConfig.n_restarts),  # fit-tail's option alone
         seed=seed,
     )
 
 
 def _add_fit_options(
-    parser: argparse.ArgumentParser, seed_help: str = "seed of fit-tail's restarts (power laws draw none)"
+    parser: argparse.ArgumentParser, seed_help: str = "recorded in the report; no fit draws random numbers"
 ) -> None:
     parser.add_argument("--input", required=True, help="observation CSV")
     parser.add_argument("--seed", type=int, required=True, help=seed_help)
     parser.add_argument("--loss-space", choices=("log", "linear"), default="log")
     parser.add_argument("--max-iters", type=int, default=2000,
-                        help="refinement steps per search (fit-tail: iterations per restart)")
+                        help="steps per search before it stops unconverged")
     parser.add_argument("--rel-tol", type=float, default=1e-10,
-                        help="relative bracket width that closes a search (fit-tail: objective decrease)")
+                        help="relative bracket width that closes a search")
     parser.add_argument(
         "--raw-counts",
         action="store_true",
@@ -348,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-tail", help="fit the large-data tail law gamma*(1/d)^q + b")
     _add_fit_options(p)
     p.add_argument("--d-min", type=float, required=True, help="smallest size (millions) to include")
-    p.add_argument("--n-restarts", type=int, default=FitConfig.n_restarts,
-                   help="starting points, at least 1: the data-driven seed, then perturbations of it")
     p.add_argument("--condition", help="condition to fit when the file holds several")
     p.set_defaults(handler="cmd_fit_tail")
 
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-frac", type=float, default=0.02)
     p.add_argument("--n-reps", type=int, default=1000)
     p.add_argument("--condition")
-    p.add_argument("--fit-seed", type=int, default=0, help="--seed of each replicate's fit (power laws draw none)")
+    p.add_argument("--fit-seed", type=int, default=0, help="--seed of each replicate's fit (no fit draws random numbers)")
     p.set_defaults(handler="cmd_mc")
 
     p = sub.add_parser("simulate", help="generate synthetic observations from a law")

@@ -16,9 +16,9 @@ for :func:`fit_joint` (``c = beta * g**(1/p)``).  :func:`fit_shared` and
 linear :func:`fit_single` search ``p`` by Brent's method around a batched
 search over each group's ``ln c`` (:func:`_shared_exponent`).  ``c`` lies in
 ``[1e-12, 1e12]`` or is 0 (below 1e-12 it is reported as 0) and ``p`` in
-``[1e-12, 2]``.  The searches draw no random numbers and use elementwise
-operations and last-axis sums only: a BLAS matmul can make a row's bits
-depend on how many rows share the call.
+``[1e-12, 2]``.  No fit draws random numbers, and these searches use
+elementwise operations and last-axis sums only: a BLAS matmul can make a
+row's bits depend on how many rows share the call.
 
 Log :func:`fit_single` is one row of the batched search of
 :func:`_log_fits`, which Monte Carlo runs on all its replicates.  A row of
@@ -30,14 +30,15 @@ refined cell with the ``c = 0`` endpoint on its own (:func:`_minimize`,
 replicates: one unblocked table of 200 replicates on 402 cells would take
 tens of MB.
 
-:func:`fit_tail` runs a damped Gauss-Newton loop with adaptive
-(Marquardt-style) damping from a data-driven seed plus log-normally perturbed
-restarts (:func:`_restart_points`); the lowest objective wins, ties going to
-the earliest restart.  The golden digests pin its results bit for bit, so its
-operations keep their operands, their order and the library that computes
-them: numpy's array ``exp`` and ``**``, the BLAS matmuls ``J.T @ r``,
-``J.T @ J`` and ``r @ r`` on a C-contiguous ``(n, k)`` Jacobian, and
-``np.linalg.solve``.
+:func:`fit_tail` searches ``G * x + b`` with ``x = (d/d0)**-q`` in ``(0, 1]``,
+``d0`` the smallest size, ``G, b >= 0`` and ``ln q`` in ``[-12, 8]``, cut
+where ``q * |ln d0|`` reaches 300 so that ``gamma = G * d0**q`` stays finite.
+For each ``q``, linear space has ``(G, b)`` in closed form
+(:func:`_tail_linear`; Lawson & Hanson, 1974), and log space writes the law
+as ``G * (x + rho)``, whose best ``ln G`` is a mean, and searches ``ln rho``
+(:func:`_tail_log`).  Three points are interpolated where the law can
+(:func:`_tail_interpolation`).  ``converged`` means every bracket closed
+within ``max_iters`` steps, and ``n_iters`` counts the steps over ``q``.
 """
 
 from __future__ import annotations
@@ -48,30 +49,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    ZERO_CAPACITY,
-    Observation,
-    LinearFit,
-    PowerLaw,
-    TailLaw,
-    JointLawParams,
-    count_term,
-    eval_joint_law,
-    eval_law,
-    eval_tail_law,
-)
-from .errors import (
-    DomainError,
-    DuplicateAbscissaError,
-    InsufficientDataError,
-    RankError,
-    SchemaError,
-)
+from .core import (ZERO_CAPACITY, JointLawParams, LinearFit, Observation, PowerLaw, TailLaw, count_term,
+                   eval_joint_law, eval_law, eval_tail_law)
+from .errors import DomainError, DuplicateAbscissaError, InsufficientDataError, RankError, SchemaError
 
 LOSS_SPACES = ("log", "linear")
-
-# Internal-parameter box keeping the tail fit's exp maps numerically safe.
-_LOG_BOX = 300.0
 
 # Search grids: ln c over [1e-12, 1e12] and c = 0 below; p over [1e-12, 2], denser near 0.
 _P_MIN = 1e-12
@@ -86,6 +68,10 @@ _BLOCK = 16  # rows of one batched single-curve search: a few hundred kB of temp
 _COARSE = 0.01
 _SLOPE = 4.0
 _WARM = 4.0
+# Tail searches: ln q cells over [-12, 8] (cut where q * |ln d0| reaches
+# 300), and ln rho over [-30, 30] and rho = 0 below.
+_LN_Q_CELLS = 41
+_LN_RHO = np.concatenate([[-np.inf], np.linspace(-30.0, 30.0, 61)])
 
 
 @dataclass(frozen=True)
@@ -95,25 +81,19 @@ class FitConfig:
     Args:
         loss_space: ``"log"`` (default) fits squared differences of log
             losses; ``"linear"`` fits plain squared differences.
-        max_iters: Cap on the refinement steps of each power-law search, and
-            on the iterations of each ``fit_tail`` restart.
-        rel_tol: Power laws: a bracket closes once narrower than about
-            ``max(rel_tol, 1e-15) * (1 + |x|)``, near float resolution at
-            the least (``rel_tol**(2/3)`` for the ``ln c`` searches that only
-            steer the search over a shared ``p``).  ``fit_tail``: relative
-            objective decrease between accepted steps that ends the fit as
-            converged.
-        n_restarts: ``fit_tail``'s initializations, at least 1 (the first
-            is the data-driven seed, the rest log-normal perturbations of
-            it); the power-law fits refine only their best grid cell.
-        seed: Seed of ``fit_tail``'s perturbations, which fixes its result
-            exactly; the power-law fits draw no random numbers.
+        max_iters: Cap on the steps of each search (bracket refinements,
+            Brent or bisection steps).
+        rel_tol: A bracket closes once narrower than about ``max(rel_tol,
+            1e-15) * (1 + |x|)``, near float resolution at the least
+            (``rel_tol**(2/3)`` for the inner searches that only steer an
+            outer one: ``ln c`` under a shared ``p``, ``ln rho`` under the
+            tail's ``q``).
+        seed: Recorded in reports; no fit draws random numbers.
     """
 
     loss_space: str = "log"
     max_iters: int = 2000
     rel_tol: float = 1e-10
-    n_restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -123,8 +103,6 @@ class FitConfig:
             raise DomainError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.n_restarts < 0:
-            raise DomainError("n_restarts must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -502,91 +480,6 @@ def _shared_exponent(arrays, cfg: FitConfig):
 
 
 # ---------------------------------------------------------------------------
-# Damped Gauss-Newton engine (tail law)
-# ---------------------------------------------------------------------------
-
-
-def _clamped_exp(v: float) -> float:
-    return math.exp(min(max(v, -_LOG_BOX), _LOG_BOX))
-
-
-def _gauss_newton(model, residual, jacobian, theta0, max_iters, rel_tol):
-    """Minimize ``sum(residual(model(theta))**2)`` from ``theta0``, given
-    ``jacobian(theta, m)``, the Jacobian of the model in the residual's loss
-    space at ``theta`` where ``m = model(theta)``.
-
-    The residual's Jacobian is the negated model Jacobian ``J``, so the step
-    solves ``(J.T @ J + lam * D) step = J.T @ r``.  Returns ``(theta,
-    objective, converged, n_iters)``.  Convergence means either an accepted
-    step decreased the objective by a relative amount at most ``rel_tol``,
-    the gradient vanished, or no damping level could find a downhill step
-    (numerical stationarity).  Exhausting ``max_iters`` leaves ``converged``
-    False.
-    """
-    theta = np.array(theta0, dtype=float)
-    m = model(theta)
-    r = residual(m)
-    f = float(r @ r)
-    if not math.isfinite(f):
-        return theta, f, False, 0
-    lam = 1e-3
-    converged = False
-    n_iters = 0
-    for n_iters in range(1, max_iters + 1):
-        J = jacobian(theta, m)
-        g = J.T @ r
-        g_tol = 1e-14 * max(1.0, f)
-        if all(abs(v) <= g_tol for v in g.tolist()):  # False when g holds a NaN
-            converged = True
-            break
-        A = J.T @ J
-        damping = np.diag(np.maximum(A.diagonal(), 1e-12))
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(A + lam * damping, g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            theta_new = theta + step
-            m_new = model(theta_new)
-            r_new = residual(m_new)
-            f_new = float(r_new @ r_new)
-            if math.isfinite(f_new) and f_new <= f:
-                rel_dec = (f - f_new) / max(f, 1e-300)
-                theta, m, r, f = theta_new, m_new, r_new, f_new
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if rel_dec <= rel_tol:
-                    converged = True
-                break
-            lam *= 10.0
-            if lam > 1e15:
-                break
-        if not accepted:
-            converged = True  # no downhill step at any damping: numerically stationary
-        if converged:
-            break
-    return theta, f, converged, n_iters
-
-
-def _restart_points(base, lower, upper, cfg: FitConfig) -> np.ndarray:
-    """Initial points of the ``max(1, n_restarts)`` restarts, one per row.
-
-    Row 0 is ``base``; each later row multiplies ``base`` by log-normal
-    factors (one ``normal(0, 0.5)`` draw per entry from a generator seeded
-    by ``cfg.seed``).  Every row is clipped to ``[lower, upper]``; the
-    data-driven seeds already lie in those boxes, so row 0 stays ``base``.
-    """
-    base = np.asarray(base, dtype=float)
-    rng = np.random.default_rng(cfg.seed)
-    points = [base]
-    for _ in range(1, max(1, cfg.n_restarts)):
-        points.append(base * np.exp(rng.normal(0.0, 0.5, size=len(base))))
-    return np.clip(points, lower, upper)
-
-
-# ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
 
@@ -629,16 +522,6 @@ def _single_group_arrays(obs: list[Observation], loss_space: str) -> tuple[np.nd
     if len(set(d.tolist())) != len(d):
         raise DuplicateAbscissaError("observations share a dataset size")
     return d, y
-
-
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Least-squares ``(slope, intercept)`` of ``y`` on ``x``; None when all
-    ``x`` are equal."""
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0:
-        return None
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    return slope, float(y.mean() - slope * x.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -808,66 +691,175 @@ def fit_joint(
 def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit ``gamma * (1/d)**q + b`` to observations with ``d >= d_min``.
 
+    The search is over ``G * (d/d0)**-q + b`` (see the module docstring).
+    A constant fit, ``G = 0``, is reported as ``q = 1`` and ``gamma = b *
+    2**-64 * d0``, whose term lies below the rounding of ``b`` at every
+    fitted size.
+
     Raises:
         InsufficientDataError: Fewer than 3 qualifying observations.
-        DomainError: In log space, the fitted law underflows to 0 at a size,
-            as it can for losses near the bottom of the float range.
+        DomainError: ``gamma`` leaves the float range, or in log space the
+            fitted law underflows to 0 at a size, as they can for losses near
+            the edge of the float range.
     """
     subset = [o for o in obs if o.d_millions >= d_min]
     if len(subset) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 observations with d >= {d_min}, got {len(subset)}"
-        )
+        raise InsufficientDataError(f"need at least 3 observations with d >= {d_min}, got {len(subset)}")
     d, y = _arrays(subset, cfg.loss_space)
-    log_space = cfg.loss_space == "log"
-    ln_d, ln_y = np.log(d), np.log(y)
-
-    def residual(m):
-        return ln_y - np.log(m) if log_space else y - m
-
-    def unpack(theta):
-        return tuple(map(_clamped_exp, theta.tolist()))
-
-    def model(theta):
-        gamma, q, b = unpack(theta)
-        return gamma * d**-q + b
-
-    def jacobian(theta, m):
-        gamma, q, b = unpack(theta)
-        decay = gamma * d**-q
-        J = np.empty((len(d), 3))
-        J[:, 0] = decay
-        J[:, 1] = -decay * ln_d * q
-        J[:, 2] = b
-        if log_space:
-            J /= m[:, None]
-        return J
-
-    # Seed by OLS of loss on 1/d (exact for q = 1), clipped into the
-    # (gamma, q, b) box that the perturbed restarts are clipped to as well.
-    inv_d = 1.0 / d
-    slope, intercept = _ols(inv_d, y) or (1.0, float(y.mean() - inv_d.mean()))
-    lower, upper = (1e-8, 1e-3, ZERO_CAPACITY), (1e8, 10.0, 1e8)
-    seed = np.clip([slope, 1.0, intercept], lower, upper)
-    seeds = [np.log(point) for point in _restart_points(seed, lower, upper, cfg)]
-
-    best = None  # lowest objective, ties to the earliest; overflows rejected silently
-    with np.errstate(over="ignore"):
-        for theta0 in seeds:
-            result = _gauss_newton(model, residual, jacobian, theta0, cfg.max_iters, cfg.rel_tol)
-            if best is None or result[1] < best[1]:
-                best = result
-    theta, _, converged, n_iters = best
-    gamma, q, b = unpack(theta)
-    law = TailLaw(gamma=gamma, q=q, b=0.0 if b < ZERO_CAPACITY else b)
-    m = eval_tail_law(law, d)
-    if log_space and not m.all():
+    d0 = float(d.min())
+    grid = np.linspace(-12.0, 8.0 if d0 == 1.0 else min(8.0, math.log(300.0 / abs(math.log(d0)))), _LN_Q_CELLS)
+    with np.errstate(all="ignore"):
+        fit = _tail_interpolation(d, y, grid, cfg) if len(d) == 3 else None
+        if fit is None:
+            search = _tail_log if cfg.loss_space == "log" else _tail_linear
+            g, q, b, converged, n_iters = search(np.log(d / d0), y, grid, cfg)
+            fit = ((g * d0**q, q, b) if g > 0 else (b * 2.0**-64 * d0, 1.0, b)), converged, n_iters
+        (gamma, q, b), converged, n_iters = fit
+        m = gamma * d**-q + b
+    if not (0.0 < gamma < math.inf and (cfg.loss_space == "linear" or m.all())):
         raise DomainError(
-            f"the fitted tail law underflows to 0 at d = {d[m == 0].min():g}: the losses lie too "
-            "close to the bottom of the float range; rescale them"
+            "the fitted tail law leaves the float range: its gamma or, in log space, its value at a size "
+            "overflows or underflows to 0; rescale the losses"
         )
-    r = _residuals(m, y, cfg.loss_space)
-    return FitResult(law, float(r @ r), r.tolist(), converged, n_iters)
+    law = TailLaw(gamma=gamma, q=q, b=b)
+    r = _residuals(eval_tail_law(law, d), y, cfg.loss_space)
+    return FitResult(law, float((r * r).sum()), r.tolist(), converged, n_iters)
+
+
+def _tail_linear(t, y, grid, cfg: FitConfig):
+    """Linear-space tail fit at offsets ``t = ln(d/d0)``, a search over the
+    ``ln q`` of ``grid`` (:func:`_minimize`): ``(G, q, b, converged, steps)``.
+    For each ``q`` the best ``(G, b) >= 0`` is the unconstrained line, or else
+    the better of the faces ``b = 0`` and ``G = 0``, each scored by its
+    residuals."""
+
+    def best(ln_q):
+        x = np.exp(-np.exp(ln_q)[:, None] * t)
+        xc = x - x.mean(-1, keepdims=True)
+        slope = (xc * (y - y.mean())).sum(-1) / (xc * xc).sum(-1)
+        zero = np.zeros(len(x))
+        g = np.stack([slope, (x * y).sum(-1) / (x * x).sum(-1), zero])
+        b = np.stack([y.mean() - slope * x.mean(-1), zero, zero + y.mean()])
+        objective = _squares(y - g[..., None] * x - b[..., None])
+        objective[0, (slope < 0) | (b[0] < 0)] = np.inf
+        at = (objective.argmin(0), np.arange(len(x)))
+        return g[at], b[at], objective[at]
+
+    (ln_q,), _, (closed,), (steps,) = _minimize(best(grid)[2][None], grid, lambda _, v: best(v[0])[2][None], cfg)
+    (g,), (b,), _ = best(np.array([ln_q]))
+    return float(g), math.exp(ln_q), float(b), bool(closed), int(steps)
+
+
+def _tail_log(t, y, grid, cfg: FitConfig):
+    """Log-space tail fit at offsets ``t = ln(d/d0)`` of ``G * (x + rho)``:
+    ``(G, q, b, converged, steps)``.  The grid stage refines each ``ln q``
+    row's best ``ln rho`` cell to ``_COARSE`` and compares it with ``rho =
+    0``, a power law in ``d``; Brent's method then refines the best ``ln q``
+    cell, each evaluation running Brent's method over ``ln rho`` to
+    ``rel_tol**(2/3)`` (``rel_tol`` at the end) from where a line through the
+    optima at the two nearest ``ln q`` searched puts it, or over the whole
+    range if the optimum reaches an edge.  The constant law (``q -> 0`` or
+    ``rho -> inf``) is the last candidate."""
+    ln_y = np.log(y)
+    x = np.exp(-np.exp(grid)[:, None] * t)
+
+    def on_rows(rows, ln_rho):
+        z = ln_y - np.log(x[rows, None] + np.exp(ln_rho)[..., None])
+        return _squares(z - z.mean(-1, keepdims=True))
+
+    start, values, closed, _ = _minimize(on_rows(slice(None), np.tile(_LN_RHO, (len(grid), 1))), _LN_RHO, on_rows,
+                                         replace(cfg, rel_tol=_COARSE))
+    a, ln_q, b = (float(v[0, 0]) for v in _brackets(values[None], grid))
+    # Brent's evaluations take plain floats, cheaper than numpy calls on a few points.
+    ts, ln_ys, closed = t.tolist(), ln_y.tolist(), bool(closed.all())
+    # each ln q searched: its ln rho, rho = 0 followed from the grid's low end
+    optima = {v: max(c, _LN_RHO[1]) for v, c in zip(grid.tolist(), start.tolist()) if a <= v <= b}
+
+    def squares(z):
+        mean = sum(z) / len(z)
+        return sum((v - mean) * (v - mean) for v in z)
+
+    def profile(ln_q, cfg):
+        """At ``ln q``: the least objective with ``rho > 0``, its ``ln rho``, and the objective at ``rho = 0``."""
+        nonlocal closed
+        q = math.exp(ln_q)
+        xs = [math.exp(-q * v) for v in ts]
+        q1, q2 = sorted(optima, key=lambda v: abs(v - ln_q))[:2]
+        c1, c2 = optima[q1], optima[q2]
+        start = min(max(c1 + (ln_q - q1) * (c1 - c2) / (q1 - q2), _LN_RHO[1]), _LN_RHO[-1])
+        width = _COARSE * (1.0 + abs(c1)) + abs(start - c1) + abs(ln_q - q1)
+        lo, hi = max(start - width, _LN_RHO[1]), min(start + width, _LN_RHO[-1])
+
+        def f(ln_rho):
+            return squares([u - math.log(w + math.exp(ln_rho)) for u, w in zip(ln_ys, xs)])
+
+        ln_rho, fx, ok, _ = _brent(f, lo, start, hi, cfg)
+        if min(ln_rho - lo, hi - ln_rho) < 0.1 * width:  # the optimum may lie beyond the bracket
+            ln_rho, fx, ok, _ = _brent(f, _LN_RHO[1], ln_rho, _LN_RHO[-1], cfg)
+        closed = closed and ok
+        optima[ln_q] = ln_rho
+        return fx, ln_rho, squares([u + q * v for u, v in zip(ln_ys, ts)])
+
+    inner = replace(cfg, rel_tol=cfg.rel_tol ** (2 / 3))
+    ln_q, _, q_closed, steps = _brent(lambda v: min(profile(v, inner)[::2]), a, ln_q, b, cfg)
+    fx, ln_rho, f0 = profile(ln_q, cfg)
+    q, ln_rho = math.exp(ln_q), -math.inf if f0 <= fx else ln_rho
+    if _squares(ln_y - ln_y.mean()) <= min(fx, f0):  # the constant law
+        return 0.0, q, math.exp(ln_y.mean()), closed and q_closed, steps
+    g = math.exp((ln_y - np.logaddexp(-q * t, ln_rho)).mean())
+    return g, q, g * math.exp(ln_rho), closed and q_closed, steps
+
+
+def _tail_interpolation(d, y, grid, cfg: FitConfig):
+    """The tail law through three points, ``((gamma, q, b), converged,
+    steps)``, or None where none with ``G > 0``, ``b >= 0`` and ``ln q`` on
+    ``grid``'s range does.  Over the points sorted by size, ``q`` solves ``(1
+    - x1) / (1 - x2) = (y0 - y1) / (y0 - y2)`` by bisection in ``ln q``, and
+    ``G`` and ``b`` follow; 8 Newton steps on ``(ln gamma, q, b)`` in the form
+    ``y - m``, then 8 in ``ln y - ln m``, polish it to the least objective."""
+    order = np.argsort(d)
+    (d0, d1, d2), (y0, y1, y2) = d[order].tolist(), y[order].tolist()
+    if not (d0 < d1 < d2 and y0 > max(y1, y2)):
+        return None
+    t1, t2, ratio = math.log(d1 / d0), math.log(d2 / d0), (y0 - y1) / (y0 - y2)
+
+    def excess(ln_q):
+        return math.expm1(-math.exp(ln_q) * t1) / math.expm1(-math.exp(ln_q) * t2) - ratio
+
+    def objective(gamma, q, b):
+        valid = gamma > 0 and q > 0 and b >= 0
+        return _squares(_residuals(gamma * d**-q + b, y, cfg.loss_space)) if valid else np.inf
+
+    lo, hi = grid[[0, -1]].tolist()
+    if not excess(lo) < 0.0 < excess(hi):
+        return None
+    for steps in range(cfg.max_iters + 1):
+        ln_q = 0.5 * (lo + hi)
+        closed = hi - lo <= max(cfg.rel_tol, 1e-15) * (1.0 + abs(ln_q))
+        if closed or steps == cfg.max_iters:
+            break
+        lo, hi = (ln_q, hi) if excess(ln_q) < 0.0 else (lo, ln_q)
+    q = math.exp(ln_q)
+    g = (y1 - y0) / math.expm1(-q * t1)
+    if g > y0:
+        return None
+    theta = (g * d0**q, q, y0 - g)
+    f_best = objective(*theta)
+    for space in ("linear", "log"):
+        gamma, q, b = theta
+        for _ in range(8):
+            decay = d**-q
+            m = gamma * decay + b
+            J = np.stack([gamma * decay, -gamma * np.log(d) * decay, np.ones(3)], 1)
+            try:
+                step = np.linalg.solve(J / m[:, None] if space == "log" else J, _residuals(m, y, space)).tolist()
+            except np.linalg.LinAlgError:
+                break
+            gamma, q, b = gamma * float(np.exp(step[0])), q + step[1], b + step[2]
+            f = objective(gamma, q, b)
+            if f < f_best:
+                theta, f_best = (gamma, q, b), f
+    return theta, closed, steps
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +881,11 @@ def fit_linear(x, y) -> LinearFit:
         raise SchemaError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise InsufficientDataError("need at least 2 points")
-    line = _ols(x, y)
-    if line is None:
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    if sxx == 0:
         raise RankError("all x values are identical")
-    slope, intercept = line
+    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
     ss_res = float(np.sum((y - slope * x - intercept) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0:

@@ -168,12 +168,14 @@ def _law(cls, block):
 
 def shared_conditions(report: dict) -> dict:
     """The ``per_condition`` block of a ``fit_shared`` report, checked to map
-    each condition to a record."""
+    at least one condition to a record."""
     per_condition = report["per_condition"]
     if not isinstance(per_condition, dict) or not all(
         isinstance(entry, dict) for entry in per_condition.values()
     ):
         raise SchemaError("report field 'per_condition' is not an object of condition records")
+    if not per_condition:
+        raise SchemaError("report field 'per_condition' holds no condition")
     return per_condition
 
 

@@ -120,14 +120,14 @@ class TestMcUncertainty:
     def test_vanishing_noise_pins_the_exponent(self):
         summary = ds.mc_uncertainty(
             self._observations(),
-            ds.FitConfig(seed=1, n_restarts=2),
+            ds.FitConfig(seed=1),
             ds.McConfig(noise_frac=1e-9, n_reps=20, seed=5),
         )
         assert summary.std_p < 1e-5
         assert summary.mean_p == pytest.approx(self.BASE_LAW.p, abs=1e-6)
 
     def test_bit_reproducible(self):
-        cfg_fit = ds.FitConfig(seed=1, n_restarts=2)
+        cfg_fit = ds.FitConfig(seed=1)
         cfg_mc = ds.McConfig(noise_frac=0.02, n_reps=25, seed=9)
         first = ds.mc_uncertainty(self._observations(), cfg_fit, cfg_mc)
         second = ds.mc_uncertainty(self._observations(), cfg_fit, cfg_mc)
@@ -137,7 +137,7 @@ class TestMcUncertainty:
         # independent reimplementation of the replicate loop: same streams,
         # same refits, same summary
         obs = self._observations()
-        cfg_fit = ds.FitConfig(seed=1, n_restarts=2)
+        cfg_fit = ds.FitConfig(seed=1)
         cfg_mc = ds.McConfig(noise_frac=0.02, n_reps=6, seed=33)
         summary = ds.mc_uncertainty(obs, cfg_fit, cfg_mc)
         ps = []
@@ -156,7 +156,7 @@ class TestMcUncertainty:
 
     def test_mean_stable_when_doubling_replicates(self):
         obs = self._observations()
-        cfg_fit = ds.FitConfig(seed=1, n_restarts=2)
+        cfg_fit = ds.FitConfig(seed=1)
         small = ds.mc_uncertainty(obs, cfg_fit, ds.McConfig(noise_frac=0.02, n_reps=80, seed=2))
         large = ds.mc_uncertainty(obs, cfg_fit, ds.McConfig(noise_frac=0.02, n_reps=160, seed=2))
         bound = 3.0 * large.std_p / np.sqrt(small.n_converged)
@@ -165,7 +165,7 @@ class TestMcUncertainty:
     def test_quantiles_are_ordered(self):
         summary = ds.mc_uncertainty(
             self._observations(),
-            ds.FitConfig(seed=1, n_restarts=2),
+            ds.FitConfig(seed=1),
             ds.McConfig(noise_frac=0.02, n_reps=40, seed=4),
         )
         q05, q50, q95 = summary.quantiles
@@ -176,9 +176,7 @@ class TestMcUncertainty:
         # Each replicate of the batch gets the p, convergence and steps that
         # fit_single gives it alone: across blocks, iteration caps that stop
         # some rows early, a coarse tolerance, a curve without and one deep in
-        # saturation, and noise that goes through the redraw loop.  Every row
-        # refines one bracket, so n_restarts, which only fit_tail reads, is
-        # left at its default.
+        # saturation, and noise that goes through the redraw loop.
         grid = np.array([1.0, 3.0, 7.0, 20.0, 50.0, 120.0, 300.0])
         curves = (ds.PowerLaw(1.9, 1e-6, 0.6), ds.PowerLaw(3.0, 50.0, 0.2), self.BASE_LAW)
         configs = [ds.FitConfig(), ds.FitConfig(max_iters=3), ds.FitConfig(rel_tol=1e-3), ds.FitConfig(max_iters=1)]

@@ -5,10 +5,12 @@ import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 import datascale as ds
 from datascale.cli import main
+from datascale.core import eval_tail_law
 
 from conftest import FILTERING_BLOCK
 
@@ -387,6 +389,18 @@ class TestAnalyze:
         assert code == 2
         assert out == "" and "'per_condition'" in err
 
+    @pytest.mark.parametrize("p", ["x", 5.0])
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_shared_report_without_conditions_exits_2_naming_the_field(self, capsys, tmp_path, command, p):
+        report_path = self._shared_report(capsys, tmp_path)
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report.update(per_condition={}, p=p)
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        argv = [command, str(report_path)] if command == "analyze" else [command, "--report", str(report_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err == "error: report field 'per_condition' holds no condition\n"
+
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == 2
@@ -747,38 +761,90 @@ class TestFitTailCommand:
         assert report["kind"] == "fit_tail"
         assert 0.8 <= report["law"]["q"] <= 1.05
 
-    # a flat curve near 1e-319: the log fit ends at gamma = e**-300, q near
-    # 4e29 and b below the reporting floor, a law that is 0 beyond d = 1
+    def test_seed_does_not_change_the_fit(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        reports = []
+        for seed in ("4", "5"):
+            code, out, _ = run(capsys, "fit-tail", "--input", str(csv_path), "--seed", seed, "--d-min", "8")
+            assert code == 0
+            reports.append(json.loads(out))
+        for key in ("law", "objective", "residuals", "converged", "n_iters"):
+            assert reports[0][key] == reports[1][key]
+
+    def test_iteration_cap_writes_the_report_and_exits_3(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        out = tmp_path / "tail.json"
+        code, _, _ = run(capsys, "fit-tail", "--input", str(csv_path), "--seed", "4", "--d-min", "8",
+                         "--max-iters", "1", "--output", str(out))
+        assert code == 3
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["converged"] is False and report["n_iters"] == 1
+
+    def test_rising_losses_fit_the_constant_law(self, capsys, tmp_path):
+        # no decreasing law beats the constant: it is reported as a valid law
+        # whose values are the constant at every size, and renders as a table
+        path, out = tmp_path / "rising.csv", tmp_path / "tail.json"
+        losses = (1.01, 1.02, 1.04, 1.08)
+        path.write_text("condition,d_millions,loss\n" + "".join(f"a,{2**i},{y!r}\n" for i, y in enumerate(losses)),
+                        encoding="utf-8")
+        code, _, _ = run(capsys, "fit-tail", "--input", str(path), "--seed", "1", "--d-min", "1",
+                         "--output", str(out))
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        law = ds.TailLaw(**report["law"])
+        assert eval_tail_law(law, np.array([1.0, 2.0, 4.0, 8.0])).tolist() == [law.b] * 4
+        ln_y = np.log(losses)
+        assert report["objective"] == pytest.approx(float(((ln_y - ln_y.mean()) ** 2).sum()), rel=1e-12)
+        code, table, _ = run(capsys, "report", "--report", str(out))
+        assert code == 0
+        assert [float(row.split(",")[2]) for row in table.splitlines()[1:]] == [law.b] * 4
+
+    # a flat curve near 1e-319: the constant law that fits it best needs a
+    # gamma below the float range
     TINY = ((1, 1.0105e-319), (2, 1.0112e-319), (4, 1.012e-319), (8, 1.0127e-319),
             (16, 1.0131e-319), (32, 1.01353e-319))
+    # a power law falling by 2**-130 per doubling from d = 10: its gamma * d**-q
+    # underflows to 0 at d = 320 although the points lie on it
+    STEEP = tuple((10 * 2**i, 1e-5 * 2.0 ** (-130 * i)) for i in range(6))
 
-    def test_losses_at_the_bottom_of_the_float_range_exit_2_naming_the_underflow(self, capsys, tmp_path):
+    @pytest.mark.parametrize("space", ["log", "linear"])
+    def test_losses_at_the_bottom_of_the_float_range_exit_2_naming_the_underflow(self, capsys, tmp_path, space):
         path, out = tmp_path / "tiny.csv", tmp_path / "tail.json"
         path.write_text("condition,d_millions,loss\n" + "".join(f"a,{d},{y!r}\n" for d, y in self.TINY),
                         encoding="utf-8")
-        argv = ("fit-tail", "--input", str(path), "--seed", "1", "--d-min", "1", "--output", str(out))
+        argv = ("fit-tail", "--input", str(path), "--seed", "1", "--d-min", "1", "--loss-space", space,
+                "--output", str(out))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run(capsys, *argv)
         assert code == 2
-        assert err == "error: the fitted tail law underflows to 0 at d = 2: the losses lie too close " \
-            "to the bottom of the float range; rescale them\n"
+        assert err == "error: the fitted tail law leaves the float range: its gamma or, in log space, its value at a size " \
+            "overflows or underflows to 0; rescale the losses\n"
         assert not out.exists()
+
+    def test_a_law_that_underflows_at_a_size_exits_2_naming_it(self, capsys, tmp_path):
+        path, out = tmp_path / "steep.csv", tmp_path / "tail.json"
+        path.write_text("condition,d_millions,loss\n" + "".join(f"a,{d},{y!r}\n" for d, y in self.STEEP),
+                        encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, _ = run(capsys, *argv, "--loss-space", "linear")
-        assert code == 0
-        assert math.isfinite(json.loads(out.read_text(encoding="utf-8"))["objective"])
+            code, _, err = run(capsys, "fit-tail", "--input", str(path), "--seed", "1", "--d-min", "10",
+                               "--output", str(out))
+        assert code == 2
+        assert err == "error: the fitted tail law leaves the float range: its gamma or, in log space, its value at a size " \
+            "overflows or underflows to 0; rescale the losses\n"
+        assert not out.exists()
 
 
-class TestRestartsAreFitTailsOption:
-    """Only ``fit-tail`` takes ``--n-restarts``: the power-law searches refine
-    their best grid cell alone, so the other fit commands reject it."""
+class TestNoFitTakesRestarts:
+    """No fit takes ``--n-restarts``: the searches refine their best grid cell
+    alone and draw no random numbers, so every fit command rejects it."""
 
     JOINT = ["--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2"]
 
-    @pytest.mark.parametrize("argv", [["fit"], ["fit-shared"], ["fit-joint", *JOINT], ["mc", "--n-reps", "5"]])
-    def test_power_law_commands_reject_it(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv", [["fit"], ["fit-shared"], ["fit-joint", *JOINT], ["mc", "--n-reps", "5"],
+                                      ["fit-tail", "--d-min", "32"]])
+    def test_fit_commands_reject_it(self, capsys, tmp_path, argv):
         csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
         out = tmp_path / "report.json"
         with pytest.raises(SystemExit) as excinfo:
@@ -786,14 +852,6 @@ class TestRestartsAreFitTailsOption:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --n-restarts 1" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_fit_tail_takes_it(self, capsys, tmp_path):
-        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
-        argv = ("fit-tail", "--input", str(csv_path), "--seed", "4", "--d-min", "32")
-        code, out, _ = run(capsys, *argv, "--n-restarts", "1")
-        assert code == 0
-        assert json.loads(out)["provenance"]["config"]["n_restarts"] == 1
-        assert json.loads(run(capsys, *argv)[1])["provenance"]["config"]["n_restarts"] == 8
 
 
 class TestLinearSpaceOverflow:

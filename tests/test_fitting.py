@@ -77,7 +77,7 @@ class TestFitSingle:
         obs = curve_observations(
             ds.PowerLaw(2.2, 0.1, 0.3), DOUBLING_GRID, noise_frac=0.2, rng=rng
         )
-        res = ds.fit_single(obs, ds.FitConfig(seed=3, max_iters=1, rel_tol=1e-18, n_restarts=1))
+        res = ds.fit_single(obs, ds.FitConfig(seed=3, max_iters=1, rel_tol=1e-18))
         assert not res.converged
 
     def test_tolerance_below_float_resolution_still_converges(self):
@@ -231,6 +231,11 @@ class TestFitTail:
         with pytest.raises(ds.InsufficientDataError):
             ds.fit_tail(obs, 1024.0, ds.FitConfig(seed=0))
 
+    def test_config_takes_no_restarts(self):
+        # the tail fit is a deterministic search, as the power-law fits are
+        with pytest.raises(TypeError):
+            ds.FitConfig(n_restarts=1)
+
 
 class TestFitLinear:
     def test_exact_line(self):
@@ -287,8 +292,8 @@ class TestGridOracle:
 
 def engine_sweep():
     """Results of 160 seeded fits, 40 of each fitter, alternating the loss
-    space and cycling 0-3 restarts and iteration caps of 3, 12, 40 and 2000:
-    the 120 power-law fits, then the 40 ``fit_tail`` fits."""
+    space and cycling iteration caps of 3, 12, 40 and 2000: the 120
+    power-law fits, then the 40 ``fit_tail`` fits."""
     rng = np.random.default_rng(2202)
     power_law, tail = [], []
 
@@ -296,7 +301,6 @@ def engine_sweep():
         return ds.FitConfig(
             loss_space=("log", "linear")[i % 2],
             max_iters=(3, 12, 40, 2000)[i // 2 % 4],
-            n_restarts=i % 4,
             seed=i,
         )
 
@@ -353,7 +357,7 @@ def test_power_law_sweep_is_byte_identical(sweep):
 
 
 def test_tail_sweep_is_byte_identical(sweep):
-    """The tail fits keep the Gauss-Newton engine, so their digest is the one
-    recorded before the power-law fits moved to the profiled searches."""
+    """The tail fits' digest, recorded when they moved from a Gauss-Newton
+    engine with seeded restarts to the profiled searches over ``q``."""
     digest = hashlib.sha256(repr(sweep[1]).encode()).hexdigest()
-    assert digest == "1ea5b9890802890892dbb55a2bd0b95582706bb7f03c586b2388942299fc8899"
+    assert digest == "0f1b2b6d14d2f3283a6c0fe362747c077d7a98bb715b22f40800c7ebee9bd172"

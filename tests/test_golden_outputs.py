@@ -70,15 +70,15 @@ COMMANDS = [
                  "--fit-seed", "2", "--n-reps", "20"]),
     # Engine branches the entries above do not reach: Monte Carlo in linear
     # space, a log fit of target_noise (named from when power-law fits took
-    # restarts), a tail fit with one start, and a fit stopped by its
-    # iteration cap.
+    # restarts), a tail fit of three points that the law interpolates, and a
+    # fit stopped by its iteration cap.
     ("mc-linear-space.json", ["mc", "--input", "obs.csv", "--condition", "target_noise",
                               "--seed", "12", "--fit-seed", "3", "--n-reps", "20",
                               "--loss-space", "linear"]),
     ("fit-no-restarts.json", ["fit", "--input", "obs.csv", "--condition", "target_noise",
                               "--seed", "8"]),
-    ("tail-one-restart.json", ["fit-tail", "--input", "obs.csv", "--condition", "target_noise",
-                               "--d-min", "4", "--seed", "9", "--n-restarts", "1"]),
+    ("tail-three-points.json", ["fit-tail", "--input", "joint.csv", "--condition", "100000000x50000000",
+                                "--d-min", "128", "--seed", "9"]),
     ("fit-iteration-cap.json", ["fit", "--input", "obs.csv", "--condition", "no_noise",
                                 "--seed", "10", "--max-iters", "3"]),
     # Monte Carlo of target_noise (named as above), through the redraw loop
@@ -117,26 +117,26 @@ COMMANDS += [
 ]
 
 DIGESTS = {
-    "fit.json": "9df7dcd50e6f2c3ac3f064d3f9058150552911cfc16fe9c7791554242944c3eb",
-    "fit-linear-space.json": "fb96491f88452aa058f900d94bbed62350c55f60ef635fa93cf3aecaa28d0ebe",
-    "shared.json": "55625cada9bb3f941c5b6ebe01911557fb09f98761eb78f227693d82d95d73d7",
-    "shared-linear-space.json": "714213bf95f68d7249ca00aa7d1d37b1bdc10ee94eeee23a1c12987a52386023",
-    "tail.json": "b806de56ad7a532346049a76e6e949175979063d7f3029f7c9b6e7d69db20a32",
-    "joint.json": "37d5fa6a33e852b89daf270173299539238af46e2f3c3740d3edde998776974d",
-    "tail-linear-space.json": "8d6fcec60718b84d05747a8a01ce20b306c67e00834cbca890cf2ee1f9b4a214",
-    "joint-linear-space.json": "d736755d160ef5ebce1442af38b76a11bd3773c6817ab6c0726bf8cfd8d52d90",
+    "fit.json": "4fa2410d96765959ab8b7b6abaee7e5bbdeac4662346d31d89fd08b3ef008322",
+    "fit-linear-space.json": "049de15ea8dd0bf788aa784d72c1f6c49ba5965989fc7e742f941b8e22a10075",
+    "shared.json": "0ce935b2581014f3ccccf7f027602da3bdd8d1088835768ef0cb27736d0ed347",
+    "shared-linear-space.json": "5f44c1ebba5edead9be115fb7c2d1b49e5603b7f3fa6ce6eaa7946bdaeb0d103",
+    "tail.json": "75a58c3d3715720580ae2ac9edfc621b847c44642ecc8af419f54d58c65382c4",
+    "tail-linear-space.json": "00876a97029552d43033afe762551ac15d9a7883ced04f481036ba4d4424a11d",
+    "joint.json": "3fe19aab2b993885759f9c00e80113183be270c4c1914279c63eb4e3eeb710c7",
+    "joint-linear-space.json": "028f17ae88b34a1a89169c8fcbd4e3c02900e06535db609bdc5cb659f4bf9728",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
     "fit-table.csv": "fb66a3a2c24155f5a8cfddaca6c1280df5577720813005e8dd3057e39e0c19ad",
     "shared-table.csv": "facb8cc7d02e0bff0d04cf1c3cf55e13adb0f56895dfc0276476b7f37448246f",
-    "tail-table.csv": "f42679021c9b04265c9e99fa8868763261515918e37dc82dffed44d3b499b5b2",
+    "tail-table.csv": "589c25b69a963b5170542bd837e81ff0d30c1ca9eee3ced58b9692d249a03d4c",
     "joint-table.csv": "57b72ad941c890597dfb04d55f303fa1194a0e31dadeaae55fe3ff365240c18b",
     "fit-analysis.json": "e40c06d1c22bd8fe78b2d536da9b6a658aeed4d283e96ba0c039d77d32f694dc",
     "shared-analysis.json": "efa569d2290108d27386347c5be3e579d7df1adf0802a0aaef51dcbdf6a1995e",
     "mc.json": "d98c39751f567dea968af9d36491164e1b59cd272ea157c49b119f02d4cf0d46",
     "mc-linear-space.json": "7ce6817096d0d1b3758ed6d5651eba0248ed1ec0026a58d182264f06a61822ac",
-    "fit-no-restarts.json": "d2bf6de0111c308d06ac21d34c4b66b1d53d9d1c5252681f59778f8fe7d95737",
-    "tail-one-restart.json": "72a4e845e9b55b5b508af1b85ab7424da3c91e9e1b6b5213efbd586193091386",
-    "fit-iteration-cap.json": "ba9ac5089a912586a249d9b344f364d430eba00c3592268f94c1ef054d1cd869",
+    "fit-no-restarts.json": "c32d418bcc2035e1001ae497803539bcf748a527b985a4d639aa22fef55cf7cc",
+    "tail-three-points.json": "ebbc285eb27c9e57d1ae2bb853f129e3d62c39c6a1a706b1f938d7f4f2724ca4",
+    "fit-iteration-cap.json": "c05fd48e66361fcde201d1ea90c62723afdecf922183e7c941d96b8314ea9428",
     "mc-no-restarts.json": "6bc5f6803b74a3edf126fd9de879f635cd3038f869bc35dfa3b887e98e694a09",
     "mc-redraw.json": "29bac0df9dfb3163d269efd3a9a4c88a1e94b57e6b35a389eccf324cce5b0ed2",
     "mc-iteration-cap.json": "062d36e47f1281881c2c752eec9863f85a4c4922f8a5df151f361cd315ed02ee",

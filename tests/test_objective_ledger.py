@@ -6,12 +6,13 @@ and loss space, the instance's index (from which :func:`instance` rebuilds its
 data) or, for a named hard case, the data itself, the :class:`FitConfig` it
 was fitted with, and what the reference engine reached: ``objective``,
 ``converged``, ``n_iters`` and the time per fit in ms.  ``best`` is the least
-objective known for the instance: the reference engine's with 32 restarts
-and, in log space, the profiled reference searches of ``bench/workloads.py``
-(``_single_minimum`` for ``fit_single``, ``_joint_minimum`` for ``fit_joint``).
-The recorded ``best`` of the power laws came from a Gauss-Newton engine whose
-restarts explored; today's power-law fits take no restarts, so recording
-anew refits only the ``fit_tail`` rows with 32 restarts.
+objective known for the instance: the reference engine's and, in log space,
+the profiled reference searches of ``bench/workloads.py`` (``_single_minimum``
+for ``fit_single``, ``_joint_minimum`` for ``fit_joint``).  The recorded rows
+came from a Gauss-Newton engine with 8 seeded restarts, and their ``best``
+from the same engine with 32; today's fits are deterministic searches that
+take no restarts, so recording anew takes ``best`` from the fit and the
+reference searches alone.
 
 The gate is that every fit ends at most ``objective * (1 + 1e-9)``.  It has a
 tolerance, so it holds on any machine.  How many fits lie above
@@ -21,7 +22,8 @@ percentiles are printed (``pytest -s``), not asserted.  The recorded
 a machine whose speed drifts by up to 2x, so only alternating runs of two
 engines compare their times.
 
-Tier-1 runs every fifth instance; ``pytest -m ledger`` runs the whole ledger.
+Tier-1 runs every fifth instance, and every ``fit_tail`` row recorded at an
+objective of exactly 0 or named; ``pytest -m ledger`` runs the whole ledger.
 ``python tests/test_objective_ledger.py`` records it anew from the fitters on
 the import path; record only from the engine meant as the reference.
 """
@@ -43,7 +45,6 @@ FITTERS = ("fit_single", "fit_shared", "fit_joint", "fit_tail")
 LOSS_SPACES = ("log", "linear")
 N_INSTANCES = 300
 SLACK = 1e-9
-BEST_RESTARTS = 32
 
 
 def _curve(rng, condition, noise, p=None):
@@ -109,11 +110,14 @@ def _percentiles(times):
     return "p50 %.2f ms, p90 %.2f ms" % tuple(np.percentile(times, [50, 90]))
 
 
-def _check(fitter, loss_space, step):
-    rows = [
+def _rows(fitter, loss_space):
+    return [
         row for row in json.loads(LEDGER.read_text(encoding="utf-8"))
         if row["fitter"] == fitter and row["loss_space"] == loss_space
-    ][::step]
+    ]
+
+
+def _check(fitter, loss_space, rows):
     worse, above_best, times = [], 0, []
     for row in rows:
         result, ms = _timed(instance(row), ds.FitConfig(**row["config"]))
@@ -132,14 +136,32 @@ def _check(fitter, loss_space, step):
 @pytest.mark.parametrize("fitter", FITTERS)
 @pytest.mark.parametrize("loss_space", LOSS_SPACES)
 def test_every_fifth_instance(fitter, loss_space):
-    _check(fitter, loss_space, step=5)
+    _check(fitter, loss_space, _rows(fitter, loss_space)[::5])
+
+
+@pytest.mark.parametrize("loss_space", LOSS_SPACES)
+def test_tail_rows_at_zero_and_named(loss_space):
+    """The ``fit_tail`` rows recorded at exactly 0, three points that the law
+    interpolates, where only an exact 0 passes the gate; and the named rows."""
+    rows = [row for row in _rows("fit_tail", loss_space) if row["objective"] == 0 or "name" in row]
+    assert len(rows) == {"log": 15, "linear": 1}[loss_space]
+    _check("fit_tail", loss_space, rows)
+
+
+def test_bench_208_tail_converges():
+    """Bench seed 208's ``no_filter_20`` tail, which stopped Gauss-Newton at
+    its iteration cap, converges no higher than the objective recorded then."""
+    (row,) = [row for row in _rows("fit_tail", "log") if row.get("name") == "bench-208-no_filter_20"]
+    result = instance(row)(ds.FitConfig(**row["config"]))
+    assert result.converged
+    assert result.objective <= row["objective"]
 
 
 @pytest.mark.ledger
 @pytest.mark.parametrize("fitter", FITTERS)
 @pytest.mark.parametrize("loss_space", LOSS_SPACES)
 def test_whole_ledger(fitter, loss_space):
-    _check(fitter, loss_space, step=1)
+    _check(fitter, loss_space, _rows(fitter, loss_space))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +170,8 @@ def test_whole_ledger(fitter, loss_space):
 
 
 def _bench_tail_208():
-    """Bench seed 208's ``no_filter_20`` tail, which stalled Gauss-Newton at
-    its iteration cap: the fit_table workload's data and fit seed."""
+    """Bench seed 208's ``no_filter_20`` tail, which stalled a Gauss-Newton
+    engine at its iteration cap: the fit_table workload's data and fit seed."""
     from workloads import TAIL_D_MIN, FitTable
 
     with tempfile.TemporaryDirectory() as work:
@@ -183,13 +205,10 @@ def _reference_minimum(row):
 def record(fitters=FITTERS):
     """Ledger rows of ``fitters`` from the fitters on the import path.
 
-    ``best`` takes the least of the fit and :func:`_reference_minimum`, and
-    for ``fit_tail`` rows also of a refit with ``BEST_RESTARTS`` restarts.
-    Only ``fit_tail`` reads ``n_restarts``, so a power-law row is not refitted:
-    its refit would repeat the fit.  A power law's ``best`` is its own
-    objective unless the bench's profiled search (log ``fit_single`` and
-    ``fit_joint``) finds less; to gate power laws against more than
-    themselves, bring another reference.
+    ``best`` takes the least of the fit and :func:`_reference_minimum`: a
+    row's ``best`` is its own objective unless the bench's profiled search
+    (log ``fit_single`` and ``fit_joint``) finds less.  To gate the fits
+    against more than themselves, bring another reference.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     rows = [
@@ -200,11 +219,8 @@ def record(fitters=FITTERS):
     if "fit_tail" in fitters:
         rows.append(_bench_tail_208())
     for row in rows:
-        fit = instance(row)
-        result, ms = _timed(fit, ds.FitConfig(**row["config"]))
+        result, ms = _timed(instance(row), ds.FitConfig(**row["config"]))
         best = min(result.objective, _reference_minimum(row))
-        if row["fitter"] == "fit_tail":
-            best = min(best, fit(ds.FitConfig(**{**row["config"], "n_restarts": BEST_RESTARTS})).objective)
         row.update(objective=result.objective, converged=result.converged,
                    n_iters=getattr(result, "n_iters", None), time_ms=round(ms, 3), best=best)
     return rows
