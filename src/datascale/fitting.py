@@ -49,9 +49,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ZERO_CAPACITY, JointLawParams, LinearFit, Observation, PowerLaw, TailLaw, count_term,
-                   eval_joint_law, eval_law, eval_tail_law)
-from .errors import DomainError, DuplicateAbscissaError, InsufficientDataError, RankError, SchemaError
+from .core import (
+    ZERO_CAPACITY,
+    Observation,
+    LinearFit,
+    PowerLaw,
+    TailLaw,
+    JointLawParams,
+    count_term,
+    eval_joint_law,
+    eval_law,
+    eval_tail_law,
+)
+from .errors import (
+    DomainError,
+    DuplicateAbscissaError,
+    InsufficientDataError,
+    RankError,
+    SchemaError,
+)
 
 LOSS_SPACES = ("log", "linear")
 
@@ -694,17 +710,20 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
     The search is over ``G * (d/d0)**-q + b`` (see the module docstring).
     A constant fit, ``G = 0``, is reported as ``q = 1`` and ``gamma = b *
     2**-64 * d0``, whose term lies below the rounding of ``b`` at every
-    fitted size.
+    fitted size; where that ``gamma`` underflows, as for a subnormal ``b``,
+    it is the least positive float instead.
 
     Raises:
         InsufficientDataError: Fewer than 3 qualifying observations.
-        DomainError: ``gamma`` leaves the float range, or in log space the
-            fitted law underflows to 0 at a size, as they can for losses near
-            the edge of the float range.
+        DomainError: ``gamma`` overflows or underflows to 0, or in log space
+            the fitted law underflows to 0 at a size, as they can for losses
+            or sizes near the edge of the float range.
     """
     subset = [o for o in obs if o.d_millions >= d_min]
     if len(subset) < 3:
-        raise InsufficientDataError(f"need at least 3 observations with d >= {d_min}, got {len(subset)}")
+        raise InsufficientDataError(
+            f"need at least 3 observations with d >= {d_min}, got {len(subset)}"
+        )
     d, y = _arrays(subset, cfg.loss_space)
     d0 = float(d.min())
     grid = np.linspace(-12.0, 8.0 if d0 == 1.0 else min(8.0, math.log(300.0 / abs(math.log(d0)))), _LN_Q_CELLS)
@@ -713,16 +732,22 @@ def fit_tail(obs: list[Observation], d_min: float, cfg: FitConfig = FitConfig())
         if fit is None:
             search = _tail_log if cfg.loss_space == "log" else _tail_linear
             g, q, b, converged, n_iters = search(np.log(d / d0), y, grid, cfg)
-            fit = ((g * d0**q, q, b) if g > 0 else (b * 2.0**-64 * d0, 1.0, b)), converged, n_iters
+            constant = (max(b * 2.0**-64 * d0, math.ulp(0.0)), 1.0, b)
+            fit = ((g * d0**q, q, b) if g > 0 else constant), converged, n_iters
         (gamma, q, b), converged, n_iters = fit
-        m = gamma * d**-q + b
-    if not (0.0 < gamma < math.inf and (cfg.loss_space == "linear" or m.all())):
+    if not 0.0 < gamma < math.inf:
         raise DomainError(
-            "the fitted tail law leaves the float range: its gamma or, in log space, its value at a size "
-            "overflows or underflows to 0; rescale the losses"
+            f"the fitted tail law's gamma {'overflows' if gamma == math.inf else 'underflows to 0'}: "
+            "the losses or sizes lie too close to the edge of the float range; rescale them"
         )
     law = TailLaw(gamma=gamma, q=q, b=b)
-    r = _residuals(eval_tail_law(law, d), y, cfg.loss_space)
+    m = eval_tail_law(law, d)
+    if cfg.loss_space == "log" and not m.all():
+        raise DomainError(
+            f"the fitted tail law underflows to 0 at d = {d[m == 0].min():g}: its gamma * d**-q "
+            "lies below the float range; rescale the losses or sizes"
+        )
+    r = _residuals(m, y, cfg.loss_space)
     return FitResult(law, float((r * r).sum()), r.tolist(), converged, n_iters)
 
 
@@ -759,7 +784,8 @@ def _tail_log(t, y, grid, cfg: FitConfig):
     ``rel_tol**(2/3)`` (``rel_tol`` at the end) from where a line through the
     optima at the two nearest ``ln q`` searched puts it, or over the whole
     range if the optimum reaches an edge.  The constant law (``q -> 0`` or
-    ``rho -> inf``) is the last candidate."""
+    ``rho -> inf``) is the last candidate, and stands in for a law whose
+    ``G`` underflows to 0."""
     ln_y = np.log(y)
     x = np.exp(-np.exp(grid)[:, None] * t)
 
@@ -804,9 +830,9 @@ def _tail_log(t, y, grid, cfg: FitConfig):
     ln_q, _, q_closed, steps = _brent(lambda v: min(profile(v, inner)[::2]), a, ln_q, b, cfg)
     fx, ln_rho, f0 = profile(ln_q, cfg)
     q, ln_rho = math.exp(ln_q), -math.inf if f0 <= fx else ln_rho
-    if _squares(ln_y - ln_y.mean()) <= min(fx, f0):  # the constant law
-        return 0.0, q, math.exp(ln_y.mean()), closed and q_closed, steps
     g = math.exp((ln_y - np.logaddexp(-q * t, ln_rho)).mean())
+    if g == 0.0 or _squares(ln_y - ln_y.mean()) <= min(fx, f0):  # the constant law
+        return 0.0, q, math.exp(ln_y.mean()), closed and q_closed, steps
     return g, q, g * math.exp(ln_rho), closed and q_closed, steps
 
 

@@ -799,40 +799,48 @@ class TestFitTailCommand:
         assert code == 0
         assert [float(row.split(",")[2]) for row in table.splitlines()[1:]] == [law.b] * 4
 
-    # a flat curve near 1e-319: the constant law that fits it best needs a
-    # gamma below the float range
+    # a flat curve near 1e-319: the constant law fits it best, and its gamma is
+    # the least positive float
     TINY = ((1, 1.0105e-319), (2, 1.0112e-319), (4, 1.012e-319), (8, 1.0127e-319),
             (16, 1.0131e-319), (32, 1.01353e-319))
     # a power law falling by 2**-130 per doubling from d = 10: its gamma * d**-q
     # underflows to 0 at d = 320 although the points lie on it
     STEEP = tuple((10 * 2**i, 1e-5 * 2.0 ** (-130 * i)) for i in range(6))
 
-    @pytest.mark.parametrize("space", ["log", "linear"])
-    def test_losses_at_the_bottom_of_the_float_range_exit_2_naming_the_underflow(self, capsys, tmp_path, space):
-        path, out = tmp_path / "tiny.csv", tmp_path / "tail.json"
-        path.write_text("condition,d_millions,loss\n" + "".join(f"a,{d},{y!r}\n" for d, y in self.TINY),
+    def fit_points(self, capsys, tmp_path, points, *argv):
+        """``fit-tail`` on ``points`` of ``(d, loss)`` with warnings as errors: exit code, stderr, report path."""
+        path, out = tmp_path / "points.csv", tmp_path / "tail.json"
+        path.write_text("condition,d_millions,loss\n" + "".join(f"a,{d},{y!r}\n" for d, y in points),
                         encoding="utf-8")
-        argv = ("fit-tail", "--input", str(path), "--seed", "1", "--d-min", "1", "--loss-space", space,
-                "--output", str(out))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert err == "error: the fitted tail law leaves the float range: its gamma or, in log space, its value at a size " \
-            "overflows or underflows to 0; rescale the losses\n"
-        assert not out.exists()
+            code, _, err = run(capsys, "fit-tail", "--input", str(path), "--seed", "1",
+                               "--d-min", str(points[0][0]), "--output", str(out), *argv)
+        return code, err, out
+
+    @pytest.mark.parametrize("space", ["log", "linear"])
+    def test_losses_at_the_bottom_of_the_float_range_fit_the_constant_law(self, capsys, tmp_path, space):
+        code, _, out = self.fit_points(capsys, tmp_path, self.TINY, "--loss-space", space)
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert math.isfinite(report["objective"])
+        assert report["law"]["gamma"] == 5e-324 and report["law"]["b"] > 0
 
     def test_a_law_that_underflows_at_a_size_exits_2_naming_it(self, capsys, tmp_path):
-        path, out = tmp_path / "steep.csv", tmp_path / "tail.json"
-        path.write_text("condition,d_millions,loss\n" + "".join(f"a,{d},{y!r}\n" for d, y in self.STEEP),
-                        encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, _, err = run(capsys, "fit-tail", "--input", str(path), "--seed", "1", "--d-min", "10",
-                               "--output", str(out))
+        code, err, out = self.fit_points(capsys, tmp_path, self.STEEP)
         assert code == 2
-        assert err == "error: the fitted tail law leaves the float range: its gamma or, in log space, its value at a size " \
-            "overflows or underflows to 0; rescale the losses\n"
+        assert err == "error: the fitted tail law underflows to 0 at d = 320: its gamma * d**-q lies below the " \
+            "float range; rescale the losses or sizes\n"
+        assert not out.exists()
+        code, _, out = self.fit_points(capsys, tmp_path, self.STEEP, "--loss-space", "linear")
+        assert code == 0
+        assert math.isfinite(json.loads(out.read_text(encoding="utf-8"))["objective"])
+
+    def test_a_gamma_beyond_the_float_range_exits_2(self, capsys, tmp_path):
+        code, err, out = self.fit_points(capsys, tmp_path, [(d, y * 1e205) for d, y in self.STEEP])
+        assert code == 2
+        assert err == "error: the fitted tail law's gamma overflows: the losses or sizes lie too close to the " \
+            "edge of the float range; rescale them\n"
         assert not out.exists()
 
 
