@@ -1,8 +1,8 @@
 """Data scaling curve fitting, analysis, and corpus tooling.
 
-Public names and the modules of ``_EXPORTS`` resolve on first use (PEP 562),
-so ``import datascale.corpus`` loads neither numpy nor the fitting stack, which
-a shell loop of corpus commands would otherwise pay for at every start.
+Public names and every submodule resolve on first use (PEP 562), so
+``import datascale.corpus`` loads neither numpy nor the fitting stack, which a
+shell loop of corpus commands would otherwise pay for at every start.
 """
 
 import importlib
@@ -25,12 +25,13 @@ _EXPORTS = {
                      "write_observations"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = (*_EXPORTS, "reports", "files", "cli")
 
 __all__ = ["__version__", *_OWNER]
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _MODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -39,4 +40,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -11,7 +11,14 @@ report that is not JSON or lacks a field, and an input file that is not
 UTF-8), 3 when a fit did not converge (the report is still written) or Monte
 Carlo produced no usable replicate.  Every randomized command requires an
 explicit ``--seed`` so reruns are byte-identical.  An output file appears
-only once it is complete; a failed command leaves it as it was.
+only once it is complete; a failed command leaves it as it was, and one whose
+``--output`` names one of its inputs exits 2 before it reads anything.
+
+Importing this module loads only the corpus layer, with ``errors`` and
+``files``.  The numeric layers (numpy, ``fitting``, ``analysis``,
+``observations``, ``reports``) are imported by the first command that needs
+them, so building the parser, ``--help`` and the corpus commands start
+without numpy; ``corpus corrupt`` imports it only for its noise draws.
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ import os
 import sys
 
 from . import __version__
-from .analysis import McConfig, data_equivalence_factor, mc_uncertainty
-from .core import JointLawParams, PowerLaw
 from .corpus import (
     DEFAULT_PROBS,
     REPLACEMENT_ALPHABET,
@@ -38,33 +43,53 @@ from .corpus import (
 )
 from .errors import DataScaleError, MonteCarloError, SchemaError
 from .files import replace_on_success
-from .fitting import FitConfig, fit_joint, fit_linear, fit_shared, fit_single, fit_tail
-from .observations import (
-    format_observations,
-    load_observations,
-    parse_float,
-    read_csv_records,
-    simulate,
-    simulate_joint,
-)
-from .reports import (
-    build_fit_report,
-    build_joint_report,
-    build_linear_report,
-    build_mc_report,
-    build_shared_report,
-    build_tail_report,
-    dumps_report,
-    format_table,
-    law_analysis,
-    law_from_report,
-    load_report,
-    shared_conditions,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+
+
+@functools.cache
+def _load_numeric_layers() -> None:
+    """Import the numeric layers and bind the names this module uses from
+    them as its globals, once per process.
+
+    Every command but the corpus ones calls this first, so the parser and the
+    corpus commands start without numpy.  The names are module attributes,
+    bound only on the first call: a wrapper put in place of one afterwards
+    (as ``bench/spans.py`` does) stays in place.
+    """
+    global McConfig, data_equivalence_factor, mc_uncertainty, JointLawParams, PowerLaw
+    global FitConfig, fit_joint, fit_linear, fit_shared, fit_single, fit_tail
+    global format_observations, load_observations, parse_float, read_csv_records
+    global simulate, simulate_joint, build_fit_report, build_joint_report, build_linear_report
+    global build_mc_report, build_shared_report, build_tail_report, dumps_report, format_table
+    global law_analysis, law_from_report, load_report, shared_conditions
+    from .analysis import McConfig, data_equivalence_factor, mc_uncertainty
+    from .core import JointLawParams, PowerLaw
+    from .fitting import FitConfig, fit_joint, fit_linear, fit_shared, fit_single, fit_tail
+    from .observations import (
+        format_observations,
+        load_observations,
+        parse_float,
+        read_csv_records,
+        simulate,
+        simulate_joint,
+    )
+    from .reports import (
+        build_fit_report,
+        build_joint_report,
+        build_linear_report,
+        build_mc_report,
+        build_shared_report,
+        build_tail_report,
+        dumps_report,
+        format_table,
+        law_analysis,
+        law_from_report,
+        load_report,
+        shared_conditions,
+    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -121,6 +146,15 @@ def _select_condition(table, condition: str | None):
     return next(iter(groups.values()))
 
 
+def _check_output_is_not_input(output: str | None, *inputs: str | None) -> None:
+    # Output is written to a partial file that replaces the target only at
+    # the end, so writing to an input would replace it with the output.
+    if output and os.path.exists(output):
+        for path in inputs:
+            if path and os.path.samefile(path, output):
+                raise SchemaError(f"--output {output} is the input file; write to another path")
+
+
 def _parse_shape(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -144,6 +178,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_fit(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.input)
     table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg = _fit_config(args, args.seed)
@@ -151,6 +187,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_fit_shared(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.input)
     table = load_observations(args.input, raw_counts=args.raw_counts)
     groups = table.by_condition()
     cfg = _fit_config(args, args.seed)
@@ -158,6 +196,8 @@ def cmd_fit_shared(args) -> int:
 
 
 def cmd_fit_joint(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.input)
     table = load_observations(args.input, raw_counts=args.raw_counts)
     cfg = _fit_config(args, args.seed)
     hold_out = [_parse_shape(s) for s in args.hold_out or []]
@@ -167,6 +207,8 @@ def cmd_fit_joint(args) -> int:
 
 
 def cmd_fit_tail(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.input)
     table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg = _fit_config(args, args.seed)
@@ -176,6 +218,8 @@ def cmd_fit_tail(args) -> int:
 
 
 def cmd_fit_linear(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.input)
     xs, ys = [], []
     for line, (x, y) in read_csv_records(args.input, (args.x_column, args.y_column)):
         xs.append(parse_float(x, args.x_column, line))
@@ -196,6 +240,8 @@ def cmd_fit_linear(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.report, *(args.equivalence or ()))
     if args.equivalence:
         path_a, path_b = args.equivalence
         law_a = law_from_report(load_report(path_a), args.condition_a)
@@ -221,6 +267,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.report)
     _emit(format_table(load_report(args.report)), args.output)
     return EXIT_OK
 
@@ -231,6 +279,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    _load_numeric_layers()
+    _check_output_is_not_input(args.output, args.input)
     table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg_mc = McConfig(noise_frac=args.noise_frac, n_reps=args.n_reps, seed=args.seed)
@@ -240,6 +290,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _load_numeric_layers()
     grid = _parse_grid(args.d_grid)
     if args.joint:
         for name in ("beta", "p_e", "p_d", "l_inf", "shapes"):
@@ -269,15 +320,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_output_is_not_input(args) -> None:
-    # Output is written to a partial file that replaces the target only at
-    # the end, so writing to the input would replace it with the output.
-    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
-        raise SchemaError(f"--output {args.output} is the input file; write to another path")
-
-
 def cmd_corpus_corrupt(args) -> int:
-    _check_output_is_not_input(args)
+    _check_output_is_not_input(args.output, args.input)
     if args.kind != "pair_shuffle" and args.side is None:
         raise SchemaError(f"--side is required for kind {args.kind}")
     prob = DEFAULT_PROBS[args.kind] if args.prob is None else args.prob
@@ -296,13 +340,13 @@ def cmd_corpus_corrupt(args) -> int:
 
 
 def cmd_corpus_filter(args) -> int:
-    _check_output_is_not_input(args)
+    _check_output_is_not_input(args.output, args.input)
     write_pairs(args.output, filter_top_fraction(list(read_pairs(args.input)), args.fraction))
     return EXIT_OK
 
 
 def cmd_corpus_sample(args) -> int:
-    _check_output_is_not_input(args)
+    _check_output_is_not_input(args.output, args.input)
     write_pairs(args.output, sample_subset(read_pairs(args.input), args.size, args.seed))
     return EXIT_OK
 

@@ -278,8 +278,10 @@ def shuffle_pairs(pairs: list[SentencePair], spec: CorruptionSpec) -> list[Sente
 def filter_top_fraction(pairs: list[SentencePair], fraction: float) -> list[SentencePair]:
     """Keep the highest-scoring ``ceil(fraction * n)`` pairs.
 
-    Ties at the cutoff are broken in favor of the lower index; the result
-    is returned in original corpus order.
+    The product is taken exactly on the decimal ``repr(fraction)``, so 0.07
+    of 100 pairs keeps 7, where the float product 7.000000000000001 would
+    round up to 8.  Ties at the cutoff are broken in favor of the lower
+    index; the result is returned in original corpus order.
 
     Raises:
         SchemaError: Some pair has no score, or a NaN score, which has no
@@ -293,7 +295,9 @@ def filter_top_fraction(pairs: list[SentencePair], fraction: float) -> list[Sent
             raise SchemaError(f"pair at index {pair.index} has no score")
         if math.isnan(pair.score):
             raise SchemaError(f"pair at index {pair.index} has a NaN score")
-    k = math.ceil(fraction * len(pairs))
+    from fractions import Fraction
+
+    k = math.ceil(Fraction(repr(float(fraction))) * len(pairs))
     # Sorting by index and then, stably, by descending score ranks ties at
     # the cutoff in index order.
     by_index = attrgetter("index")

@@ -862,6 +862,70 @@ class TestNoFitTakesRestarts:
         assert not out.exists()
 
 
+class TestOutputOverInput:
+    """A fit or analysis command whose ``--output`` is one of its inputs exits
+    2 and leaves that file as it was, as the corpus commands do."""
+
+    JOINT = ["--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4", "--l-inf", "0.2"]
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["fit", "--input", "{csv}", "--seed", "1"], "csv"),
+            (["fit-shared", "--input", "{csv}", "--seed", "1"], "csv"),
+            (["fit-joint", "--input", "{csv}", "--seed", "1", *JOINT], "csv"),
+            (["fit-tail", "--input", "{csv}", "--seed", "1", "--d-min", "32"], "csv"),
+            (["fit-linear", "--input", "{csv}", "--x-column", "d_millions", "--y-column", "loss"], "csv"),
+            (["mc", "--input", "{csv}", "--seed", "1", "--n-reps", "5"], "csv"),
+            (["analyze", "{fit}"], "fit"),
+            (["analyze", "--equivalence", "{fit}", "{fit2}"], "fit"),
+            (["analyze", "--equivalence", "{fit}", "{fit2}"], "fit2"),
+            (["report", "--report", "{fit}"], "fit"),
+        ],
+        ids=["fit", "fit-shared", "fit-joint", "fit-tail", "fit-linear", "mc", "analyze",
+             "equivalence-first", "equivalence-second", "report"],
+    )
+    def test_is_refused(self, capsys, tmp_path, argv, target):
+        paths = {
+            "csv": simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285),
+            "fit": tmp_path / "fit.json",
+            "fit2": tmp_path / "fit2.json",
+        }
+        for seed, name in enumerate(("fit", "fit2")):
+            code, _, err = run(capsys, "fit", "--input", str(paths["csv"]), "--seed", str(seed),
+                               "--output", str(paths[name]))
+            assert code == 0, err
+        before = paths[target].read_bytes()
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--output", str(paths[target]))
+        assert code == 2
+        assert out == "" and f"--output {paths[target]} is the input file" in err
+        assert paths[target].read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["fit.json", "fit2.json", "obs.csv"]
+
+
+class TestNumericLayersBindOnce:
+    """``cli`` binds the names of its numeric layers as module globals on the
+    first command that needs them, and never again, so a wrapper put in place
+    of one afterwards (as ``bench/spans.py`` does) sees every later call."""
+
+    def test_wrappers_put_in_place_after_a_fit_are_called(self, capsys, tmp_path, monkeypatch):
+        import datascale.cli as cli
+
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        argv = ("fit", "--input", str(csv_path), "--seed", "1")
+        first = run(capsys, *argv)
+        assert first[0] == 0, first[2]
+        calls = []
+        for name in ("load_observations", "fit_single"):
+            def recording(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recording)
+        assert run(capsys, *argv) == first
+        assert calls == ["load_observations", "fit_single"]
+
+
 class TestLinearSpaceOverflow:
     """Losses whose squares overflow cannot be fitted in the linear loss
     space: every fitter exits 2 naming it, warns nothing and writes nothing."""
@@ -981,6 +1045,17 @@ class TestCorpusCommands:
         assert code == 0
         kept = list(ds.read_pairs(out))
         assert len(kept) == 100
+
+    @pytest.mark.parametrize("fraction, kept", [("0.07", 7), ("0.55", 55)])
+    def test_filter_count_is_exact_on_the_decimal_fraction(self, capsys, tmp_path, fraction, kept):
+        src = self._write_corpus(tmp_path, n=100, scores=True)
+        out = tmp_path / "top.tsv"
+        code, _, err = run(
+            capsys,
+            "corpus", "filter", "--fraction", fraction, "--input", str(src), "--output", str(out),
+        )
+        assert code == 0, err
+        assert len(list(ds.read_pairs(out))) == kept
 
     def test_filter_on_a_nan_score_exits_2_naming_the_pair(self, capsys, tmp_path):
         src = tmp_path / "corpus.tsv"

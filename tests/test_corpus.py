@@ -207,6 +207,11 @@ class TestFilterTopFraction:
         with pytest.raises(ds.SchemaError, match=f"index {position} has a NaN score"):
             ds.filter_top_fraction(pairs, 0.5)
 
+    @pytest.mark.parametrize("fraction, kept", [(0.07, 7), (0.55, 55), (0.3, 30), (0.5, 50)])
+    def test_count_is_exact_on_the_decimal_fraction(self, fraction, kept):
+        # The float products 0.07 * 100 and 0.55 * 100 lie just above 7 and 55.
+        assert len(ds.filter_top_fraction(make_corpus(100, with_scores=True), fraction)) == kept
+
     def test_infinite_scores_rank_at_the_ends(self):
         scores = [0.5, -math.inf, math.inf, 0.25]
         pairs = [ds.SentencePair(f"s{i}", f"t{i}", score=x, index=i) for i, x in enumerate(scores)]

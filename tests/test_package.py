@@ -1,6 +1,8 @@
-"""The package's public names: one export list, resolved on first use."""
+"""The package's public names: one export list, resolved on first use; and
+what a fresh process loads for each kind of command."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +29,10 @@ PUBLIC = [
     "ObservationTable", "load_observations", "simulate", "simulate_joint", "write_observations",
 ]
 
-MODULES = ("core", "errors", "fitting", "analysis", "corpus", "observations")
+MODULES = ("core", "errors", "fitting", "analysis", "corpus", "observations", "reports", "files", "cli")
+
+# Printed by a fresh interpreter after the step under test.
+LOADED = "print('numpy' in sys.modules, 'datascale.fitting' in sys.modules)\n"
 
 
 def fresh_python(code):
@@ -46,6 +51,43 @@ def test_corpus_import_loads_neither_numpy_nor_the_fitting_stack():
         "print('numpy' in sys.modules, 'datascale.fitting' in sys.modules)\n"
     )
     assert out == ["False", "False", "True", "True"]
+
+
+def test_parser_and_help_load_neither_numpy_nor_the_fitting_stack():
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "import datascale.cli as cli\n"
+        "cli.build_parser()\n"
+        + LOADED
+        + "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    cli.main(['--help'])\n"
+        + LOADED
+    )
+    assert out == ["False", "False", "False", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["filter", "--fraction", "0.5"], ["sample", "--size", "2", "--seed", "1"]], ids=["filter", "sample"]
+)
+def test_corpus_command_loads_neither_numpy_nor_the_fitting_stack(tmp_path, argv):
+    src, dst = tmp_path / "corpus.tsv", tmp_path / "out.tsv"
+    src.write_text("s0\tt0\t0.9\ns1\tt1\t0.1\ns2\tt2\t0.5\n", encoding="utf-8")
+    argv = ["corpus", *argv, "--input", str(src), "--output", str(dst)]
+    out = fresh_python(f"import sys\nfrom datascale.cli import main\nprint(main({argv!r}))\n" + LOADED)
+    assert out == ["0", "False", "False"]
+    assert len(dst.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_fit_loads_the_numeric_layers_on_its_first_call(tmp_path):
+    csv_path, report = tmp_path / "obs.csv", tmp_path / "fit.json"
+    law = ds.PowerLaw(alpha=1.969, c=0.057, p=0.285)
+    ds.write_observations(csv_path, ds.simulate(law, [1, 2, 4, 8, 16, 32, 64], 0.0, seed=1))
+    argv = ["fit", "--input", str(csv_path), "--seed", "1", "--output", str(report)]
+    out = fresh_python(
+        "import sys\nfrom datascale.cli import main\n" + LOADED + f"print(main({argv!r}))\n" + LOADED
+    )
+    assert out == ["False", "False", "0", "True", "True"]
+    assert json.loads(report.read_text(encoding="utf-8"))["converged"]
 
 
 def test_bare_import_resolves_every_module():
