@@ -19,6 +19,10 @@ Importing this module loads only the corpus layer, with ``errors`` and
 ``observations``, ``reports``) are imported by the first command that needs
 them, so building the parser, ``--help`` and the corpus commands start
 without numpy; ``corpus corrupt`` imports it only for its noise draws.
+
+The corpus commands stream their pairs.  ``corpus filter`` reads its
+``--input`` twice, once for the scores and once for the pairs it keeps, so
+that input must be a regular file; a pipe exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 
 from . import __version__
@@ -334,14 +339,32 @@ def cmd_corpus_corrupt(args) -> int:
     elif args.kind == "word_delete":
         out = delete_words(pairs, spec)
     else:
-        out = shuffle_pairs(list(pairs), spec)
+        out = shuffle_pairs(pairs, spec)
     write_pairs(args.output, out)
     return EXIT_OK
 
 
+class _PairFile:
+    """The pairs of a corpus file, read anew by each ``iter()``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __iter__(self):
+        # ``read_pairs`` is looked up at each call, and a wrapper put in its
+        # place (as bench/spans.py does) may return a list.
+        return iter(read_pairs(self.path))
+
+
 def cmd_corpus_filter(args) -> int:
     _check_output_is_not_input(args.output, args.input)
-    write_pairs(args.output, filter_top_fraction(list(read_pairs(args.input)), args.fraction))
+    # A pipe or terminal cannot be read a second time, and opening a FIFO
+    # would block, so the input is checked before it is opened.
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        raise SchemaError(
+            f"--input {args.input} is not a regular file; corpus filter reads its input twice"
+        )
+    write_pairs(args.output, filter_top_fraction(_PairFile(args.input), args.fraction))
     return EXIT_OK
 
 
@@ -476,9 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(handler="cmd_corpus_corrupt")
 
-    p = corpus_sub.add_parser("filter", help="keep the top-scoring fraction of pairs")
+    p = corpus_sub.add_parser(
+        "filter",
+        help="keep the top-scoring fraction of pairs",
+        description=(
+            "Keep the ceil(FRACTION * n) highest-scoring pairs of a scored corpus, in "
+            "input order; ties at the cutoff go to the earlier pair. The input is read "
+            "twice, first for the scores alone, so it must be a regular file."
+        ),
+    )
     p.add_argument("--fraction", type=float, required=True)
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help="scored corpus; a regular file, read twice")
     p.add_argument("--output", required=True)
     p.set_defaults(handler="cmd_corpus_filter")
 

@@ -21,6 +21,15 @@ hits, where each character's substitution lands and which draw is its symbol.
 The symbols are written into one ``uint32`` code-point array of the chunk's
 concatenated text, which is decoded once and sliced per pair.
 
+Memory: ``corrupt_chars`` and ``delete_words`` hold one chunk of pairs,
+about ``_CHUNK_DRAWS`` characters of the noised side.  ``shuffle_pairs``
+holds a chunk of about ``_CHUNK_DRAWS`` target characters plus the pairs
+from the last selected pair onward, a gap of about ``1/prob`` pairs; only a
+small ``prob`` makes that much of the corpus.  ``sample_subset`` holds its
+sample.  ``filter_top_fraction`` reads its input twice and holds the scores,
+8 bytes a pair, plus a sorted copy of them while it finds the cutoff (~40
+bytes a pair in all).
+
 File format: UTF-8 text, one pair per line, ``source<TAB>target`` with an
 optional third TAB-separated field holding a decimal quality score.  Lines
 end at LF, or CRLF; no field holds a TAB, CR or LF, so the reader rejects
@@ -29,9 +38,11 @@ what the writer refuses to write.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import string
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import attrgetter
@@ -249,7 +260,7 @@ def delete_words(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterato
         yield from map(SentencePair._make, zip(*fields))
 
 
-def shuffle_pairs(pairs: list[SentencePair], spec: CorruptionSpec) -> list[SentencePair]:
+def shuffle_pairs(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterator[SentencePair]:
     """Break the alignment of a random subset of pairs.
 
     Each pair is selected with probability ``spec.prob`` (per-pair coin,
@@ -259,50 +270,102 @@ def shuffle_pairs(pairs: list[SentencePair], spec: CorruptionSpec) -> list[Sente
     pair's target.  Sources never move and the multiset of targets is
     preserved.  ``spec.side`` is ignored: the operation is symmetric in
     effect.
+
+    Pairs come out lazily, in input order.  A selected pair waits for the
+    target of the next selected one, so what is held is the first selected
+    target and the pairs from the last selected pair onward: about
+    ``1/prob`` pairs, and at the end every pair after the last selected one.
     """
     import numpy as np
 
     _check_kind(spec, "pair_shuffle")
-    selected = []
-    for start in range(0, len(pairs), _CHUNK_DRAWS):
-        chunk = pairs[start : start + _CHUNK_DRAWS]
+    first_target = None
+    rotated = False
+    held: list[SentencePair] = []  # the last selected pair and every pair after it
+    for chunk in _chunks(pairs, 1, 1):
         u, _ = _streams(spec.seed, [pair.index for pair in chunk], [1] * len(chunk))
-        selected += (np.flatnonzero(_coins(u, spec.prob)) + start).tolist()
-    out = list(pairs)
-    if len(selected) >= 2:
-        for pos, donor in zip(selected, selected[1:] + selected[:1]):
-            out[pos] = out[pos]._replace(target=pairs[donor].target)
-    return out
+        done = 0
+        for pos in np.flatnonzero(_coins(u, spec.prob)).tolist():
+            if held:
+                held += chunk[done:pos]
+                yield held[0]._replace(target=chunk[pos].target)
+                yield from itertools.islice(held, 1, None)
+                rotated = True
+            else:
+                yield from chunk[done:pos]
+                first_target = chunk[pos].target
+            held = [chunk[pos]]
+            done = pos + 1
+        if held:
+            held += chunk[done:]
+        else:
+            yield from chunk
+    if rotated:
+        held[0] = held[0]._replace(target=first_target)
+    yield from held
 
 
-def filter_top_fraction(pairs: list[SentencePair], fraction: float) -> list[SentencePair]:
+def filter_top_fraction(pairs: Iterable[SentencePair], fraction: float) -> Iterator[SentencePair]:
     """Keep the highest-scoring ``ceil(fraction * n)`` pairs.
 
     The product is taken exactly on the decimal ``repr(fraction)``, so 0.07
     of 100 pairs keeps 7, where the float product 7.000000000000001 would
-    round up to 8.  Ties at the cutoff are broken in favor of the lower
-    index; the result is returned in original corpus order.
+    round up to 8.  Ties at the cutoff are broken in favor of the pair that
+    comes first, which is the lower index in any corpus :func:`read_pairs`
+    yields.
+
+    ``pairs`` is iterated twice, so it must be re-iterable (a list, or an
+    object whose ``iter()`` starts again), not an iterator.  The first pass
+    runs at the call: it checks every score and keeps the scores alone, in
+    8 bytes a pair.  The returned iterator is the second pass, which yields
+    the kept pairs in input order.
 
     Raises:
         SchemaError: Some pair has no score, or a NaN score, which has no
-            rank.
+            rank; ``pairs`` is an iterator; or the second pass sees another
+            pair count or another score than the first (raised by the
+            returned iterator).
         DomainError: ``fraction`` outside (0, 1].
     """
     if not 0 < fraction <= 1:
         raise DomainError(f"fraction must lie in (0, 1], got {fraction}")
+    if isinstance(pairs, Iterator):
+        raise SchemaError("filter_top_fraction reads its pairs twice; pass a re-iterable, not an iterator")
+    scores = array("d")
     for pair in pairs:
         if pair.score is None:
             raise SchemaError(f"pair at index {pair.index} has no score")
         if math.isnan(pair.score):
             raise SchemaError(f"pair at index {pair.index} has a NaN score")
+        scores.append(pair.score)
     from fractions import Fraction
 
-    k = math.ceil(Fraction(repr(float(fraction))) * len(pairs))
-    # Sorting by index and then, stably, by descending score ranks ties at
-    # the cutoff in index order.
-    by_index = attrgetter("index")
-    ranked = sorted(sorted(pairs, key=by_index), key=attrgetter("score"), reverse=True)
-    return sorted(ranked[:k], key=by_index)
+    n = len(scores)
+    k = math.ceil(Fraction(repr(float(fraction))) * n)
+    if k == 0:
+        return iter(())
+    # The k-th highest score is the cutoff: every pair above it is kept, and
+    # of those tied with it the first ``ties`` are.
+    ascending = sorted(scores)
+    cutoff = ascending[n - k]
+    ties = k - (n - bisect.bisect_right(ascending, cutoff))
+    return _kept(pairs, scores, cutoff, ties)
+
+
+def _kept(pairs: Iterable[SentencePair], scores: array, cutoff: float, ties: int) -> Iterator[SentencePair]:
+    """The second pass of :func:`filter_top_fraction`."""
+    n = len(scores)
+    position = -1
+    for position, pair in enumerate(pairs):
+        if position == n or pair.score != scores[position]:
+            raise SchemaError(f"the pairs changed between the filter's two passes, at position {position}")
+        if pair.score > cutoff:
+            yield pair
+        elif ties and pair.score == cutoff:
+            ties -= 1
+            yield pair
+    if position + 1 != n:
+        raise SchemaError(f"the pairs changed between the filter's two passes: {n} pairs, then {position + 1}")
 
 
 def sample_subset(pairs: Iterable[SentencePair], size: int, seed: int) -> list[SentencePair]:
@@ -354,7 +417,8 @@ def read_pairs(path) -> Iterator[SentencePair]:
     """
     with open(path, encoding="utf-8", newline="\n") as fh:
         for index, line in enumerate(fh):
-            line = line.rstrip("\r\n")
+            # Only a final LF or CRLF ends the line; any other CR is in a field.
+            line = line.removesuffix("\r\n").removesuffix("\n")
             if "\r" in line:
                 raise ParseError("bare CR inside a field", line=index + 1)
             fields = line.split("\t")

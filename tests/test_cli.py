@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import datascale as ds
+from datascale import cli
 from datascale.cli import main
 from datascale.core import eval_tail_law
 
@@ -1067,6 +1070,48 @@ class TestCorpusCommands:
         )
         assert code == 2
         assert "index 1 has a NaN score" in err
+        assert sorted(os.listdir(tmp_path)) == ["corpus.tsv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_filter_refuses_an_input_it_cannot_read_twice(self, tmp_path):
+        # A fresh process with a timeout: opening a FIFO with no writer would
+        # block, so the command must refuse it before it opens it.
+        fifo = tmp_path / "pipe.tsv"
+        os.mkfifo(fifo)
+        src = os.path.dirname(os.path.dirname(ds.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["corpus", "filter", "--fraction", "0.5", "--input", str(fifo), "--output", str(tmp_path / "o.tsv")]
+        done = subprocess.run(
+            [sys.executable, "-m", "datascale.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2
+        assert "is not a regular file; corpus filter reads its input twice" in done.stderr
+        assert sorted(os.listdir(tmp_path)) == ["pipe.tsv"]
+
+    @pytest.mark.parametrize(
+        "changed",
+        ["s0\tt0\t0.9\ns1\tt1\t0.1\n", "s0\tt0\t0.9\ns1\tt1\t0.7\ns2\tt2\t0.5\n"],
+        ids=["count", "score"],
+    )
+    def test_filter_whose_input_changes_between_reads_exits_2(self, capsys, tmp_path, monkeypatch, changed):
+        src = tmp_path / "corpus.tsv"
+        src.write_text("s0\tt0\t0.9\ns1\tt1\t0.1\ns2\tt2\t0.5\n", encoding="utf-8")
+        reads = []
+
+        def read_pairs(path):
+            reads.append(path)
+            if len(reads) == 2:
+                src.write_text(changed, encoding="utf-8")
+            return ds.read_pairs(path)
+
+        monkeypatch.setattr(cli, "read_pairs", read_pairs)
+        code, _, err = run(
+            capsys,
+            "corpus", "filter", "--fraction", "0.5", "--input", str(src), "--output", str(tmp_path / "o.tsv"),
+        )
+        assert code == 2
+        assert "the pairs changed between the filter's two passes" in err
+        assert len(reads) == 2
         assert sorted(os.listdir(tmp_path)) == ["corpus.tsv"]
 
     def test_sample_without_replacement(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Corpus operations: determinism, side isolation, structural invariants."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import datascale as ds
 from datascale import corpus
+from datascale.cli import main
 from datascale.corpus import REPLACEMENT_ALPHABET, format_pair
 
 from conftest import SplitMix64
@@ -129,19 +131,19 @@ class TestShufflePairs:
     def test_zero_probability_is_identity(self):
         pairs = make_corpus(50)
         spec = ds.CorruptionSpec(kind="pair_shuffle", side="source", prob=0.0, seed=1)
-        assert ds.shuffle_pairs(pairs, spec) == pairs
+        assert list(ds.shuffle_pairs(pairs, spec)) == pairs
 
     def test_single_selected_pair_is_left_alone(self):
         # a one-element rotation is the identity, so prob=1 on a singleton
         # corpus must change nothing
         pairs = make_corpus(1)
         spec = ds.CorruptionSpec(kind="pair_shuffle", side="source", prob=1.0, seed=2)
-        assert ds.shuffle_pairs(pairs, spec) == pairs
+        assert list(ds.shuffle_pairs(pairs, spec)) == pairs
 
     def test_selected_pairs_swap_targets_preserving_multiset(self):
         pairs = make_corpus(500)
         spec = ds.CorruptionSpec(kind="pair_shuffle", side="source", prob=0.2, seed=3)
-        out = ds.shuffle_pairs(pairs, spec)
+        out = list(ds.shuffle_pairs(pairs, spec))
         assert sorted(p.target for p in out) == sorted(p.target for p in pairs)
         assert [p.source for p in out] == [p.source for p in pairs]
         moved = [i for i, (a, b) in enumerate(zip(pairs, out)) if a.target != b.target]
@@ -157,11 +159,38 @@ class TestShufflePairs:
         out = ds.shuffle_pairs(pairs, spec)
         assert all(a.target != b.target for a, b in zip(pairs, out))
 
+    @pytest.mark.parametrize(
+        "selected",
+        [(), (0,), (3,), (7,), (3, 4), (0, 7), (1, 2, 5), tuple(range(8))],
+        ids=["none", "first", "middle", "last", "adjacent", "ends", "three", "all"],
+    )
+    @pytest.mark.parametrize("budget", [1, 7, corpus._CHUNK_DRAWS])
+    def test_streamed_rotation_equals_the_oracle(self, monkeypatch, selected, budget):
+        spec = ds.CorruptionSpec(kind="pair_shuffle", side="source", prob=0.5, seed=5)
+        pairs = pairs_selected_at(selected, 8, spec)
+        monkeypatch.setattr(corpus, "_CHUNK_DRAWS", budget)
+        out = list(ds.shuffle_pairs(iter(pairs), spec))
+        assert out == oracle_shuffle(pairs, spec)
+        moved = tuple(i for i, (a, b) in enumerate(zip(pairs, out)) if a.target != b.target)
+        assert moved == (selected if len(selected) >= 2 else ())
+
+
+def pairs_selected_at(selected, n, spec):
+    """``n`` pairs of ascending indices whose pair_shuffle coins under
+    ``spec`` hit at exactly the positions in ``selected``."""
+    pairs, index = [], -1
+    for pos in range(n):
+        index += 1
+        while (SplitMix64.for_item(spec.seed, index).next_float() < spec.prob) != (pos in selected):
+            index += 1
+        pairs.append(ds.SentencePair(f"s{pos}", f"t{pos}", index=index))
+    return pairs
+
 
 class TestFilterTopFraction:
     def test_full_fraction_keeps_everything_in_order(self):
         pairs = make_corpus(20, with_scores=True)
-        assert ds.filter_top_fraction(pairs, 1.0) == pairs
+        assert list(ds.filter_top_fraction(pairs, 1.0)) == pairs
 
     def test_tie_at_cutoff_prefers_lower_index(self):
         pairs = [
@@ -175,7 +204,7 @@ class TestFilterTopFraction:
 
     def test_agrees_with_sort_based_oracle(self):
         pairs = make_corpus(5000, with_scores=True)
-        kept = ds.filter_top_fraction(pairs, 0.5)
+        kept = list(ds.filter_top_fraction(pairs, 0.5))
         kept_idx = {p.index for p in kept}
         excluded = [p for p in pairs if p.index not in kept_idx]
         min_kept = min(p.score for p in kept)
@@ -210,12 +239,53 @@ class TestFilterTopFraction:
     @pytest.mark.parametrize("fraction, kept", [(0.07, 7), (0.55, 55), (0.3, 30), (0.5, 50)])
     def test_count_is_exact_on_the_decimal_fraction(self, fraction, kept):
         # The float products 0.07 * 100 and 0.55 * 100 lie just above 7 and 55.
-        assert len(ds.filter_top_fraction(make_corpus(100, with_scores=True), fraction)) == kept
+        assert len(list(ds.filter_top_fraction(make_corpus(100, with_scores=True), fraction))) == kept
 
     def test_infinite_scores_rank_at_the_ends(self):
         scores = [0.5, -math.inf, math.inf, 0.25]
         pairs = [ds.SentencePair(f"s{i}", f"t{i}", score=x, index=i) for i, x in enumerate(scores)]
         assert [p.index for p in ds.filter_top_fraction(pairs, 0.75)] == [0, 2, 3]
+
+    def test_ties_at_every_cutoff_follow_the_sort_rule(self):
+        # Mostly ties: +-0.0 compare equal, and the infinities tie with
+        # themselves.  k/40 is an exact decimal, so fraction k/40 keeps k.
+        values = [0.0, -0.0, math.inf, -math.inf, 0.5, -0.5]
+        pairs = [
+            ds.SentencePair(f"s{i}", f"t{i}", score=values[(i * 7) % 11 % len(values)], index=i)
+            for i in range(40)
+        ]
+        ranked = sorted(sorted(pairs, key=lambda p: p.index), key=lambda p: p.score, reverse=True)
+        for k in range(1, 41):
+            want = sorted(p.index for p in ranked[:k])
+            assert [p.index for p in ds.filter_top_fraction(pairs, k / 40)] == want, k
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda pairs: pairs[:-1],
+            lambda pairs: pairs + pairs[:1],
+            lambda pairs: [pairs[0]._replace(score=pairs[0].score + 1)] + pairs[1:],
+            lambda pairs: pairs[:2] + [pairs[2]._replace(score=None)] + pairs[3:],
+        ],
+        ids=["fewer", "more", "score", "no-score"],
+    )
+    def test_a_second_pass_that_differs_is_an_error(self, change):
+        pairs = make_corpus(5, with_scores=True)
+
+        class Twice:
+            passes = iter([pairs, change(pairs)])
+
+            def __iter__(self):
+                return iter(next(self.passes))
+
+        kept = ds.filter_top_fraction(Twice(), 0.4)
+        with pytest.raises(ds.SchemaError, match="^the pairs changed between the filter's two passes"):
+            list(kept)
+
+    def test_a_one_shot_iterator_is_refused(self):
+        pairs = make_corpus(5, with_scores=True)
+        with pytest.raises(ds.SchemaError, match="not an iterator"):
+            ds.filter_top_fraction((pair for pair in pairs), 0.4)
 
 
 class TestSampleSubset:
@@ -284,16 +354,20 @@ class TestPairFiles:
         [
             ("a\tb\r\nc\td\r\n", [("a", "b", None, 0), ("c", "d", None, 1)]),
             ("a\tb\rc\td\n", "line 1: bare CR inside a field"),
+            ("a\tb\r\r\nc\td\n", "line 1: bare CR inside a field"),
+            ("a\tb\nc\td\r", "line 2: bare CR inside a field"),
             ("a\tb\t0.5\nc\td", [("a", "b", 0.5, 0), ("c", "d", None, 1)]),
             ("a\tb\t 0.5 \nc\td\t1e-3\ne\tf\t-inf\n",
              [("a", "b", 0.5, 0), ("c", "d", 0.001, 1), ("e", "f", -math.inf, 2)]),
             ("\t\n\tt\t2\ns\t\n", [("", "", None, 0), ("", "t", 2.0, 1), ("s", "", None, 2)]),
         ],
-        ids=["crlf", "lone-cr", "no-final-newline", "score-spellings", "empty-fields"],
+        ids=["crlf", "lone-cr", "cr-before-crlf", "cr-at-end-of-file", "no-final-newline",
+             "score-spellings", "empty-fields"],
     )
     def test_line_ends_scores_and_empty_fields(self, tmp_path, text, expected):
         # lines end only at LF: a bare CR is an error, not a line end that
-        # would shift the index of every later pair
+        # would shift the index of every later pair, and only the CR of a
+        # final CRLF is part of the line end
         path = tmp_path / "corpus.tsv"
         path.write_bytes(text.encode("utf-8"))
         if isinstance(expected, str):
@@ -333,6 +407,47 @@ class TestPairFiles:
         path = tmp_path / "corpus.tsv"
         path.write_text("a\tb\n" * 4 + format_pair(pair) + "\n", encoding="utf-8")
         assert list(ds.read_pairs(path))[4] == pair
+
+
+# ---------------------------------------------------------------------------
+# Memory of the streamed commands
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_corpus(tmp_path_factory):
+    """20 000 scored pairs of ~200-character lines (4.2 MB)."""
+    path = tmp_path_factory.mktemp("large") / "corpus.tsv"
+    side = " ".join(WORDS * 2)[:95]
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, 20_000, 1000):
+            fh.write("".join(
+                f"{i} {side}\t{side} {i}\t{i * 7919 % 20011 / 20011!r}\n" for i in range(start, start + 1000)
+            ))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["filter", "--fraction", "0.5"], ["corrupt", "--kind", "pair_shuffle", "--seed", "3"]],
+    ids=["filter", "pair_shuffle"],
+)
+def test_streamed_command_holds_scores_or_a_lookahead_not_the_corpus(tmp_path, large_corpus, argv):
+    # Holding the corpus's pairs took ~10.5 MB here; the scores alone take
+    # 8 bytes a pair, and a lookahead a few pairs.  A first run on a small
+    # file imports and builds what the command needs, so the traced run
+    # measures the command's data alone.
+    small = tmp_path / "small.tsv"
+    small.write_text("a\tb\t0.5\nc\td\t0.25\n", encoding="utf-8")
+    assert main(["corpus", *argv, "--input", str(small), "--output", str(tmp_path / "small-out.tsv")]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["corpus", *argv, "--input", str(large_corpus), "--output", str(tmp_path / "out.tsv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -420,4 +535,4 @@ def test_noise_equals_scalar_streams_for_every_chunk_budget(monkeypatch, prob, s
         for spec, want in expected.items():
             noise = ds.corrupt_chars if spec.kind == "char_noise" else ds.delete_words
             assert list(noise(iter(SWEEP_PAIRS), spec)) == want, (spec, budget)
-        assert ds.shuffle_pairs(SWEEP_PAIRS, shuffle) == expected_shuffle, budget
+        assert list(ds.shuffle_pairs(iter(SWEEP_PAIRS), shuffle)) == expected_shuffle, budget
