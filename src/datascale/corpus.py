@@ -23,12 +23,13 @@ concatenated text, which is decoded once and sliced per pair.
 
 Memory: ``corrupt_chars`` and ``delete_words`` hold one chunk of pairs,
 about ``_CHUNK_DRAWS`` characters of the noised side.  ``shuffle_pairs``
-holds a chunk of about ``_CHUNK_DRAWS`` target characters plus the pairs
-from the last selected pair onward, a gap of about ``1/prob`` pairs; only a
-small ``prob`` makes that much of the corpus.  ``sample_subset`` holds its
-sample.  ``filter_top_fraction`` reads its input twice and holds the scores,
-8 bytes a pair, plus a sorted copy of them while it finds the cutoff (~40
-bytes a pair in all).
+holds a chunk of about ``8 * _CHUNK_DRAWS`` target characters and at most
+``_CHUNK_DRAWS // 8`` pairs, plus the pairs from the last selected pair
+onward, a gap of about ``1/prob`` pairs; only a small ``prob`` makes that
+much of the corpus.  ``sample_subset`` holds its sample.
+``filter_top_fraction`` reads its input twice and holds the scores, 8 bytes
+a pair, plus a sorted copy of them while it finds the cutoff (~40 bytes a
+pair in all).
 
 File format: UTF-8 text, one pair per line, ``source<TAB>target`` with an
 optional third TAB-separated field holding a decimal quality score.  Lines
@@ -164,15 +165,15 @@ def _coins(u, prob: float):
     return (u >> np.uint64(11)) < np.uint64(math.ceil(prob * 2.0**53))
 
 
-def _chunks(pairs: Iterable[SentencePair], column: int, draws_per_char: int) -> Iterator[list]:
-    """Group ``pairs`` in order into lists whose ``column`` texts need about
-    ``_CHUNK_DRAWS`` draws at ``draws_per_char``, at least one pair each."""
-    chars = _CHUNK_DRAWS // draws_per_char
+def _chunks(pairs: Iterable[SentencePair], column: int, chars: int, max_pairs: int | None = None) -> Iterator[list]:
+    """Group ``pairs`` in order into lists whose ``column`` texts hold about
+    ``chars`` characters, at least one pair each and, given ``max_pairs``,
+    at most that many."""
     chunk, budget = [], 0
     for pair in pairs:
         chunk.append(pair)
         budget += len(pair[column])
-        if budget >= chars:
+        if budget >= chars or len(chunk) == max_pairs:
             yield chunk
             chunk, budget = [], 0
     if chunk:
@@ -201,7 +202,7 @@ def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterat
     _check_kind(spec, "char_noise")
     column = SentencePair._fields.index(spec.side)
     alphabet = np.frombuffer(REPLACEMENT_ALPHABET.encode("utf-32-le"), dtype=np.uint32)
-    for chunk in _chunks(pairs, column, 2):
+    for chunk in _chunks(pairs, column, _CHUNK_DRAWS // 2):
         fields = list(zip(*chunk))  # source, target, score and index columns
         lengths = np.fromiter(map(len, fields[column]), dtype=np.int64, count=len(chunk))
         ends = np.cumsum(lengths)
@@ -248,7 +249,7 @@ def delete_words(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterato
     column = SentencePair._fields.index(spec.side)
     # A word holds at least one character, so it needs at most one draw per
     # character.
-    for chunk in _chunks(pairs, column, 1):
+    for chunk in _chunks(pairs, column, _CHUNK_DRAWS):
         fields = list(zip(*chunk))  # source, target, score and index columns
         words = [text.split() for text in fields[column]]
         u, starts = _streams(spec.seed, fields[3], list(map(len, words)))
@@ -282,7 +283,10 @@ def shuffle_pairs(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterat
     first_target = None
     rotated = False
     held: list[SentencePair] = []  # the last selected pair and every pair after it
-    for chunk in _chunks(pairs, 1, 1):
+    # One draw per pair, not per character: chunks of 8x the characters keep
+    # numpy's per-call overhead small, and the pair cap keeps a chunk of
+    # short sentences from holding thousands of pairs.
+    for chunk in _chunks(pairs, 1, 8 * _CHUNK_DRAWS, _CHUNK_DRAWS // 8):
         u, _ = _streams(spec.seed, [pair.index for pair in chunk], [1] * len(chunk))
         done = 0
         for pos in np.flatnonzero(_coins(u, spec.prob)).tolist():

@@ -803,7 +803,7 @@ def _tail_log(t, y, grid, cfg: FitConfig):
 
     def squares(z):
         mean = sum(z) / len(z)
-        return sum((v - mean) * (v - mean) for v in z)
+        return sum([(v - mean) * (v - mean) for v in z])
 
     def profile(ln_q, cfg):
         """At ``ln q``: the least objective with ``rho > 0``, its ``ln rho``, and the objective at ``rho = 0``."""
@@ -817,7 +817,8 @@ def _tail_log(t, y, grid, cfg: FitConfig):
         lo, hi = max(start - width, _LN_RHO[1]), min(start + width, _LN_RHO[-1])
 
         def f(ln_rho):
-            return squares([u - math.log(w + math.exp(ln_rho)) for u, w in zip(ln_ys, xs)])
+            rho = math.exp(ln_rho)
+            return squares([u - math.log(w + rho) for u, w in zip(ln_ys, xs)])
 
         ln_rho, fx, ok, _ = _brent(f, lo, start, hi, cfg)
         if min(ln_rho - lo, hi - ln_rho) < 0.1 * width:  # the optimum may lie beyond the bracket

@@ -5,20 +5,29 @@ The CSV schema is ``condition,d_millions,loss`` with optional ``n_enc``,
 in millions of sentence pairs; a file holding raw pair counts in a ``d``
 column is converted on load with ``raw_counts=True``.
 
-Every CSV input of the package goes through :func:`read_csv_records`
+Every CSV input of the package is read as :func:`read_csv_records` reads it
 (UTF-8 with an optional byte-order mark, header names stripped of
-surrounding spaces, one ``csv.reader`` pass) and every numeric cell through
-:func:`parse_float`, which accepts finite numbers only.  Errors carry the
-1-based line number, the header being line 1.  :func:`load_observations`
-checks every row with :func:`~datascale.core.check_observation`, the checks
-of an :class:`~datascale.core.Observation`, and builds observations only for
-the condition asked for, if one is.
+surrounding spaces, one ``csv.reader`` pass) and every numeric cell parsed
+as :func:`parse_float` parses it, which accepts finite numbers only.  Errors
+carry the 1-based line number, the header being line 1.
+
+:func:`load_observations` parses and checks every row, and builds
+observations only for the condition asked for, if one is.  It reads the file
+once and checks it a column at a time, mostly with builtins that loop over
+a whole column in C.  Where a check fails, or the file takes a shape that pass does
+not handle (a row shorter than the header, say), it reads the file again row
+by row: through :func:`read_csv_records` and
+:func:`~datascale.core.check_observation`, the checks of an
+:class:`~datascale.core.Observation`, raising the first bad row's error.
+That row loop defines a valid table; the column pass accepts no table the
+loop refuses, and builds the same observations from one it accepts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -27,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    METRICS,
     JointLawParams,
     Observation,
     PowerLaw,
@@ -36,6 +46,12 @@ from .core import (
 )
 from .errors import DataScaleError, DomainError, ParseError
 from .files import replace_on_success
+
+
+# Rows transposed at a time by the column pass of load_observations: holding
+# every row's list at once set off the cyclic garbage collector in most loads
+# of a 500-row table.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,10 @@ def _parse_count(value: str | None, column: str, line: int) -> int | None:
 def load_observations(path, raw_counts: bool = False, condition: str | None = None) -> ObservationTable:
     """Load an observation table from a CSV file.
 
+    The table is checked a column at a time.  Where a check fails, or the
+    file takes a shape that pass leaves alone, the rows are read again one
+    at a time, which raises the first bad row's error.
+
     Args:
         path: File to read.
         raw_counts: When True the size column must be named ``d`` and hold
@@ -132,6 +152,88 @@ def load_observations(path, raw_counts: bool = False, condition: str | None = No
             1-based line number (the header is line 1).
     """
     size_column = "d" if raw_counts else "d_millions"
+    rows = _load_columns(path, size_column, raw_counts, condition)
+    if rows is None:
+        rows = _load_rows(path, size_column, raw_counts, condition)
+    return ObservationTable(rows=rows, source_path=str(path))
+
+
+def _load_columns(path, size_column: str, raw_counts: bool, condition: str | None) -> list[Observation] | None:
+    """The observations of :func:`_load_rows`, from one read and checks a
+    column at a time; None where a check fails or the file holds no data
+    row, a row shorter than the header, a missing column or text that does
+    not decode or parse, all left to :func:`_load_rows`.  So it accepts no
+    table that :func:`_load_rows` refuses."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            records = filter(None, reader)  # a blank line reads as []
+            columns = [[] for _ in header]
+            for block in iter(lambda: list(itertools.islice(records, _BLOCK_ROWS)), []):
+                cells = list(zip(*block))  # as many as the shortest row has cells
+                if len(cells) < len(header):
+                    return None
+                for column, part in zip(columns, cells):
+                    column.extend(part)
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    index = {name.strip(): i for i, name in enumerate(header)}
+    names = ("condition", size_column, "loss", "n_enc", "n_dec", "metric", "replicate")
+    if not (columns and columns[0] and all(map(index.__contains__, names[:3]))):
+        return None
+    n = len(columns[0])
+    labels, d, loss, n_enc, n_dec, metrics, replicates = (
+        columns[index[name]] if name in index else None for name in names
+    )
+    labels = list(map(str.strip, labels))
+    try:
+        d, loss = list(map(float, d)), list(map(float, loss))
+        if n_enc or n_dec:
+            n_enc, n_dec = _count_columns(n_enc or ("",) * n, n_dec or ("",) * n)
+        else:
+            n_enc = n_dec = [None] * n
+    except ValueError:
+        return None
+    if raw_counts:
+        d = [v / 1e6 for v in d]
+    if metrics:
+        metrics = [metric or "log_perplexity" for metric in map(str.strip, metrics)]
+        perplexities = [v for v, metric in zip(loss, metrics) if metric == "log_perplexity"]
+    else:
+        metrics, perplexities = ["log_perplexity"] * n, loss
+    replicates = map(str.strip, replicates) if replicates else itertools.repeat("")
+    if not (
+        all(labels)
+        and all(map(math.isfinite, d))
+        and min(d) > 0
+        and all(map(math.isfinite, loss))
+        and min(perplexities, default=1.0) > 0
+        and set(metrics) <= set(METRICS)
+        and len(set(zip(labels, d, replicates))) == n
+    ):
+        return None
+    fields = zip(labels, d, loss, n_enc, n_dec, metrics)
+    return [Observation(*row) for row in fields if condition is None or row[0] == condition]
+
+
+def _count_columns(enc_cells, dec_cells) -> tuple[list, list]:
+    """The ``n_enc`` and ``n_dec`` of each row, None where both cells are
+    blank; a ValueError where a cell is not a positive whole number or a
+    row gives one count alone."""
+    enc, dec = ([float(cell) if cell.strip() else None for cell in cells] for cells in (enc_cells, dec_cells))
+    given = [count for count in enc + dec if count is not None]
+    if [count is None for count in enc] != [count is None for count in dec]:
+        raise ValueError("a row gives one parameter count alone")
+    if not (all(map(float.is_integer, given)) and min(given, default=1.0) > 0):
+        raise ValueError("a parameter count is not a positive whole number")
+    return tuple([None if count is None else int(count) for count in counts] for counts in (enc, dec))
+
+
+def _load_rows(path, size_column: str, raw_counts: bool, condition: str | None) -> list[Observation]:
+    """The observations of :func:`load_observations`, parsed and checked a
+    row at a time: the definition of a valid row, which raises the first
+    bad row's ParseError."""
     rows: list[Observation] = []
     seen: set[tuple] = set()
     records = read_csv_records(
@@ -161,7 +263,7 @@ def load_observations(path, raw_counts: bool = False, condition: str | None = No
         seen.add(key)
         if condition is None or label == condition:
             rows.append(Observation(label, d_millions, loss, n_enc, n_dec, metric))
-    return ObservationTable(rows=rows, source_path=str(path))
+    return rows
 
 
 def format_observations(table: ObservationTable) -> str:

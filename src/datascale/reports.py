@@ -274,13 +274,18 @@ def render_table(report: dict) -> list[list]:
     if kind == "fit_shared":
         observations = _observations(report, ("d_millions", "loss"))
         header = ["condition", "d", "observed", "predicted", "residual"]
-        rows, laws = [], {}
-        for obs, residual in zip(observations, _numbers(report, "residuals", len(observations))):
+        residuals = _numbers(report, "residuals", len(observations))
+        laws, sizes = {}, {}  # each condition's law, and its sizes in the order of its rows
+        for obs in observations:
             label = obs["condition"]
             if not isinstance(label, str) or label not in laws:  # law_from_report rejects a non-string
                 laws[label] = law_from_report(report, label)
-            d = obs["d_millions"]
-            rows.append([label, d, obs["loss"], float(eval_law(laws[label], np.array([d]))[0]), residual])
+                sizes[label] = []
+            sizes[label].append(obs["d_millions"])
+        predicted = {label: iter(eval_law(laws[label], np.array(d, dtype=float)).tolist())
+                     for label, d in sizes.items()}
+        rows = [[obs["condition"], obs["d_millions"], obs["loss"], next(predicted[obs["condition"]]), residual]
+                for obs, residual in zip(observations, residuals)]
         return [header] + rows
     if kind == "fit":
         law, evaluate = law_from_report(report), eval_law

@@ -450,6 +450,23 @@ def test_streamed_command_holds_scores_or_a_lookahead_not_the_corpus(tmp_path, l
     assert peak < 2 * 2**20, peak
 
 
+def test_pair_shuffle_on_short_lines_holds_a_bounded_chunk(tmp_path):
+    # A chunk of 8 * _CHUNK_DRAWS target characters alone would hold every
+    # one of these pairs (~5 MB here); the pair cap holds ~1000 at a time.
+    path = tmp_path / "short.tsv"
+    path.write_text("".join(f"{i}\t{i}\n" for i in range(20_000)), encoding="utf-8")
+    argv = ["corpus", "corrupt", "--kind", "pair_shuffle", "--seed", "3", "--input", str(path)]
+    assert main([*argv, "--output", str(tmp_path / "warm.tsv")]) == 0
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", str(tmp_path / "out.tsv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # Equality with the scalar per-pair streams
 # ---------------------------------------------------------------------------
