@@ -37,8 +37,9 @@ class McConfig:
         noise_frac: Relative noise level; replicate losses are drawn from
             ``Normal(loss, noise_frac * loss)`` per observation.
         n_reps: Number of replicates.
-        seed: Master seed; replicate ``r`` draws from a stream derived from
-            ``(seed, r)`` so results do not depend on evaluation order.
+        seed: Non-negative master seed; replicate ``r`` draws from a stream
+            derived from ``(seed, r)`` so results do not depend on evaluation
+            order.
     """
 
     noise_frac: float = 0.02
@@ -50,6 +51,8 @@ class McConfig:
             raise DomainError("noise_frac must be positive")
         if self.n_reps < 2:
             raise DomainError("n_reps must be at least 2")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

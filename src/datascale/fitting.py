@@ -25,8 +25,10 @@ Log :func:`fit_single` is one row of the batched search of
 the batch keeps the bits of a lone fit: besides taking only elementwise
 operations and last-axis sums, it stops at its own step and compares its
 refined cell with the ``c = 0`` endpoint on its own (:func:`_minimize`,
-:func:`_sections`).  The rows go ``_BLOCK`` at a time, and their grid stage
-``_CHUNK`` elements at a time, so no temporary grows with the number of
+:func:`_sections`).  The rows go ``_BLOCK`` at a time, their grid stage
+``_CHUNK`` elements (128 kB) at a time, and each step of their refinement
+writes its 65 points a row into three arrays that every step reuses, 250 kB
+each for 48 rows of 10 sizes.  So no temporary grows with the number of
 replicates: one unblocked table of 200 replicates on 402 cells would take
 tens of MB.
 
@@ -75,9 +77,9 @@ LOSS_SPACES = ("log", "linear")
 _P_MIN = 1e-12
 _LN_C_GRID = np.concatenate([[-np.inf], np.linspace(math.log(ZERO_CAPACITY), math.log(1e12), 401)])
 _P_GRID = 2.0 * np.linspace(math.sqrt(_P_MIN / 2.0), 1.0, 31) ** 2
-_CHUNK = 2**14  # most elements of one temporary array of a grid table
+_CHUNK = 2**14  # most elements of one temporary array of a grid table: 128 kB
 _SECTION_POINTS = 128  # points evaluated per step of a batched refinement
-_BLOCK = 16  # rows of one batched single-curve search: a few hundred kB of temporaries
+_BLOCK = 48  # rows of one batched single-curve search: 250 kB per workspace array at 10 sizes
 # Inner ln c searches of a shared p: the grid stage's bracket tolerance, the
 # slope in ln c per unit p allowed for beside a line through two optima, and
 # the widest half-width tried before the grid is searched again.
@@ -310,13 +312,15 @@ def _squares(r):
     return np.where(np.isnan(objective), np.inf, objective)
 
 
-def _log_parts(inv_d, ln_c):
+def _log_parts(inv_d, ln_c, out=(None, None, None)):
     """What the log-space objective takes of the sizes and of ``c``, for each
     ``ln c``: ``ln u = ln(1/d + c)`` over the points (last axis), its centred
-    form ``x`` and ``sxx``, the sum of the squares of ``x``."""
-    ln_u = np.log(inv_d + np.exp(ln_c)[..., None])
-    x = ln_u - ln_u.mean(-1, keepdims=True)
-    return ln_u, x, (x * x).sum(-1)
+    form ``x`` and ``sxx``, the sum of the squares of ``x``.  ``out`` may give
+    three arrays of their shape to hold ``ln u``, ``x`` and those squares."""
+    ln_u = np.add(inv_d, np.exp(ln_c)[..., None], out=out[0])
+    np.log(ln_u, out=ln_u)
+    x = np.subtract(ln_u, ln_u.mean(-1, keepdims=True), out=out[1])
+    return ln_u, x, np.square(x, out=out[2]).sum(-1)
 
 
 def _centred_sums(ln_y, parts):
@@ -330,13 +334,21 @@ def _centred_sums(ln_y, parts):
     return (x * ln_y[..., None, :]).sum(-1), sxx, (ln_y * ln_y).sum(-1)
 
 
-def _log_line(ln_y, parts):
+def _log_line(ln_y, parts, out=None):
     """Least-squares ``ln y = ln alpha + p * ln(1/d + c)`` for each row of
     ``ln_y`` and each ``ln c`` of the :func:`_log_parts` ``parts``, with ``p``
-    clipped to ``[1e-12, 2]``: ``(p, alpha, objective)``."""
-    sxy, sxx, _ = _centred_sums(ln_y, parts)
-    p = np.clip(sxy / sxx, _P_MIN, 2.0)
-    return (p, *_log_alpha(parts[0], p[..., None], ln_y[..., None, :], np.ones(ln_y.shape[-1])))
+    clipped to ``[1e-12, 2]``: ``(p, ln alpha, objective)``, a NaN objective
+    as inf.  The arithmetic of :func:`_centred_sums` and :func:`_log_alpha`
+    at weight 1, in one array of shape ``(rows, cells, points)``: ``out``,
+    if given."""
+    ln_u, x, sxx = parts
+    r = np.multiply(x, (ln_y - ln_y.mean(-1, keepdims=True))[..., None, :], out=out)
+    p = np.clip(r.sum(-1) / sxx, _P_MIN, 2.0)
+    np.subtract(ln_y[..., None, :], np.multiply(p[..., None], ln_u, out=r), out=r)
+    ln_alpha = r.sum(-1) / ln_y.shape[-1]
+    objective = np.square(np.subtract(r, ln_alpha[..., None], out=r), out=r).sum(-1)
+    objective[np.isnan(objective)] = np.inf
+    return p, ln_alpha, objective
 
 
 def _log_fits(d, y, cfg: FitConfig):
@@ -347,23 +359,29 @@ def _log_fits(d, y, cfg: FitConfig):
     Returns each row's ``p``, ``alpha``, ``ln c``, whether its bracket
     closed, and its steps."""
     inv_d = 1.0 / d
-    p, alpha, ln_c = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
+    p, ln_alpha, ln_c = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
     closed, steps = np.empty(len(y), bool), np.empty(len(y), int)
+    work = [np.empty(0)] * 3
+
+    def objective(rows, points):
+        """The objectives of the block's rows ``rows`` at ``points``, in three arrays that every step reuses."""
+        nonlocal work
+        size = points.size * len(d)
+        if work[0].size < size:
+            work = [np.empty(size) for _ in range(3)]
+        u, x, r = (w[:size].reshape(*points.shape, len(d)) for w in work)
+        return _log_line(ln_y[rows], _log_parts(inv_d, points, (u, x, r)), r)[2]
+
     with np.errstate(all="ignore"):
         grid = _log_parts(inv_d, _LN_C_GRID)
         chunk = max(1, _CHUNK // grid[0].size)  # rows of one grid table
         for start in range(0, len(y), _BLOCK):
             block = slice(start, start + _BLOCK)
             ln_y = np.log(y[block])
-            ln_c[block], _, closed[block], steps[block] = _minimize(
-                np.concatenate([_log_line(ln_y[i : i + chunk], grid)[2] for i in range(0, len(ln_y), chunk)]),
-                _LN_C_GRID,
-                lambda rows, points: _log_line(ln_y[rows], _log_parts(inv_d, points))[2],
-                cfg,
-            )
-            line = _log_line(ln_y, _log_parts(inv_d, ln_c[block, None]))
-            p[block], alpha[block] = line[0][:, 0], line[1][:, 0]
-    return p, alpha, ln_c, closed, steps
+            values = np.concatenate([_log_line(ln_y[i : i + chunk], grid)[2] for i in range(0, len(ln_y), chunk)])
+            ln_c[block], _, closed[block], steps[block] = _minimize(values, _LN_C_GRID, objective, cfg)
+            p[block], ln_alpha[block], _ = (v[:, 0] for v in _log_line(ln_y, _log_parts(inv_d, ln_c[block, None])))
+    return p, np.exp(ln_alpha), ln_c, closed, steps
 
 
 def _shared_exponent(arrays, cfg: FitConfig):

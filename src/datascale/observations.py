@@ -303,6 +303,8 @@ def _draw(points, noise_frac: float, seed: int) -> ObservationTable:
     ``(clean, fields)`` point, one standard-normal ``z`` per point in order."""
     if noise_frac < 0:
         raise DomainError("noise_frac must be non-negative")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     rows = [
         Observation(loss=float(clean * (1.0 + noise_frac * rng.standard_normal())), **fields)
@@ -322,7 +324,7 @@ def simulate(
 
     Losses are ``eval_law(d) * (1 + noise_frac * z)`` with ``z`` standard
     normal, i.e. ``Normal(loss, noise_frac * loss)``; ``noise_frac = 0``
-    yields exact curve points.  Deterministic for a fixed seed.
+    yields exact curve points.  Deterministic for a fixed non-negative seed.
     """
     if not len(d_grid):
         raise DomainError("d grid must be non-empty")

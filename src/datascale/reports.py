@@ -262,14 +262,15 @@ def render_table(report: dict) -> list[list]:
         held_rows = [(obs["n_enc"], obs["n_dec"]) in held for obs in observations]
         residuals = iter(_numbers(report, "residuals", held_rows.count(False)))
         holdout_residuals = iter(_numbers(report, "holdout_residuals", held_rows.count(True)))
-        rows = []
-        for obs, is_held in zip(observations, held_rows):
-            residual = next(holdout_residuals) if is_held else next(residuals)
-            d = obs["d_millions"]
-            predicted = float(eval_joint_law(params, obs["n_enc"], obs["n_dec"], np.array([d]))[0])
-            rows.append(
-                [obs["condition"], obs["n_enc"], obs["n_dec"], d, obs["loss"], predicted, residual, int(is_held)]
-            )
+        sizes = {}  # each shape's sizes in the order of its rows
+        for obs in observations:
+            sizes.setdefault((obs["n_enc"], obs["n_dec"]), []).append(obs["d_millions"])
+        predicted = {shape: iter(eval_joint_law(params, *shape, np.array(d, dtype=float)).tolist())
+                     for shape, d in sizes.items()}
+        rows = [[obs["condition"], obs["n_enc"], obs["n_dec"], obs["d_millions"], obs["loss"],
+                 next(predicted[obs["n_enc"], obs["n_dec"]]), next(holdout_residuals if is_held else residuals),
+                 int(is_held)]
+                for obs, is_held in zip(observations, held_rows)]
         return [header] + rows
     if kind == "fit_shared":
         observations = _observations(report, ("d_millions", "loss"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import datascale as ds
+from datascale import cli, fitting
 from datascale.analysis import _replicate_draws, _replicate_losses
 from datascale.fitting import _fit_laws
 
@@ -172,23 +173,40 @@ class TestMcUncertainty:
         assert q05 <= q50 <= q95
         assert summary.n_converged <= 40
 
-    def test_batched_replicates_match_lone_fits(self):
-        # Each replicate of the batch gets the p, convergence and steps that
-        # fit_single gives it alone: across blocks, iteration caps that stop
-        # some rows early, a coarse tolerance, a curve without and one deep in
-        # saturation, and noise that goes through the redraw loop.
+    @pytest.mark.parametrize("block", [1, 7, fitting._BLOCK])
+    def test_batched_replicates_match_lone_fits(self, monkeypatch, block):
+        # Each replicate of the batch gets the law, residuals, convergence and
+        # steps that fit_single gives it alone, bit for bit: across blocks of
+        # any size, iteration caps that stop some rows early, a coarse
+        # tolerance, a curve without and one deep in saturation, and noise
+        # that goes through the redraw loop.
         grid = np.array([1.0, 3.0, 7.0, 20.0, 50.0, 120.0, 300.0])
         curves = (ds.PowerLaw(1.9, 1e-6, 0.6), ds.PowerLaw(3.0, 50.0, 0.2), self.BASE_LAW)
         configs = [ds.FitConfig(), ds.FitConfig(max_iters=3), ds.FitConfig(rel_tol=1e-3), ds.FitConfig(max_iters=1)]
+        monkeypatch.setattr(fitting, "_BLOCK", block)
         for i, law in enumerate(curves):
             losses = ds.eval_law(law, grid)
             for noise_frac in (0.02, 0.6):
                 draws = _replicate_draws(losses, ds.McConfig(noise_frac=noise_frac, n_reps=18, seed=i))
                 for cfg in configs:
-                    batch = [(fit.p, converged, n_iters) for fit, converged, n_iters in _fit_laws(grid, draws, cfg)]
+                    batch = [repr((fit, (np.log(row) - np.log(ds.eval_law(fit, grid))).tolist(), converged, n_iters))
+                             for (fit, converged, n_iters), row in zip(_fit_laws(grid, draws, cfg), draws)]
                     lone = [ds.fit_single([ds.Observation("c", d, y) for d, y in zip(grid.tolist(), row.tolist())],
                                           cfg) for row in draws]
-                    assert batch == [(fit.law.p, fit.converged, fit.n_iters) for fit in lone]
+                    assert batch == [repr((fit.law, fit.residuals, fit.converged, fit.n_iters)) for fit in lone]
+
+    def test_mc_report_bytes_do_not_depend_on_the_block(self, monkeypatch, tmp_path):
+        # 150 replicates cross blocks at every block size tried
+        path = tmp_path / "obs.csv"
+        ds.write_observations(path, ds.simulate(self.BASE_LAW, DOUBLING_GRID, 0.01, seed=4))
+        reports = []
+        for block in (1, 7, fitting._BLOCK):
+            monkeypatch.setattr(fitting, "_BLOCK", block)
+            output = tmp_path / f"mc-{block}.json"
+            assert cli.main(["mc", "--input", str(path), "--seed", "9", "--n-reps", "150",
+                             "--output", str(output)]) == 0
+            reports.append(output.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_redraw_keeps_replicate_losses_positive(self):
         # even when the noise dwarfs the loss, rejected draws are retried

@@ -672,6 +672,33 @@ class TestMc:
         assert out == "" and "bleu" in err
 
 
+class TestNegativeSeed:
+    # numpy's generators take non-negative seeds only; a negative one is an
+    # input error, not a traceback
+    @pytest.mark.parametrize("command", [
+        ["mc", "--n-reps", "5"],
+        ["simulate", "--alpha", "2", "--c", "0.1", "--p", "0.3", "--d-grid", "1,2,4,8"],
+        ["simulate", "--joint", "--alpha", "1.5", "--p", "0.3", "--beta", "2.0", "--p-e", "0.4", "--p-d", "0.4",
+         "--l-inf", "0.2", "--d-grid", "1,2,4,8", "--shapes", "10x10"],
+    ])
+    def test_exits_2_with_a_message(self, capsys, tmp_path, command):
+        if command[0] == "mc":
+            command += ["--input", str(simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285))]
+        output = tmp_path / "out"
+        code, out, err = run(capsys, *command, "--seed", "-1", "--output", str(output))
+        assert code == 2
+        assert out == "" and err == "error: seed must be non-negative, got -1\n"
+        assert not output.exists()
+
+    def test_library_entry_points_raise_domain_error(self):
+        params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)
+        for call in (lambda: ds.McConfig(seed=-1),
+                     lambda: ds.simulate(ds.PowerLaw(2.0, 0.1, 0.3), [1.0, 2.0], 0.01, seed=-1),
+                     lambda: ds.simulate_joint(params, [(10, 10)], [1.0, 2.0], 0.01, seed=-1)):
+            with pytest.raises(ds.DomainError, match="seed must be non-negative"):
+                call()
+
+
 class TestFitJointCommand:
     def test_holdout_flag(self, capsys, tmp_path):
         params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)

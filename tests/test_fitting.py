@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import datascale as ds
+from datascale import fitting
 
 from conftest import DOUBLING_GRID, FILTERING_BLOCK, GridSpec, curve_observations, grid_oracle
 
@@ -288,6 +289,41 @@ class TestGridOracle:
             )
             fit = ds.fit_single(obs, ds.FitConfig(seed=i))
             assert fit.objective <= grid_oracle(obs, grid).objective + 1e-12
+
+
+class TestLogLine:
+    """``fitting._log_line``, the objective of every log-space single fit,
+    keeps the bits of the formula it replaced: the clipped slope of
+    ``_centred_sums``, then ``_log_alpha`` at weight 1, on parts taken
+    without buffers."""
+
+    @staticmethod
+    def reference(ln_y, inv_d, ln_c):
+        ln_u = np.log(inv_d + np.exp(ln_c)[..., None])
+        x = ln_u - ln_u.mean(-1, keepdims=True)
+        parts = (ln_u, x, (x * x).sum(-1))
+        sxy, sxx, _ = fitting._centred_sums(ln_y, parts)
+        p = np.clip(sxy / sxx, fitting._P_MIN, 2.0)
+        return (p, *fitting._log_alpha(ln_u, p[..., None], ln_y[..., None, :], np.ones(ln_y.shape[-1])))
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 33])
+    def test_equals_the_weighted_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        d = np.sort(rng.choice(np.geomspace(0.5, 600.0, 64), n, replace=False))
+        ln_y = np.log(ds.eval_law(ds.PowerLaw(2.5, 0.05, 0.3), d) * rng.lognormal(0.0, 0.05, (9, n)))
+        ln_y[-2, 1], ln_y[-1, 0] = np.nan, np.inf  # objectives NaN, reported as inf
+        points = rng.uniform(-27.6, 27.6, (9, 65))
+        with np.errstate(all="ignore"):
+            workspace = np.empty((3, 9, 65, n))
+            cases = [(fitting._LN_C_GRID, fitting._log_parts(1.0 / d, fitting._LN_C_GRID), None),  # c = 0 first
+                     (points, fitting._log_parts(1.0 / d, points), None),
+                     (points, fitting._log_parts(1.0 / d, points, workspace), workspace[2])]
+            for ln_c, parts, out in cases:
+                p, alpha, objective = self.reference(ln_y, 1.0 / d, ln_c)
+                got_p, ln_alpha, got = fitting._log_line(ln_y, parts, out)
+                assert [got_p.tobytes(), np.exp(ln_alpha).tobytes(), got.tobytes()] == \
+                    [p.tobytes(), alpha.tobytes(), objective.tobytes()]
+                assert np.isinf(objective[-2:]).all() and np.isfinite(objective[:-2]).all()
 
 
 def engine_sweep():

@@ -211,6 +211,23 @@ class TestTablesFromTheFit:
             assert "np.float64" not in format_table(report)
 
     @pytest.mark.parametrize("space", ["log", "linear"])
+    def test_joint_table_gives_each_row_the_bits_of_its_own_evaluation(self, space):
+        # 40 rows of 4 shapes in shuffled order, one shape held out: each
+        # shape is evaluated in one call, and each row must still read what
+        # the row evaluated alone reads
+        shapes = JOINT_SHAPES + [(10**9, 3 * 10**8)]
+        rows = ds.simulate_joint(ds.JointLawParams(1.8, 0.3, *JOINT_FIXED), shapes, DOUBLING_GRID, 0.01,
+                                 seed=7).rows
+        obs = [rows[i] for i in np.random.default_rng(7).permutation(len(rows))]
+        cfg = ds.FitConfig(loss_space=space)
+        result = ds.fit_joint(obs, JOINT_FIXED, cfg, hold_out=shapes[1:2])
+        header, *table = render_table(build_joint_report(result, obs, cfg, "obs.csv", shapes[1:2]))
+        alone = [float(ds.eval_joint_law(result.params, o.n_enc, o.n_dec, np.array([o.d_millions]))[0])
+                 for o in obs]
+        assert len(table) == 40 and sum(row[-1] for row in table) == 10
+        assert [repr(row[header.index("predicted")]) for row in table] == list(map(repr, alone))
+
+    @pytest.mark.parametrize("space", ["log", "linear"])
     @pytest.mark.parametrize("kind", ["fit_shared", "fit_joint"])
     def test_report_prints_the_fit_residuals_and_their_sum_of_squares(self, fitted, kind, space):
         for result, report in fitted[kind, space]:
