@@ -75,7 +75,10 @@ def asymptotic_loss(law: PowerLaw) -> float:
     bound; zero when ``c`` is zero."""
     if law.c == 0:
         return 0.0
-    return float(law.alpha * law.c**law.p)
+    try:
+        return float(law.alpha * law.c**law.p)
+    except OverflowError:
+        raise DomainError(f"the loss floor alpha * c ** p overflows at c = {law.c}, p = {law.p}") from None
 
 
 def transition_point(law: PowerLaw) -> float | None:

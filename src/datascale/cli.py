@@ -488,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
             f"by a symbol from the 94-character alphabet {alphabet_help} ; "
             "word_delete drops each whitespace-delimited word with probability "
             "PROB (default 0.15); pair_shuffle rotates the targets of a PROB "
-            "(default 0.1) fraction of pairs so their alignment is destroyed."
+            "(default 0.1) fraction of pairs so their alignment is destroyed. "
+            "With one seed, the units changed at a lower PROB are a subset of "
+            "those changed at a higher one."
         ),
     )
     p.add_argument("--kind", choices=("char_noise", "word_delete", "pair_shuffle"), required=True)

@@ -204,7 +204,10 @@ def eval_law(law: PowerLaw, d_millions):
         of :mod:`datascale.reports`, all on arrays, agree bit for bit.
     """
     d = _as_positive_d(d_millions)
-    out = law.alpha * (1.0 / d + law.c) ** law.p
+    try:
+        out = law.alpha * (1.0 / d + law.c) ** law.p
+    except OverflowError:  # float ** raises where numpy's power gives inf
+        raise DomainError(f"(1/d + c) ** p overflows at d = {d}, c = {law.c}, p = {law.p}") from None
     return float(out) if np.isscalar(d_millions) else out
 
 

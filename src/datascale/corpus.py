@@ -16,10 +16,13 @@ Since every draw is a function of its counter alone, the noise operations
 compute the draws of a chunk of pairs together as numpy ``uint64`` arrays
 (Salmon et al., SC'11).
 
-Character noise stays on arrays too: the coins alone fix which draws are
-hits, where each character's substitution lands and which draw is its symbol.
-The symbols are written into one ``uint32`` code-point array of the chunk's
-concatenated text, which is decoded once and sliced per pair.
+Each unit of noise owns fixed draws of its pair's stream: character ``t``
+(0-based) has draw ``2t + 1`` as its coin and draw ``2t + 2`` as its
+symbol, word ``w`` (0-based) has draw ``w + 1`` as its coin, and the pair
+has draw 1.  A unit's coin thus does not depend on ``prob`` or on the other
+units, so the noise nests across rates: under one seed, the units changed
+at a lower ``prob`` are a subset of those changed at a higher one, and a
+character replaced at both gets the same symbol.
 
 Memory: ``corrupt_chars`` and ``delete_words`` hold one chunk of pairs,
 about ``_CHUNK_DRAWS`` characters of the noised side.  ``shuffle_pairs``
@@ -193,9 +196,9 @@ def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterat
     :data:`REPLACEMENT_ALPHABET`; character counts per sentence are
     preserved and the other side passes through byte-identical.
 
-    Draw order: for each character in turn, one coin and, only on a hit, one
-    symbol, so a pair of ``n`` characters uses at most ``2n`` draws and draw
-    ``t`` is not tied to character ``t``.
+    Character ``t`` (0-based) of a pair is replaced when draw ``2t + 1`` of
+    its pair's stream is a hitting coin, by the symbol of draw ``2t + 2``;
+    the draw of a miss's symbol goes unused.
     """
     import numpy as np
 
@@ -207,30 +210,14 @@ def corrupt_chars(pairs: Iterable[SentencePair], spec: CorruptionSpec) -> Iterat
         lengths = np.fromiter(map(len, fields[column]), dtype=np.int64, count=len(chunk))
         ends = np.cumsum(lengths)
         offsets = ends - lengths
-        u, starts = _streams(spec.seed, fields[3], 2 * lengths)
-        # A pair's first draw is a coin, and a hit at t makes t + 1 its symbol
-        # and t + 2 a coin again.  So within a run of consecutive hitting
-        # coins, the 1st, 3rd, 5th ... are hits and the others their symbols.
-        # A pair's last draw is never a coin, so clearing it ends every run
-        # at its pair.
-        coin = _coins(u, spec.prob)
-        coin[starts[starts > 0] - 1] = False
-        t = np.flatnonzero(coin)
-        run_start = np.ones(len(t), dtype=bool)
-        run_start[1:] = t[1:] != t[:-1] + 1
-        t = t[((t - np.maximum.accumulate(np.where(run_start, t, 0))) & 1) == 0]
-        # With h hits of its pair before it, hit t is the coin of character
-        # t - start - h, which sits at t - h - offset in the chunk's text
-        # (a pair's draws start at twice its offset).  The walk ends once
-        # that is past the pair's text.
-        pair = np.searchsorted(starts, t, side="right") - 1
-        h = np.arange(len(t)) - np.searchsorted(t, starts)[pair]
-        at = t - h - offsets[pair]
-        inside = at < ends[pair]
+        # A pair's draws start at twice its offset in the chunk's text, so
+        # character i of the text has its coin at 2i and its symbol at 2i + 1.
+        u, _ = _streams(spec.seed, fields[3], 2 * lengths)
+        hit = _coins(u[::2], spec.prob)
         # A str may hold a lone surrogate, which only surrogatepass encodes.
         encoded = "".join(fields[column]).encode("utf-32-le", "surrogatepass")
         codes = np.frombuffer(encoded, dtype=np.uint32).copy()
-        codes[at[inside]] = alphabet[u[t[inside] + 1] % np.uint64(len(alphabet))]
+        codes[hit] = alphabet[u[1::2][hit] % np.uint64(len(alphabet))]
         text = codes.tobytes().decode("utf-32-le", "surrogatepass")
         fields[column] = [text[a:b] for a, b in zip(offsets.tolist(), ends.tolist())]
         yield from map(SentencePair._make, zip(*fields))

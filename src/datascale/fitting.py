@@ -702,9 +702,17 @@ def fit_joint(
     params = JointLawParams(alpha=alpha, p=p, beta=beta, p_e=p_e, p_d=p_d, l_inf=l_inf)
 
     def law_residuals(subset):
-        """Residuals of ``subset`` under ``params``, each evaluated as a one-element array."""
-        m = [eval_joint_law(params, o.n_enc, o.n_dec, np.array([o.d_millions]))[0] for o in subset]
-        return _residuals(np.array(m), _arrays(subset, cfg.loss_space)[1], cfg.loss_space)
+        """Residuals of ``subset`` under ``params``, with each shape's sizes
+        evaluated in one array: an element's bits do not depend on the
+        array it is in (see :func:`eval_law`)."""
+        rows = {}  # each shape's positions in subset
+        for i, o in enumerate(subset):
+            rows.setdefault(o.shape, []).append(i)
+        d, y = _arrays(subset, cfg.loss_space)
+        m = np.empty(len(subset))
+        for shape, at in rows.items():
+            m[at] = eval_joint_law(params, *shape, d[at])
+        return _residuals(m, y, cfg.loss_space)
 
     r = law_residuals(fit_obs)
     return JointFitResult(

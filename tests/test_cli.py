@@ -699,6 +699,38 @@ class TestNegativeSeed:
                 call()
 
 
+class TestOverflowingLaw:
+    # float ** raises OverflowError where numpy's power gives inf; a law past
+    # the float range is an input error, not a traceback
+    @pytest.mark.parametrize("command, message", [
+        (["--d-grid", "1,2", "--alpha", "1e308", "--p", "2", "--c", "1e300"],
+         "error: (1/d + c) ** p overflows at d = 1.0, c = 1e+300, p = 2.0\n"),
+        (["--d-grid", "1e-300", "--alpha", "1", "--p", "2", "--c", "0"],
+         "error: (1/d + c) ** p overflows at d = 1e-300, c = 0.0, p = 2.0\n"),
+        # c comes from the parameter counts, through numpy's exp and log
+        (["--joint", "--d-grid", "1e-300", "--alpha", "1", "--p", "2", "--beta", "2.0", "--p-e", "0.4",
+          "--p-d", "0.4", "--l-inf", "0.2", "--shapes", "10x10"],
+         "error: (1/d + c) ** p overflows at d = 1e-300, c = 1.19"),
+    ], ids=["huge-c", "tiny-d", "joint"])
+    def test_simulate_exits_2_with_a_message(self, capsys, tmp_path, command, message):
+        output = tmp_path / "out.csv"
+        code, out, err = run(capsys, "simulate", "--seed", "1", *command, "--output", str(output))
+        assert code == 2
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+        assert not output.exists()
+
+    def test_analyze_exits_2_with_a_message(self, capsys, tmp_path):
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        fit = tmp_path / "fit.json"
+        assert run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(fit))[0] == 0
+        report = json.loads(fit.read_text(encoding="utf-8"))
+        report["law"].update(c=1e300, p=2.0)
+        fit.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(fit))
+        assert code == 2
+        assert out == "" and err == "error: the loss floor alpha * c ** p overflows at c = 1e+300, p = 2.0\n"
+
+
 class TestFitJointCommand:
     def test_holdout_flag(self, capsys, tmp_path):
         params = ds.JointLawParams(alpha=1.5, p=0.3, beta=2.0, p_e=0.4, p_d=0.4, l_inf=0.2)

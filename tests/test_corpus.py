@@ -473,12 +473,15 @@ def test_pair_shuffle_on_short_lines_holds_a_bounded_chunk(tmp_path):
 
 
 def oracle_chars(pair, spec):
-    """One coin per character and, on a hit, one symbol draw, in text order."""
+    """One coin and then one symbol draw per character, in text order; the
+    symbol is used only on a hit."""
     rng = SplitMix64.for_item(spec.seed, pair.index)
     chars = list(pair.source if spec.side == "source" else pair.target)
     for i in range(len(chars)):
-        if rng.next_float() < spec.prob:
-            chars[i] = REPLACEMENT_ALPHABET[rng.next_below(len(REPLACEMENT_ALPHABET))]
+        hit = rng.next_float() < spec.prob
+        symbol = REPLACEMENT_ALPHABET[rng.next_below(len(REPLACEMENT_ALPHABET))]
+        if hit:
+            chars[i] = symbol
     text = "".join(chars)
     return pair._replace(**{spec.side: text})
 
@@ -553,3 +556,80 @@ def test_noise_equals_scalar_streams_for_every_chunk_budget(monkeypatch, prob, s
             noise = ds.corrupt_chars if spec.kind == "char_noise" else ds.delete_words
             assert list(noise(iter(SWEEP_PAIRS), spec)) == want, (spec, budget)
         assert list(ds.shuffle_pairs(iter(SWEEP_PAIRS), shuffle)) == expected_shuffle, budget
+
+
+# ---------------------------------------------------------------------------
+# Nesting across rates
+# ---------------------------------------------------------------------------
+
+NESTING_CHARS = ["\ud800", "\udfff", "😀", "𝔘", "é", "Ж"]
+
+
+def nesting_corpus(n=400, seed=29):
+    """Pairs of words drawn from lone surrogates, astral and other non-ASCII
+    characters, so no replacement symbol equals the character it replaces.
+    Each word opens with the two base-6 digits of its position, so the words
+    of a side are distinct, and each target opens with a word of the four
+    digits of its pair, so the targets are distinct."""
+
+    def digits(k, width):
+        return "".join(NESTING_CHARS[k // 6**d % 6] for d in range(width))
+
+    pairs = []
+    for i in range(n):
+        rng = SplitMix64.for_item(seed, i)
+
+        def side(first):
+            words = [first] + [
+                digits(k, 2) + "".join(NESTING_CHARS[rng.next_below(6)] for _ in range(rng.next_below(4)))
+                for k in range(rng.next_below(9))
+            ]
+            return " ".join(word for word in words if word)
+
+        pairs.append(ds.SentencePair(side(""), side(digits(i, 4)), index=i))
+    return pairs
+
+
+NESTING_PAIRS = nesting_corpus()
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("seed", [-5, 2**70 + 3])
+def test_noise_nests_across_rates(side, seed):
+    """Under one seed, what a lower rate changes a higher rate changes too."""
+    rates = (0.05, 0.1, 0.2)
+    assert len({pair.target for pair in NESTING_PAIRS}) == len(NESTING_PAIRS)
+
+    def noised(kind, noise):
+        return [list(noise(iter(NESTING_PAIRS), ds.CorruptionSpec(kind, side, prob, seed))) for prob in rates]
+
+    column = ds.SentencePair._fields.index(side)
+
+    def replaced(out):
+        """Each changed character's (pair, position) and its new symbol."""
+        return {
+            (pair.index, t): new
+            for pair, noisy in zip(NESTING_PAIRS, out)
+            for t, (old, new) in enumerate(zip(pair[column], noisy[column]))
+            if new != old
+        }
+
+    def deleted(out):
+        return {
+            (pair.index, word)
+            for pair, noisy in zip(NESTING_PAIRS, out)
+            for word in set(pair[column].split()) - set(noisy[column].split())
+        }
+
+    def moved(out):
+        return {pair.index for pair, noisy in zip(NESTING_PAIRS, out) if noisy.target != pair.target}
+
+    changes = [replaced(out) for out in noised("char_noise", ds.corrupt_chars)]
+    for low, high in zip(changes, changes[1:]):
+        assert low and low.items() <= high.items()
+    deletions = [deleted(out) for out in noised("word_delete", ds.delete_words)]
+    for low, high in zip(deletions, deletions[1:]):
+        assert low and low <= high
+    moves = [moved(out) for out in noised("pair_shuffle", ds.shuffle_pairs)]
+    for low, high in zip(moves, moves[1:]):
+        assert low and low <= high

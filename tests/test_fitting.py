@@ -207,6 +207,26 @@ class TestFitJoint:
         rms_out = float(np.sqrt(np.mean(np.square(res.holdout_residuals))))
         assert 0.5 <= rms_out / rms_in <= 2.0
 
+    @pytest.mark.parametrize("loss_space", ["log", "linear"])
+    def test_residuals_have_the_bits_of_one_evaluation_per_observation(self, loss_space):
+        params = ds.JointLawParams(alpha=1.6, p=0.32, beta=2.2, p_e=0.44, p_d=0.38, l_inf=0.4)
+        rng = np.random.default_rng([271, 1])
+        by_shape = self._observations(params, noise_frac=0.02, rng=rng)
+        n = len(DOUBLING_GRID)
+        # interleaved: each size of every shape in turn, so no shape's rows are adjacent
+        obs = [by_shape[k * n + i] for i in range(n) for k in range(len(self.SHAPES))]
+        held = self.SHAPES[1]
+        res = ds.fit_joint(obs, self.FIXED, ds.FitConfig(seed=2, loss_space=loss_space), hold_out=[held])
+
+        def one_by_one(subset):
+            m = [ds.eval_joint_law(res.params, o.n_enc, o.n_dec, np.array([o.d_millions]))[0] for o in subset]
+            y = np.array([o.loss for o in subset])
+            return list(map(repr, (np.log(y) - np.log(m) if loss_space == "log" else y - m).tolist()))
+
+        assert list(map(repr, res.residuals)) == one_by_one([o for o in obs if o.shape != held])
+        assert list(map(repr, res.holdout_residuals)) == one_by_one([o for o in obs if o.shape == held])
+        assert len(res.holdout_residuals) == n
+
     def test_missing_counts_rejected(self):
         obs = [ds.Observation("a", d, 1.0 / d + 0.5) for d in (1, 2, 4, 8)]
         with pytest.raises(ds.SchemaError):

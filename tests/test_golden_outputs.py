@@ -141,12 +141,12 @@ DIGESTS = {
     "mc-redraw.json": "29bac0df9dfb3163d269efd3a9a4c88a1e94b57e6b35a389eccf324cce5b0ed2",
     "mc-iteration-cap.json": "062d36e47f1281881c2c752eec9863f85a4c4922f8a5df151f361cd315ed02ee",
     "mc-huge-noise.json": "145907444aad175fdc498d745ce576bfa710c33c15c34c0eaf1c4abb9595ff84",
-    "char_noise-source-0.1-7.tsv": "0ab6eb26a6bf125bec58ade8ac5686b8e6f1befa58b02181ae4128bf98570349",
-    "char_noise-source-0.1-18446744073709551621.tsv": "c071506ad98836731f4a2a31c55572843b667145ceaf213864cc76b418a43fb1",
+    "char_noise-source-0.1-7.tsv": "dfc6da7e9c97744f6d443191b16d93aec54b937431eb1b4541505706ea947287",
+    "char_noise-source-0.1-18446744073709551621.tsv": "41734a5b9d4a9d6e04a9605af11cf69406fcd280171457dd3e2e587e99607d4f",
     "char_noise-source-1.0-7.tsv": "41a6177624941eb018a7733aee923ceef4bcac62fa0378c2365ee78c58a0e60a",
     "char_noise-source-1.0-18446744073709551621.tsv": "015dc5e413659df6883fe7c10e51591c39a42904b3db6eade1884bf75e25e93c",
-    "char_noise-target-0.1-7.tsv": "d4474cf8459c96c26ad090a985d3f1558ce7b8335e7fb3e24706d3aeecb91650",
-    "char_noise-target-0.1-18446744073709551621.tsv": "f0eb6a25116f26406fdf32761ce0ee1170e71a488177867c2c9a043e8e45b886",
+    "char_noise-target-0.1-7.tsv": "9ae8c0e084c41d32befde05fafff0336de6d2cc9009b3cdc8f6f4701ea95a4c6",
+    "char_noise-target-0.1-18446744073709551621.tsv": "c0789fcd12c3a23be917d70ff28cce41a7be91456dec3ef862a5b32cf2f123ff",
     "char_noise-target-1.0-7.tsv": "2a38a443faec473dc42075c3dd06c860eab5511a38307533e3787067f65bc83e",
     "char_noise-target-1.0-18446744073709551621.tsv": "3d99f2028296b502f91b5a722fe5e5fc8d789bc434888b1c6c80d186bc7a9ef6",
     "word_delete-source-0.1-7.tsv": "38c6d4ae52a075ac73639454b5be2e6d9f957c0b1c9cfccd9c2f92e13a9b2961",
