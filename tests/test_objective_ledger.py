@@ -6,13 +6,12 @@ and loss space, the instance's index (from which :func:`instance` rebuilds its
 data) or, for a named hard case, the data itself, the :class:`FitConfig` it
 was fitted with, and what the reference engine reached: ``objective``,
 ``converged``, ``n_iters`` and the time per fit in ms.  ``best`` is the least
-objective known for the instance: the reference engine's and, in log space,
-the profiled reference searches of ``bench/workloads.py`` (``_single_minimum``
-for ``fit_single``, ``_joint_minimum`` for ``fit_joint``).  The recorded rows
-came from a Gauss-Newton engine with 8 seeded restarts, and their ``best``
-from the same engine with 32; today's fits are deterministic searches that
-take no restarts, so recording anew takes ``best`` from the fit and the
-reference searches alone.
+objective known for the instance: the least of every recording's fit and, in
+log space, of the profiled reference searches of ``bench/workloads.py``
+(``_single_minimum`` for ``fit_single``, ``_joint_minimum`` for
+``fit_joint``).  The rows were first recorded from a Gauss-Newton engine with
+seeded restarts; their objectives are now those of the deterministic profiled
+searches of ``datascale.fitting``, with this machine's last bits.
 
 The gate is that every fit ends at most ``objective * (1 + 1e-9)``.  It has a
 tolerance, so it holds on any machine.  How many fits lie above
@@ -24,15 +23,17 @@ engines compare their times.
 
 Tier-1 runs every fifth instance, and every ``fit_tail`` row recorded at an
 objective of exactly 0 or named; ``pytest -m ledger`` runs the whole ledger.
-``python tests/test_objective_ledger.py`` records it anew from the fitters on
-the import path; record only from the engine meant as the reference.
+``python tests/test_objective_ledger.py [OUT [FITTERS]]`` fits the ledger's
+rows anew (those of the comma-separated ``FITTERS`` only, if given) from the
+fitters on the import path and writes them to ``OUT`` (the ledger itself by
+default).  It prints, per fitter and loss space, how many gates tightened, and
+writes nothing if any fit ends above its old objective by more than the gate's
+slack; record only from the engine meant as the reference.
 """
 
 import json
 import sys
-import tempfile
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -144,13 +145,14 @@ def test_tail_rows_at_zero_and_named(loss_space):
     """The ``fit_tail`` rows recorded at exactly 0, three points that the law
     interpolates, where only an exact 0 passes the gate; and the named rows."""
     rows = [row for row in _rows("fit_tail", loss_space) if row["objective"] == 0 or "name" in row]
-    assert len(rows) == {"log": 15, "linear": 1}[loss_space]
+    assert len(rows) == {"log": 46, "linear": 29}[loss_space]
     _check("fit_tail", loss_space, rows)
 
 
 def test_bench_208_tail_converges():
-    """Bench seed 208's ``no_filter_20`` tail, which stopped Gauss-Newton at
-    its iteration cap, converges no higher than the objective recorded then."""
+    """Bench seed 208's ``no_filter_20`` tail, which stopped a Gauss-Newton
+    engine at its iteration cap, converges no higher than its recorded
+    objective."""
     (row,) = [row for row in _rows("fit_tail", "log") if row.get("name") == "bench-208-no_filter_20"]
     result = instance(row)(ds.FitConfig(**row["config"]))
     assert result.converged
@@ -167,20 +169,6 @@ def test_whole_ledger(fitter, loss_space):
 # ---------------------------------------------------------------------------
 # Recording
 # ---------------------------------------------------------------------------
-
-
-def _bench_tail_208():
-    """Bench seed 208's ``no_filter_20`` tail, which stalled a Gauss-Newton
-    engine at its iteration cap: the fit_table workload's data and fit seed."""
-    from workloads import TAIL_D_MIN, FitTable
-
-    with tempfile.TemporaryDirectory() as work:
-        workload = FitTable(208, False, work)
-        workload.prepare()
-        d, y = workload.data["no_filter_20"]
-        return {"fitter": "fit_tail", "loss_space": "log", "name": "bench-208-no_filter_20",
-                "data": {"d": d.tolist(), "y": y.tolist(), "d_min": TAIL_D_MIN},
-                "config": asdict(ds.FitConfig(seed=int(workload.fit_seed)))}
 
 
 def _reference_minimum(row):
@@ -202,33 +190,56 @@ def _reference_minimum(row):
     return _joint_minimum(d, y, beta, np.exp(-p_e * np.log(n_e) - p_d * np.log(n_d)) + l_inf)
 
 
-def record(fitters=FITTERS):
-    """Ledger rows of ``fitters`` from the fitters on the import path.
+def record(rows, fitters=FITTERS):
+    """``rows``, the ledger, with the rows of ``fitters`` fitted anew by the
+    fitters on the import path.
 
-    ``best`` takes the least of the fit and :func:`_reference_minimum`: a
-    row's ``best`` is its own objective unless the bench's profiled search
-    (log ``fit_single`` and ``fit_joint``) finds less.  To gate the fits
-    against more than themselves, bring another reference.
+    Each row keeps its instance and config and takes the fit's ``objective``,
+    ``converged``, ``n_iters`` and ``time_ms``.  Its ``best`` becomes the least
+    of the old ``best``, the fit and :func:`_reference_minimum`, so it never
+    rises.  Returns the new rows and the rows whose fit ends above the old
+    objective by more than ``SLACK``: an engine regression, not a row to
+    record.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    rows = [
-        {"fitter": fitter, "loss_space": space, "index": i,
-         "config": asdict(ds.FitConfig(loss_space=space, seed=i))}
-        for fitter in fitters for space in LOSS_SPACES for i in range(N_INSTANCES)
-    ]
-    if "fit_tail" in fitters:
-        rows.append(_bench_tail_208())
-    for row in rows:
-        result, ms = _timed(instance(row), ds.FitConfig(**row["config"]))
-        best = min(result.objective, _reference_minimum(row))
-        row.update(objective=result.objective, converged=result.converged,
-                   n_iters=getattr(result, "n_iters", None), time_ms=round(ms, 3), best=best)
-    return rows
+    new, worse = [], []
+    for old in rows:
+        row = dict(old)
+        if row["fitter"] in fitters:
+            result, ms = _timed(instance(row), ds.FitConfig(**row["config"]))
+            row.update(objective=result.objective, converged=result.converged,
+                       n_iters=getattr(result, "n_iters", None), time_ms=round(ms, 3),
+                       best=min(old["best"], result.objective, _reference_minimum(row)))
+            if not result.objective <= old["objective"] * (1.0 + SLACK):
+                worse.append(row)
+        new.append(row)
+    return new, worse
+
+
+def _tightened(old_rows, new_rows):
+    """Per fitter and loss space: how many gates tightened, how many by more
+    than ``SLACK``, and the largest relative tightening."""
+    lines = []
+    for fitter in FITTERS:
+        for space in LOSS_SPACES:
+            pairs = [(o["objective"], n["objective"]) for o, n in zip(old_rows, new_rows)
+                     if o["fitter"] == fitter and o["loss_space"] == space]
+            gaps = [(o - n) / o for o, n in pairs if n < o]
+            lines.append(f"{fitter}/{space}: {len(gaps)} of {len(pairs)} gates tightened, "
+                         f"{sum(g > SLACK for g in gaps)} by more than {SLACK:g}, "
+                         f"largest by {max(gaps, default=0.0):.3g}")
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else LEDGER
     chosen = tuple(sys.argv[2].split(",")) if len(sys.argv) > 2 else FITTERS
-    rows = record(chosen)
+    old_rows = json.loads(LEDGER.read_text(encoding="utf-8"))
+    rows, worse = record(old_rows, chosen)
+    print(_tightened(old_rows, rows))
+    if worse:
+        sys.exit("not written: objectives above the ledger's (fitter, loss space, instance, now):\n"
+                 + "\n".join(f"{r['fitter']} {r['loss_space']} {r.get('index', r.get('name'))} "
+                              f"{r['objective']!r}" for r in worse))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n", encoding="utf-8")
