@@ -202,20 +202,38 @@ def eval_law(law: PowerLaw, d_millions):
         sizes.  An element of an array gets the same bits whatever the
         array's length or its position in it, so the fitters and the tables
         of :mod:`datascale.reports`, all on arrays, agree bit for bit.
+
+    Raises:
+        DomainError: A size is invalid, or the law overflows at a size.
     """
     d = _as_positive_d(d_millions)
-    try:
-        out = law.alpha * (1.0 / d + law.c) ** law.p
-    except OverflowError:  # float ** raises where numpy's power gives inf
-        raise DomainError(f"(1/d + c) ** p overflows at d = {d}, c = {law.c}, p = {law.p}") from None
+    out = _finite(lambda: law.alpha * (1.0 / d + law.c) ** law.p, d, f"(1/d + c) ** p overflows at d = {{}}, "
+                  f"c = {law.c}, p = {law.p}")
     return float(out) if np.isscalar(d_millions) else out
 
 
 def eval_tail_law(law: TailLaw, d_millions):
     """Evaluate ``gamma * d**-q + b``, the tail law, at sizes checked as
     :func:`eval_law` checks them: a float ``d`` gives a float, an array gives
-    an array."""
-    return law.gamma * _as_positive_d(d_millions) ** -law.q + law.b
+    an array, and a law that overflows at a size raises DomainError."""
+    d = _as_positive_d(d_millions)
+    return _finite(lambda: law.gamma * d**-law.q + law.b, d, f"gamma * d ** -q overflows at d = {{}}, "
+                   f"gamma = {law.gamma}, q = {law.q}")
+
+
+def _finite(evaluate, d, message):
+    """``evaluate()``, a law at sizes ``d``, unless it overflows: float ``**``
+    raises where numpy's power gives inf, and either is a DomainError whose
+    ``message`` names the smallest size that overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            out = evaluate()
+    except OverflowError:
+        out = math.inf
+    overflows = np.isinf(out)
+    if np.any(overflows):
+        raise DomainError(message.format(d if np.isscalar(d) else d[overflows].min().item()))
+    return out
 
 
 def count_term(params: JointLawParams, n_e, n_d):

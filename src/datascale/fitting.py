@@ -12,13 +12,26 @@ closed form (:func:`_fit_alpha`), and in log space so does the best ``p`` for
 fixed ``c`` (:func:`_log_line`).  The rest is bracketed 1-D searches: a grid
 stage, then a refinement between the neighbours of the best cell
 (:func:`_minimize`), over ``ln c`` for log :func:`fit_single` and over ``p``
-for :func:`fit_joint` (``c = beta * g**(1/p)``).  :func:`fit_shared` and
-linear :func:`fit_single` search ``p`` by Brent's method around a batched
-search over each group's ``ln c`` (:func:`_shared_exponent`).  ``c`` lies in
-``[1e-12, 1e12]`` or is 0 (below 1e-12 it is reported as 0) and ``p`` in
-``[1e-12, 2]``.  No fit draws random numbers, and these searches use
-elementwise operations and last-axis sums only: a BLAS matmul can make a
-row's bits depend on how many rows share the call.
+for :func:`fit_joint` (``c = beta * g**(1/p)``).  ``c`` lies in ``[1e-12,
+1e12]`` or is 0 (below 1e-12 it is reported as 0) and ``p`` in ``[1e-12,
+2]``.  No fit draws random numbers, and these searches use elementwise
+operations and last-axis sums only: a BLAS matmul can make a row's bits
+depend on how many rows share the call.
+
+:func:`fit_shared`, linear :func:`fit_single` and log :func:`fit_tail` search
+an exponent and, per group, a log offset: ``p`` and each condition's ``ln c``
+(:func:`_shared_exponent`), or ``ln q`` and ``ln rho`` (:func:`_tail_log`).
+One nested search does both (:func:`_profiled`): Brent's method over the
+exponent, from the best cell of a grid stage, on the profile that the inner
+searches give.  Each starts on the line through the optima at the two
+nearest exponents searched, in a bracket as wide as that line may err, and
+closes at ``rel_tol**(2/3)``.  A bracket whose optimum reaches its edge is
+widened up to ``_WARM``, and beyond that the whole span is searched.  At the
+exponent found the offsets are refined to ``rel_tol``, and the whole span
+searched if one reaches an edge or a cell of its grid beats it.
+``converged`` means that the bracket over the exponent and every final inner
+bracket closed within ``max_iters`` steps, and ``n_iters`` counts the steps
+over the exponent.
 
 Log :func:`fit_single` is one row of the batched search of
 :func:`_log_fits`, which Monte Carlo runs on all its replicates.  A row of
@@ -36,40 +49,25 @@ tens of MB.
 ``d0`` the smallest size, ``G, b >= 0`` and ``ln q`` in ``[-12, 8]``, cut
 where ``q * |ln d0|`` reaches 300 so that ``gamma = G * d0**q`` stays finite.
 For each ``q``, linear space has ``(G, b)`` in closed form
-(:func:`_tail_linear`; Lawson & Hanson, 1974), and log space writes the law
-as ``G * (x + rho)``, whose best ``ln G`` is a mean, and searches ``ln rho``
-(:func:`_tail_log`).  Three points are interpolated where the law can
-(:func:`_tail_interpolation`).  ``converged`` means every bracket closed
-within ``max_iters`` steps, and ``n_iters`` counts the steps over ``q``.
+(:func:`_tail_linear`; Lawson & Hanson, 1974), searched over ``ln q`` by
+:func:`_minimize`.  Log space writes the law as ``G * (x + rho)``, a log power
+law of slope 1 at abscissa ``x`` whose best ``ln G`` is a mean, and runs the
+nested search over ``ln q`` and ``ln rho``.  Three points are interpolated
+where the law can (:func:`_tail_interpolation`).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    ZERO_CAPACITY,
-    Observation,
-    LinearFit,
-    PowerLaw,
-    TailLaw,
-    JointLawParams,
-    count_term,
-    eval_joint_law,
-    eval_law,
-    eval_tail_law,
-)
-from .errors import (
-    DomainError,
-    DuplicateAbscissaError,
-    InsufficientDataError,
-    RankError,
-    SchemaError,
-)
+from .core import (ZERO_CAPACITY, JointLawParams, LinearFit, Observation, PowerLaw, TailLaw, count_term,
+                   eval_joint_law, eval_law, eval_tail_law)
+from .errors import DomainError, DuplicateAbscissaError, InsufficientDataError, RankError, SchemaError
 
 LOSS_SPACES = ("log", "linear")
 
@@ -80,9 +78,9 @@ _P_GRID = 2.0 * np.linspace(math.sqrt(_P_MIN / 2.0), 1.0, 31) ** 2
 _CHUNK = 2**14  # most elements of one temporary array of a grid table: 128 kB
 _SECTION_POINTS = 128  # points evaluated per step of a batched refinement
 _BLOCK = 48  # rows of one batched single-curve search: 250 kB per workspace array at 10 sizes
-# Inner ln c searches of a shared p: the grid stage's bracket tolerance, the
-# slope in ln c per unit p allowed for beside a line through two optima, and
-# the widest half-width tried before the grid is searched again.
+# Nested searches: the grid stage's inner tolerance, the slope in the inner
+# variable per unit of the outer allowed for beside a line through two
+# optima, and the widest inner half-width tried before the whole span.
 _COARSE = 0.01
 _SLOPE = 4.0
 _WARM = 4.0
@@ -102,10 +100,11 @@ class FitConfig:
         max_iters: Cap on the steps of each search (bracket refinements,
             Brent or bisection steps).
         rel_tol: A bracket closes once narrower than about ``max(rel_tol,
-            1e-15) * (1 + |x|)``, near float resolution at the least
-            (``rel_tol**(2/3)`` for the inner searches that only steer an
-            outer one: ``ln c`` under a shared ``p``, ``ln rho`` under the
-            tail's ``q``).
+            1e-15) * (1 + |x|)``, near float resolution at the least.  The
+            inner searches of the nested search (``ln c`` under a shared
+            ``p``, ``ln rho`` under the tail's ``q``) close at
+            ``rel_tol**(2/3)`` while they only steer the search over the
+            exponent, and at ``rel_tol`` at the exponent found.
         seed: Recorded in reports; no fit draws random numbers.
     """
 
@@ -384,23 +383,68 @@ def _log_fits(d, y, cfg: FitConfig):
     return p, np.exp(ln_alpha), ln_c, closed, steps
 
 
-def _shared_exponent(arrays, cfg: FitConfig):
-    """Least-squares ``p`` shared by the groups ``arrays`` of ``(d, y)``: a
-    search over ``p`` around a batched search over each group's ``ln c``.
+def _profiled(grid, best, values, span, search, whole, cfg: FitConfig):
+    """The nested search of the module docstring over an exponent ``x`` and
+    each group's offset ``z`` in ``span`` or ``-inf``, from a grid stage that
+    gives every group's ``best`` ``z`` at each cell of ``grid``, shape
+    ``(cells, groups)``, and the pooled ``values``.  ``search(x, lo, z, hi, cfg)``
+    refines the groups' brackets, given as lists (cheaper than numpy calls for
+    a few groups, with the same bits): their ``z`` as a list, objectives as an
+    array, and whether all closed.  ``whole(x, cfg, bound)`` searches the
+    whole span from the best cells of its grid, unless ``bound``, the
+    objectives, is given and no cell beats it by 1e-9 relative (None).
+    Returns ``x``, the groups' ``z`` and objectives, whether every final
+    bracket closed, and the steps over ``x``."""
+    lo_end, hi_end = float(span[0]), float(span[1])
+    inner = replace(cfg, rel_tol=cfg.rel_tol ** (2.0 / 3.0))
+    # each x searched: every group's z (-inf followed from the span's low end), and its error
+    optima = {x: (z, _COARSE) for x, z in zip(grid.tolist(), np.maximum(best, lo_end).tolist())}
+    searched = sorted(optima)  # the keys of optima
+    rank = {x: i for i, x in enumerate(optima)}  # the order of the keys, which breaks ties in distance
 
-    The grid stage takes each group's best ``ln c`` cell at each ``p`` cell
-    and refines it to ``_COARSE``.  Brent's method then refines the best
-    ``p`` cell.  Each of its evaluations starts every group's ``ln c``
-    where a line through its optima at the two nearest ``p`` searched puts
-    it, brackets it as widely as that line may err, and closes the bracket
-    at ``rel_tol**(2/3)``: the objective's error is quadratic in it, so near
-    ``rel_tol**(4/3)``.  A bracket whose optimum reaches its edge is widened up
-    to ``_WARM``, and beyond that the ``ln c`` grid is searched again.  At
-    the ``p`` found each group's optimum is refined to ``rel_tol``, or the
-    grid searched again if one of its cells beats it.  Returns ``p``, the
-    groups' ``alpha`` and ``c``, whether every bracket closed, and the steps
-    over ``p``.
-    """
+    def refine(x, start, width, cfg):
+        """Search each group's z within ``width`` of ``start`` and the span; and whether an
+        optimum reached an edge inside the span, beyond which it may lie."""
+        lo = [max(s - w, lo_end) for s, w in zip(start, width)]
+        hi = [min(s + w, hi_end) for s, w in zip(start, width)]
+        z, fz, closed = search(x, lo, start, hi, cfg)
+        edge = any(v < a + 0.1 * w and a > lo_end or v > b - 0.1 * w and b < hi_end
+                   for v, a, b, w in zip(z, lo, hi, width))
+        return z, fz, closed, edge
+
+    def profile(x):
+        """The pooled objective at ``x``."""
+        i = bisect.bisect_left(searched, x)  # the two nearest lie among the two each side
+        x1, x2 = sorted(searched[max(i - 2, 0) : i + 2], key=lambda v: (abs(v - x), rank[v]))[:2]
+        (z1, e1), (z2, e2) = optima[x1], optima[x2]
+        t = (x - x1) / (x1 - x2)
+        moves = [t * (a - b) for a, b in zip(z1, z2)]
+        start = [min(max(a + m, lo_end), hi_end) for a, m in zip(z1, moves)]
+        width = [min(_WARM, e1 + abs(t) * (e1 + e2) + 0.5 * abs(m) + _SLOPE * abs(x - x1)) for m in moves]
+        z, fz, _, edge = refine(x, start, width, inner)
+        while edge and min(width) < _WARM:
+            width = [min(_WARM, 32.0 * w) for w in width]
+            z, fz, _, edge = refine(x, start, width, inner)
+        if edge:
+            z, fz, _ = whole(x, inner, None)
+        if x not in rank:
+            bisect.insort(searched, x)
+            rank[x] = len(rank)
+        optima[x] = ([max(v, lo_end) for v in z], 0.0)
+        return fz.sum()
+
+    a, x, b = (float(v[0, 0]) for v in _brackets(values[None], grid))
+    x, _, x_closed, steps = _brent(profile, a, x, b, cfg)
+    start = optima[x][0]  # within its bracket's width, inner.rel_tol * (1 + |z|), of the optimum
+    z, fz, closed, edge = refine(x, start, [4.0 * inner.rel_tol * (1.0 + abs(v)) for v in start], cfg)
+    z, fz, closed = whole(x, cfg, None if edge else fz) or (z, fz, closed)
+    return x, z, fz, closed and x_closed, steps
+
+
+def _shared_exponent(arrays, cfg: FitConfig):
+    """Least-squares ``p`` shared by the groups ``arrays`` of ``(d, y)``, by
+    the nested search over ``p`` and every group's ``ln c``, batched: ``p``,
+    the groups' ``alpha`` and ``c``, whether it converged, and its steps."""
     log_space = cfg.loss_space == "log"
     k = len(arrays)
     n = max(len(d) for d, _ in arrays)
@@ -427,16 +471,15 @@ def _shared_exponent(arrays, cfg: FitConfig):
         by = (b * target[:, None]).sum(-1)
         return yy[:, None] - by * by / (b * b).sum(-1)
 
-    def objective(rows, p):
-        """The objectives of the groups ``rows`` at ``p``, as a function of their ``ln c``."""
-        return lambda ln_c: _fit_alpha(inv_d[rows, None] + np.exp(ln_c)[..., None], p, target[rows, None],
-                                       weight[rows, None], log_space)[1]
+    def sections(rows, p, lo, x, hi, cfg):
+        """Refine the brackets of the groups ``rows`` at ``p`` together, to one stopping step: their
+        best ``ln c`` and values, and whether every bracket closed."""
+        def f(_, ln_c):
+            u = inv_d[rows, None] + np.exp(ln_c[0])[..., None]
+            return _fit_alpha(u, p, target[rows, None], weight[rows, None], log_space)[1][None]
 
-    def search(f, lo, x, hi, cfg):
-        """Refine the brackets of every group in ``f`` together, to one stopping step: their best
-        ``ln c`` and values, and whether every bracket closed."""
-        (x,), (fx,), (closed,), _ = _sections(lambda _, ln_c: f(ln_c[0])[None], lo[None], x[None], hi[None], cfg)
-        return x, fx, bool(closed)
+        (x,), (fx,), (closed,), _ = _sections(f, lo[None], x[None], hi[None], cfg)
+        return x[:, 0], fx[:, 0], bool(closed)
 
     def grid_search(ps, cfg):
         """Every group's ln c and objective at each of ``ps``, flattened: its best cell of the ln c grid
@@ -448,69 +491,36 @@ def _shared_exponent(arrays, cfg: FitConfig):
         i, zero = (np.concatenate(v).ravel() for v in zip(*best))
         rows = np.tile(np.arange(k), len(ps))
         p = np.repeat(ps, k)[:, None, None]
-        ln_c = np.empty((len(rows), 1))
-        values = np.empty((len(rows), 1))
+        ln_c, values = np.empty(len(rows)), np.empty(len(rows))
         closed = True
         for r in np.array_split(np.arange(len(rows)), -(-len(rows) * 5 * n // _CHUNK)):  # 5 points at least
             lo = _LN_C_GRID[np.maximum(i[r] - 1, 1), None]
             x = _LN_C_GRID[i[r], None]
             hi = _LN_C_GRID[np.minimum(i[r] + 1, len(_LN_C_GRID) - 1), None]
-            ln_c[r], values[r], done = search(objective(rows[r], p[r]), lo, x, hi, cfg)
+            ln_c[r], values[r], done = sections(rows[r], p[r], lo, x, hi, cfg)
             closed = closed and done
-        at_zero = zero <= values[:, 0]
+        at_zero = zero <= values
         ln_c[at_zero] = -np.inf
-        values[at_zero, 0] = zero[at_zero]
+        values[at_zero] = zero[at_zero]
         return ln_c, values, closed
 
-    def refine(f, start, width, cfg):
-        """Search each group's ln c within ``width`` of ``start`` and the c range; and whether an
-        optimum reached an edge inside the range, beyond which it may lie."""
-        lo = np.maximum(start - width, _LN_C_GRID[1])
-        hi = np.minimum(start + width, _LN_C_GRID[-1])
-        ln_c, fx, closed = search(f, lo, start, hi, cfg)
-        low = (ln_c < lo + 0.1 * width) & (lo > _LN_C_GRID[1])
-        high = (ln_c > hi - 0.1 * width) & (hi < _LN_C_GRID[-1])
-        return ln_c, fx, closed, (low | high).any()
+    def search(p, lo, ln_c, hi, cfg):
+        ln_c, fx, closed = sections(slice(None), p, *(np.array(v)[:, None] for v in (lo, ln_c, hi)), cfg)
+        return ln_c.tolist(), fx, closed
 
-    inner = replace(cfg, rel_tol=cfg.rel_tol ** (2.0 / 3.0))
-    optima = {}  # each p searched: every group's ln c, and how far from its optimum it may lie
-    searched = []  # the keys of optima, in an order that breaks ties in distance
-
-    def profile(p):
-        """The pooled objective at ``p``."""
-        q1, q2 = (searched[i] for i in np.argsort(np.abs(np.array(searched) - p), kind="stable")[:2])
-        (c1, e1), (c2, e2) = optima[q1], optima[q2]
-        t = (p - q1) / (q1 - q2)
-        move = t * (c1 - c2)
-        start = np.clip(c1 + move, _LN_C_GRID[1], _LN_C_GRID[-1])
-        width = np.minimum(_WARM, e1 + abs(t) * (e1 + e2) + 0.5 * abs(move) + _SLOPE * abs(p - q1))
-        while True:
-            ln_c, fx, _, edge = refine(objective(slice(None), p), start, width, inner)
-            if not edge or width.min() == _WARM:
-                break
-            width = np.minimum(_WARM, 32.0 * width)
-        if edge:
-            ln_c, fx, _ = grid_search(np.array([p]), inner)
-        if p not in optima:
-            searched.append(p)
-        optima[p] = (np.maximum(ln_c, _LN_C_GRID[1]), 0.0)  # c = 0 is followed from the grid's low end
-        return fx.sum()
+    def whole(p, cfg, bound):
+        if bound is None or (on_grid(np.array([p]))[0, :, 1:].min(1) < bound * (1.0 - 1e-9)).any():
+            ln_c, fx, closed = grid_search(np.array([p]), cfg)
+            return ln_c.tolist(), fx, closed
 
     with np.errstate(all="ignore"):
         ln_c, values, _ = grid_search(_P_GRID, replace(cfg, rel_tol=_COARSE))
-        ln_c = np.maximum(ln_c, _LN_C_GRID[1]).reshape(-1, k, 1)
-        optima.update((p, (c, _COARSE)) for p, c in zip(_P_GRID.tolist(), ln_c))
-        searched.extend(optima)
-        a, x, b = (float(v[0, 0]) for v in _brackets(values.reshape(-1, k).sum(1)[None], _P_GRID))
-        p, _, p_closed, p_steps = _brent(profile, a, x, b, cfg)
-        f = objective(slice(None), p)
-        start = optima[p][0]  # within its bracket's width, inner.rel_tol * (1 + |ln c|), of the optimum
-        ln_c, fx, inner_converged, edge = refine(f, start, 4.0 * inner.rel_tol * (1.0 + np.abs(start)), cfg)
-        if edge or (on_grid(np.array([p]))[0, :, 1:].min(1) < fx[:, 0] * (1.0 - 1e-9)).any():
-            ln_c, fx, inner_converged = grid_search(np.array([p]), cfg)
-        ln_c[f(np.full((k, 1), -np.inf)) <= fx] = -np.inf
-        alpha, _ = _fit_alpha(inv_d + np.exp(ln_c), p, target, weight, log_space)
-    return p, alpha.tolist(), np.exp(ln_c[:, 0]).tolist(), inner_converged and p_closed, p_steps
+        p, ln_c, fx, converged, steps = _profiled(_P_GRID, ln_c.reshape(-1, k), values.reshape(-1, k).sum(1),
+                                                  _LN_C_GRID[[1, -1]], search, whole, cfg)
+        ln_c = np.array(ln_c)
+        ln_c[_fit_alpha(inv_d, p, target, weight, log_space)[1] <= fx] = -np.inf
+        alpha, _ = _fit_alpha(inv_d + np.exp(ln_c)[:, None], p, target, weight, log_space)
+    return p, alpha.tolist(), np.exp(ln_c).tolist(), converged, steps
 
 
 # ---------------------------------------------------------------------------
@@ -802,65 +812,52 @@ def _tail_linear(t, y, grid, cfg: FitConfig):
 
 
 def _tail_log(t, y, grid, cfg: FitConfig):
-    """Log-space tail fit at offsets ``t = ln(d/d0)`` of ``G * (x + rho)``:
-    ``(G, q, b, converged, steps)``.  The grid stage refines each ``ln q``
-    row's best ``ln rho`` cell to ``_COARSE`` and compares it with ``rho =
-    0``, a power law in ``d``; Brent's method then refines the best ``ln q``
-    cell, each evaluation running Brent's method over ``ln rho`` to
-    ``rel_tol**(2/3)`` (``rel_tol`` at the end) from where a line through the
-    optima at the two nearest ``ln q`` searched puts it, or over the whole
-    range if the optimum reaches an edge.  The constant law (``q -> 0`` or
-    ``rho -> inf``) is the last candidate, and stands in for a law whose
-    ``G`` underflows to 0."""
+    """Log-space tail fit at offsets ``t = ln(d/d0)`` of ``G * (x + rho)``, by
+    the nested search over ``ln q`` and ``ln rho``, each inner search Brent's
+    method on plain floats compared with ``rho = 0``, a power law in ``d``:
+    ``(G, q, b, converged, steps)``.  The constant law (``q -> 0`` or ``rho ->
+    inf``) is the last candidate, and stands in for a law whose ``G``
+    underflows to 0."""
     ln_y = np.log(y)
-    x = np.exp(-np.exp(grid)[:, None] * t)
+    ts, ln_ys = t.tolist(), ln_y.tolist()
 
-    def on_rows(rows, ln_rho):
-        z = ln_y - np.log(x[rows, None] + np.exp(ln_rho)[..., None])
-        return _squares(z - z.mean(-1, keepdims=True))
-
-    start, values, closed, _ = _minimize(on_rows(slice(None), np.tile(_LN_RHO, (len(grid), 1))), _LN_RHO, on_rows,
-                                         replace(cfg, rel_tol=_COARSE))
-    a, ln_q, b = (float(v[0, 0]) for v in _brackets(values[None], grid))
-    # Brent's evaluations take plain floats, cheaper than numpy calls on a few points.
-    ts, ln_ys, closed = t.tolist(), ln_y.tolist(), bool(closed.all())
-    # each ln q searched: its ln rho, rho = 0 followed from the grid's low end
-    optima = {v: max(c, _LN_RHO[1]) for v, c in zip(grid.tolist(), start.tolist()) if a <= v <= b}
+    def table(x, ln_rho):
+        """The objective at ``x`` (the last axis) for each ``ln rho``, NaN as inf."""
+        sxy, sxx, syy = _centred_sums(ln_y, _log_parts(x, ln_rho))
+        v = syy - 2.0 * sxy + sxx
+        return np.where(np.isnan(v), np.inf, v)
 
     def squares(z):
         mean = sum(z) / len(z)
         return sum([(v - mean) * (v - mean) for v in z])
 
-    def profile(ln_q, cfg):
-        """At ``ln q``: the least objective with ``rho > 0``, its ``ln rho``, and the objective at ``rho = 0``."""
-        nonlocal closed
+    def search(ln_q, lo, ln_rho, hi, cfg):
         q = math.exp(ln_q)
         xs = [math.exp(-q * v) for v in ts]
-        q1, q2 = sorted(optima, key=lambda v: abs(v - ln_q))[:2]
-        c1, c2 = optima[q1], optima[q2]
-        start = min(max(c1 + (ln_q - q1) * (c1 - c2) / (q1 - q2), _LN_RHO[1]), _LN_RHO[-1])
-        width = _COARSE * (1.0 + abs(c1)) + abs(start - c1) + abs(ln_q - q1)
-        lo, hi = max(start - width, _LN_RHO[1]), min(start + width, _LN_RHO[-1])
 
         def f(ln_rho):
             rho = math.exp(ln_rho)
             return squares([u - math.log(w + rho) for u, w in zip(ln_ys, xs)])
 
-        ln_rho, fx, ok, _ = _brent(f, lo, start, hi, cfg)
-        if min(ln_rho - lo, hi - ln_rho) < 0.1 * width:  # the optimum may lie beyond the bracket
-            ln_rho, fx, ok, _ = _brent(f, _LN_RHO[1], ln_rho, _LN_RHO[-1], cfg)
-        closed = closed and ok
-        optima[ln_q] = ln_rho
-        return fx, ln_rho, squares([u + q * v for u, v in zip(ln_ys, ts)])
+        ln_rho, fx, closed, _ = _brent(f, lo[0], ln_rho[0], hi[0], cfg)
+        f0 = squares([u + q * v for u, v in zip(ln_ys, ts)])
+        return [-math.inf if f0 <= fx else ln_rho], np.float64(min(fx, f0)), closed
 
-    inner = replace(cfg, rel_tol=cfg.rel_tol ** (2 / 3))
-    ln_q, _, q_closed, steps = _brent(lambda v: min(profile(v, inner)[::2]), a, ln_q, b, cfg)
-    fx, ln_rho, f0 = profile(ln_q, cfg)
-    q, ln_rho = math.exp(ln_q), -math.inf if f0 <= fx else ln_rho
+    def whole(ln_q, cfg, bound):
+        v = table(np.exp(-math.exp(ln_q) * t), _LN_RHO[1:])
+        if bound is None or v.min() < bound * (1.0 - 1e-9):
+            return search(ln_q, *(c[0].tolist() for c in _brackets(v[None], _LN_RHO[1:])), cfg)
+
+    x = np.exp(-np.exp(grid)[:, None, None] * t)
+    ln_rho, values, _, _ = _minimize(table(x, _LN_RHO), _LN_RHO, lambda rows, v: table(x[rows], v),
+                                     replace(cfg, rel_tol=_COARSE))
+    ln_q, (ln_rho,), fx, converged, steps = _profiled(grid, ln_rho[:, None], values, _LN_RHO[[1, -1]], search,
+                                                      whole, cfg)
+    q = math.exp(ln_q)
     g = math.exp((ln_y - np.logaddexp(-q * t, ln_rho)).mean())
-    if g == 0.0 or _squares(ln_y - ln_y.mean()) <= min(fx, f0):  # the constant law
-        return 0.0, q, math.exp(ln_y.mean()), closed and q_closed, steps
-    return g, q, g * math.exp(ln_rho), closed and q_closed, steps
+    if g == 0.0 or _squares(ln_y - ln_y.mean()) <= fx:  # the constant law
+        return 0.0, q, math.exp(ln_y.mean()), converged, steps
+    return g, q, g * math.exp(ln_rho), converged, steps
 
 
 def _tail_interpolation(d, y, grid, cfg: FitConfig):

@@ -730,6 +730,34 @@ class TestOverflowingLaw:
         assert code == 2
         assert out == "" and err == "error: the loss floor alpha * c ** p overflows at c = 1e+300, p = 2.0\n"
 
+    def test_report_exits_2_naming_the_size(self, capsys, tmp_path):
+        # numpy's power gives inf, with a warning, where float ** raises: the
+        # table would print inf in every predicted cell
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        fit = tmp_path / "fit.json"
+        assert run(capsys, "fit", "--input", str(csv_path), "--seed", "7", "--output", str(fit))[0] == 0
+        report = json.loads(fit.read_text(encoding="utf-8"))
+        report["law"].update(c=1e300, p=2.0)
+        fit.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(fit))
+        assert code == 2
+        assert out == "" and err == "error: (1/d + c) ** p overflows at d = 1.0, c = 1e+300, p = 2.0\n"
+
+    def test_report_of_a_tail_law_exits_2_naming_the_smallest_size(self, capsys, tmp_path):
+        # d**-q overflows at the small sizes only: 0.001**-200 is 1e600, 0.032**-200 about 1e299
+        path, tail = tmp_path / "small.csv", tmp_path / "tail.json"
+        path.write_text("condition,d_millions,loss\n" + "".join(
+            f"a,{0.001 * 2**i!r},{1.0 + 0.1 * 2.0 ** (-0.5 * i)!r}\n" for i in range(6)), encoding="utf-8")
+        assert run(capsys, "fit-tail", "--input", str(path), "--seed", "1", "--d-min", "0.001",
+                   "--output", str(tail))[0] == 0
+        report = json.loads(tail.read_text(encoding="utf-8"))
+        report["law"]["q"] = 200.0
+        tail.write_text(json.dumps(report), encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(tail))
+        assert code == 2
+        assert out == "" and err == (f"error: gamma * d ** -q overflows at d = 0.001, "
+                                     f"gamma = {report['law']['gamma']}, q = 200.0\n")
+
 
 class TestFitJointCommand:
     def test_holdout_flag(self, capsys, tmp_path):

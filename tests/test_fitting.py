@@ -2,6 +2,7 @@
 sweep pinning the engine's results bit for bit."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,65 @@ import datascale as ds
 from datascale import fitting
 
 from conftest import DOUBLING_GRID, FILTERING_BLOCK, GridSpec, curve_observations, grid_oracle
+
+
+@pytest.fixture
+def nested(monkeypatch):
+    """How often the nested search (:func:`fitting._profiled`) widened a
+    warm-started bracket and searched the whole inner span, before its final
+    refinement, in the fits run under it."""
+    seen = {"widened": 0, "whole": 0}
+    profiled = fitting._profiled
+
+    def spy(grid, best, values, span, search, whole, cfg):
+        last = []  # the outer value of the last bracket searched
+
+        def searching(x, lo, z, hi, c):
+            seen["widened"] += c != cfg and last == [x]
+            last[:] = [x]
+            return search(x, lo, z, hi, c)
+
+        def whole_span(x, c, bound):
+            seen["whole"] += c != cfg
+            return whole(x, c, bound)
+
+        return profiled(grid, best, values, span, searching, whole_span, cfg)
+
+    monkeypatch.setattr(fitting, "_profiled", spy)
+    return seen
+
+
+def tail_grid_minimum(d, y, cells=(601, 901)):
+    """The least log-space tail objective on a grid of ``ln q`` over the fit's
+    range by ``ln rho`` over ``[-30, 30]``, and ``rho = 0``, then on three
+    grids of 81 x 81 cells, each 20 times finer, around the best cell: with
+    ``x = (d/d0)**-q``, ``ln y - ln(x + rho)`` centred, so ``ln G`` is its mean."""
+    t, ln_y = np.log(d / d.min()), np.log(y)
+
+    def table(ln_q, ln_rho):
+        z = ln_y - np.log(np.exp(-np.exp(ln_q)[:, None, None] * t) + np.exp(ln_rho)[:, None])
+        z -= z.mean(-1, keepdims=True)
+        return (z * z).sum(-1)
+
+    top = 8.0 if d.min() == 1.0 else min(8.0, math.log(300.0 / abs(math.log(d.min()))))
+    ln_q, ln_rho = np.linspace(-12.0, top, cells[0]), np.linspace(-30.0, 30.0, cells[1])
+    z0 = ln_y + np.exp(ln_q)[:, None] * t  # rho = 0
+    best, at = float(((z0 - z0.mean(-1, keepdims=True)) ** 2).sum(-1).min()), None
+    steps = [ln_q[1] - ln_q[0], ln_rho[1] - ln_rho[0]]
+    for q in np.array_split(ln_q, 8):
+        v = table(q, ln_rho)
+        i, j = np.unravel_index(v.argmin(), v.shape)
+        if v[i, j] < best:
+            best, at = float(v[i, j]), (q[i], ln_rho[j])
+    for _ in range(3 if at else 0):
+        q = np.linspace(at[0] - 2.0 * steps[0], at[0] + 2.0 * steps[0], 81)
+        r = np.linspace(max(at[1] - 2.0 * steps[1], -30.0), min(at[1] + 2.0 * steps[1], 30.0), 81)
+        v = table(q, r)
+        i, j = np.unravel_index(v.argmin(), v.shape)
+        if v[i, j] < best:
+            best, at = float(v[i, j]), (q[i], r[j])
+        steps = [step / 20.0 for step in steps]
+    return best
 
 
 class TestFitSingle:
@@ -150,6 +210,18 @@ class TestFitShared:
         res = ds.fit_shared(groups, ds.FitConfig(seed=0))
         assert sorted(res.per_condition) == ["x", "y", "z"]
 
+    def test_a_group_without_capacity_widens_and_searches_the_whole_span(self, nested):
+        # c = 0: the group's ln c optimum runs to the span's low end, past
+        # the brackets that the line through its optima puts there
+        groups = {"a": curve_observations(ds.PowerLaw(2.0, 0.0, 0.3), DOUBLING_GRID, condition="a"),
+                  "b": curve_observations(ds.PowerLaw(1.5, 0.05, 0.3), DOUBLING_GRID, condition="b")}
+        res = ds.fit_shared(groups)
+        assert nested["widened"] and nested["whole"]
+        assert res.converged and res.objective < 1e-15
+        assert abs(res.p - 0.3) < 1e-6
+        assert res.per_condition["a"][1] < 1e-9
+        assert abs(res.per_condition["b"][1] - 0.05) < 1e-6
+
     def test_law_accessor_builds_full_power_law(self):
         groups = {
             "a": curve_observations(ds.PowerLaw(1.5, 0.1, 0.4), DOUBLING_GRID, condition="a")
@@ -246,6 +318,30 @@ class TestFitTail:
         assert abs(res.law.gamma - 2.0) < 1e-6
         assert abs(res.law.q - 1.0) < 1e-6
         assert abs(res.law.b - 0.5) < 1e-6
+
+    # G * (d**-q + rho): rho = 0 is the optimum of a pure power law, and
+    # steeper, 64**-7.5 is e**-31, below the least rho > 0 the search takes
+    @pytest.mark.parametrize("q, rho, n", [(3.0, 0.0, 11), (7.5, math.exp(-25.0), 7)])
+    def test_a_vanishing_offset_widens_and_searches_the_whole_span(self, nested, q, rho, n):
+        d = 2.0 ** np.arange(n)
+        res = ds.fit_tail([ds.Observation("a", v, 2.0 * (v**-q + rho)) for v in d.tolist()], 1.0)
+        assert nested["widened"] and nested["whole"]
+        assert res.converged and res.objective < 1e-15
+        assert abs(res.law.q - q) < 1e-8 * q
+        assert abs(res.law.b - 2.0 * rho) <= 1e-8 * 2.0 * rho
+
+    def test_log_fits_beat_a_dense_grid(self):
+        # an outside check on the nested search: seeded curves of 4-11 sizes
+        # from 1 to 2048 M with 1 % noise, cut at a varied smallest size
+        rng = np.random.default_rng(2027)
+        for _ in range(10):
+            law = ds.PowerLaw(rng.uniform(0.5, 5.0), 10 ** rng.uniform(-4, 1), rng.uniform(0.1, 1.5))
+            d = np.sort(rng.choice(2.0 ** np.arange(12), size=rng.integers(4, 12), replace=False))
+            y = ds.eval_law(law, d) * np.exp(0.01 * rng.standard_normal(len(d)))
+            keep = slice(rng.integers(0, len(d) - 3), None)  # 4 points at least, which the search fits
+            d, y = d[keep], y[keep]
+            res = ds.fit_tail([ds.Observation("a", a, b) for a, b in zip(d.tolist(), y.tolist())], d[0])
+            assert res.objective <= tail_grid_minimum(d, y) * (1.0 + 1e-6)
 
     def test_threshold_above_all_sizes(self):
         obs = [ds.Observation("a", d, 2.0 / d + 0.5) for d in (32, 64, 128)]
@@ -413,7 +509,7 @@ def test_power_law_sweep_is_byte_identical(sweep):
 
 
 def test_tail_sweep_is_byte_identical(sweep):
-    """The tail fits' digest, recorded when they moved from a Gauss-Newton
-    engine with seeded restarts to the profiled searches over ``q``."""
+    """The tail fits' digest, recorded when the log-space tail moved onto the
+    nested search that ``fit_shared`` runs (``fitting._profiled``)."""
     digest = hashlib.sha256(repr(sweep[1]).encode()).hexdigest()
-    assert digest == "0f1b2b6d14d2f3283a6c0fe362747c077d7a98bb715b22f40800c7ebee9bd172"
+    assert digest == "946e3c57982bbb403b5acf6c5ee7d8e95a8ebdd774a297a49173e1c516f642bb"

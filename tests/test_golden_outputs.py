@@ -121,14 +121,14 @@ DIGESTS = {
     "fit-linear-space.json": "049de15ea8dd0bf788aa784d72c1f6c49ba5965989fc7e742f941b8e22a10075",
     "shared.json": "0ce935b2581014f3ccccf7f027602da3bdd8d1088835768ef0cb27736d0ed347",
     "shared-linear-space.json": "5f44c1ebba5edead9be115fb7c2d1b49e5603b7f3fa6ce6eaa7946bdaeb0d103",
-    "tail.json": "75a58c3d3715720580ae2ac9edfc621b847c44642ecc8af419f54d58c65382c4",
+    "tail.json": "3078ba7dd3318ba701dae2da8f759a4db43d38390ae43c7bbd90c0e50238ebac",
     "tail-linear-space.json": "00876a97029552d43033afe762551ac15d9a7883ced04f481036ba4d4424a11d",
     "joint.json": "3fe19aab2b993885759f9c00e80113183be270c4c1914279c63eb4e3eeb710c7",
     "joint-linear-space.json": "028f17ae88b34a1a89169c8fcbd4e3c02900e06535db609bdc5cb659f4bf9728",
     "ols.json": "585b86830705eaf80e444d58893a18233e19ad9d57047fae2db9606680226569",
     "fit-table.csv": "fb66a3a2c24155f5a8cfddaca6c1280df5577720813005e8dd3057e39e0c19ad",
     "shared-table.csv": "facb8cc7d02e0bff0d04cf1c3cf55e13adb0f56895dfc0276476b7f37448246f",
-    "tail-table.csv": "589c25b69a963b5170542bd837e81ff0d30c1ca9eee3ced58b9692d249a03d4c",
+    "tail-table.csv": "1ef2d372bd3b6804300bd8066a6acb713b320592b0dedebe55f4198585c9456b",
     "joint-table.csv": "57b72ad941c890597dfb04d55f303fa1194a0e31dadeaae55fe3ff365240c18b",
     "fit-analysis.json": "e40c06d1c22bd8fe78b2d536da9b6a658aeed4d283e96ba0c039d77d32f694dc",
     "shared-analysis.json": "efa569d2290108d27386347c5be3e579d7df1adf0802a0aaef51dcbdf6a1995e",
