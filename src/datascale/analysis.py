@@ -7,11 +7,11 @@ additional data, the data-equivalence factor between two conditions sharing
 an exponent, and Monte Carlo estimation of the exponent's sampling
 variability under multiplicative loss noise.
 
-Monte Carlo draws every replicate first, then fits them as the rows of one
-batched search in blocks of bounded size (``fitting._fit_laws``).  Each row
-gets the bits that :func:`~datascale.fitting.fit_single` gives that
-replicate alone, so the summary does not depend on how the replicates are
-batched.
+Monte Carlo draws every replicate as the rows of one block, then fits them
+as the rows of one batched search in blocks of bounded size
+(``fitting._fit_laws``).  Each row gets the bits that
+:func:`~datascale.fitting.fit_single` gives that replicate alone, so the
+summary does not depend on how the replicates are batched.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .core import Observation, PowerLaw, _as_positive_d
 from .errors import DomainError, ExponentMismatchError, MonteCarloError
 from .fitting import FitConfig, _fit_laws, _single_group_arrays
 
-# Replicate losses are redrawn while non-positive, up to this many attempts
-# per observation; a replicate that exhausts them is dropped as unusable.
+# Rounds of draws, the first included: each later round draws again every
+# replicate loss still non-positive, so each loss gets this many attempts; a
+# replicate that holds one after the last round is dropped as unusable.
 MAX_REDRAWS = 100
 
 
@@ -37,9 +38,9 @@ class McConfig:
         noise_frac: Relative noise level; replicate losses are drawn from
             ``Normal(loss, noise_frac * loss)`` per observation.
         n_reps: Number of replicates.
-        seed: Non-negative master seed; replicate ``r`` draws from a stream
-            derived from ``(seed, r)`` so results do not depend on evaluation
-            order.
+        seed: Non-negative master seed; round ``k`` of the draws uses the
+            stream ``(seed, k)``, and replicate ``r`` does not depend on
+            ``n_reps`` (see :func:`mc_uncertainty`).
     """
 
     noise_frac: float = 0.02
@@ -57,12 +58,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Distribution summary of the fitted exponent over replicates."""
+    """Distribution summary of the fitted exponent over replicates;
+    ``n_dropped`` counts those left out at the redraw cap, which are not
+    fitted."""
 
     mean_p: float
     std_p: float
     quantiles: tuple[float, float, float]
     n_converged: int
+    n_dropped: int
 
     def __post_init__(self):
         q05, q50, q95 = self.quantiles
@@ -128,45 +132,35 @@ def data_equivalence_factor(law1: PowerLaw, law2: PowerLaw) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _replicate_losses(losses, noise_frac, rng) -> np.ndarray | None:
-    """Draw one noisy replicate, redrawing non-positive values per point."""
-    out = np.empty(len(losses))
-    for i, loss in enumerate(losses):
-        for _ in range(MAX_REDRAWS):
-            draw = rng.normal(loss, noise_frac * loss)
-            if draw > 0:
-                out[i] = draw
-                break
-        else:
-            return None
-    return out
-
-
 def _replicate_draws(losses: np.ndarray, cfg_mc: McConfig) -> np.ndarray:
     """Every usable replicate's losses, one row each in replicate order.
 
-    Replicate ``r`` is one ``normal(losses, noise_frac * losses)`` draw from
-    the stream ``(seed, r)``, which gives the numbers of a draw point by
-    point; only a replicate holding a non-positive draw is drawn again by
-    :func:`_replicate_losses`, from the start of its stream, and left out if
-    that runs out of redraws.
+    The ``(n_reps, n)`` block is ``losses + noise_frac * losses * z``, with
+    ``z`` drawn row-major from the stream ``(seed, 0)``.  Round ``k`` of
+    redraws, ``k = 1 .. MAX_REDRAWS - 1``, draws the points still
+    non-positive, row-major, from the stream ``(seed, k)``; a replicate that
+    holds one after the last round is left out.  The replicates before ``r``,
+    and each round's count of bad points among them, are the same for every
+    ``n_reps > r``, so replicate ``r`` does not depend on ``n_reps``; it
+    cannot be drawn without the replicates before it.
     """
     with np.errstate(over="ignore"):
         scale = cfg_mc.noise_frac * losses
-    if not np.isfinite(scale).all():
-        raise DomainError(
-            f"--noise-frac {cfg_mc.noise_frac:g} times losses up to {losses.max():g} overflows a float"
-        )
-    draws = np.empty((cfg_mc.n_reps, len(losses)))
-    kept = 0
-    for rep in range(cfg_mc.n_reps):
-        draw = np.random.default_rng([cfg_mc.seed, rep]).normal(losses, scale)
-        if not (draw > 0).all():
-            draw = _replicate_losses(losses, cfg_mc.noise_frac, np.random.default_rng([cfg_mc.seed, rep]))
-        if draw is not None:
-            draws[kept] = draw
-            kept += 1
-    return draws[:kept]
+        if not np.isfinite(scale).all():
+            raise DomainError(
+                f"--noise-frac {cfg_mc.noise_frac:g} times losses up to {losses.max():g} overflows a float"
+            )
+        z = np.random.default_rng([cfg_mc.seed, 0]).standard_normal((cfg_mc.n_reps, len(losses)))
+        draws = losses + scale * z
+        for k in range(1, MAX_REDRAWS):
+            rows, cols = np.nonzero(draws <= 0)
+            if not len(rows):
+                break
+            z = np.random.default_rng([cfg_mc.seed, k]).standard_normal(len(rows))
+            draws[rows, cols] = losses[cols] + scale[cols] * z
+    if np.isposinf(draws).any():  # the finite-loss check of an Observation
+        raise DomainError("loss must be finite, got inf")
+    return draws[(draws > 0).all(1)]
 
 
 def mc_uncertainty(
@@ -176,24 +170,20 @@ def mc_uncertainty(
 
     Each replicate perturbs every observed loss independently with
     ``Normal(loss, noise_frac * loss)`` noise and refits the power law;
-    the summary is taken over replicates whose fit converged.  Replicate
-    ``r`` uses a dedicated stream seeded by ``(seed, r)``, so any subset of
-    replicates can be reproduced independently.
+    the summary is taken over replicates whose fit converged.  The
+    replicates are drawn as one block (:func:`_replicate_draws`), so
+    replicate ``r`` is the same for every ``n_reps > r`` but cannot be
+    reproduced without the replicates before it.
 
     Raises:
         MonteCarloError: No replicate produced a converged fit.
-        DataScaleError: ``obs`` fails the checks of :func:`fit_single`, or
-            ``noise_frac`` times a loss overflows; raised before any draw.
-            A replicate holding an infinite draw, or one ``fit_single``
-            rejects, raises once the replicates before it are fitted.
+        DataScaleError: ``obs`` fails the checks of :func:`fit_single`,
+            ``noise_frac`` times a loss overflows, or a draw is infinite,
+            before any fit; or ``fit_single`` would reject a replicate.
     """
     d, losses = _single_group_arrays(obs, cfg_fit.loss_space)
     draws = _replicate_draws(losses, cfg_mc)
-    finite = np.isfinite(draws).all(1)
-    n = len(draws) if finite.all() else int(finite.argmin())
-    ps = [law.p for law, converged, _ in _fit_laws(d, draws[:n], cfg_fit) if converged]
-    if n < len(draws):  # the finite-loss check of an Observation
-        raise DomainError(f"loss must be finite, got {draws[n].max()}")
+    ps = [law.p for law, converged, _ in _fit_laws(d, draws, cfg_fit) if converged]
     if not ps:
         raise MonteCarloError("no Monte Carlo replicate converged")
     arr = np.array(ps)
@@ -204,4 +194,5 @@ def mc_uncertainty(
         std_p=std,
         quantiles=(q05, q50, q95),
         n_converged=len(arr),
+        n_dropped=cfg_mc.n_reps - len(draws),
     )

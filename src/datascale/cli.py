@@ -289,8 +289,9 @@ def cmd_mc(args) -> int:
     table = load_observations(args.input, raw_counts=args.raw_counts, condition=args.condition)
     obs = _select_condition(table, args.condition)
     cfg_mc = McConfig(noise_frac=args.noise_frac, n_reps=args.n_reps, seed=args.seed)
-    summary = mc_uncertainty(obs, _fit_config(args, args.fit_seed), cfg_mc)
-    _emit(dumps_report(build_mc_report(summary, cfg_mc, args.input)), args.output)
+    cfg_fit = _fit_config(args, args.fit_seed)
+    summary = mc_uncertainty(obs, cfg_fit, cfg_mc)
+    _emit(dumps_report(build_mc_report(summary, cfg_mc, cfg_fit, args.input)), args.output)
     return EXIT_OK
 
 
@@ -515,7 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(handler="cmd_corpus_filter")
 
-    p = corpus_sub.add_parser("sample", help="uniform subsample without replacement")
+    p = corpus_sub.add_parser(
+        "sample",
+        help="uniform subsample without replacement",
+        description=(
+            "Keep SIZE pairs drawn uniformly without replacement, in input order. Under one "
+            "seed the samples nest: a smaller sample is a subset of every larger one."
+        ),
+    )
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--input", required=True)

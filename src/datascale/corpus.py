@@ -43,6 +43,7 @@ what the writer refuses to write.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import string
@@ -360,33 +361,31 @@ def _kept(pairs: Iterable[SentencePair], scores: array, cutoff: float, ties: int
 
 
 def sample_subset(pairs: Iterable[SentencePair], size: int, seed: int) -> list[SentencePair]:
-    """Uniform sample without replacement via single-pass reservoir sampling.
+    """Uniform sample without replacement by bottom-k keys, in one pass.
 
-    The acceptance draw for the i-th arriving pair is draw 1 of the stream
-    keyed by ``(seed, i)``, so the sample depends only on the seed and the
-    arrival order, never on chunking.  The result is sorted by original
-    index.
+    The key of the i-th arriving pair is draw 1 of the stream keyed by
+    ``(seed, i)``; the sample is the ``size`` pairs of smallest key, ties
+    going to the earlier pair.  It depends only on the seed and the arrival
+    order, never on chunking, and under one seed a smaller sample is a
+    subset of a larger one.  The result is sorted by original index.
 
     Raises:
         DomainError: ``size`` is not positive or exceeds the corpus size.
     """
     if size < 1:
         raise DomainError(f"sample size must be positive, got {size}")
-    reservoir: list[SentencePair] = []
+    # A max-heap of the smallest keys so far, as (-key, -arrival, pair).
+    heap: list[tuple[int, int, SentencePair]] = []
     arrivals = 0
-    for pair in pairs:
-        if arrivals < size:
-            reservoir.append(pair)
-        else:
-            # Draw 1 of stream ``arrivals``, as a float in [0, 1).
-            u = (_mix64(_mix64(seed + (arrivals + 1) * _GOLDEN) + _GOLDEN) >> 11) * 2.0**-53
-            slot = int(u * (arrivals + 1))
-            if slot < size:
-                reservoir[slot] = pair
-        arrivals += 1
+    for arrivals, pair in enumerate(pairs, 1):
+        key = -_mix64(_mix64(seed + arrivals * _GOLDEN) + _GOLDEN)
+        if len(heap) < size:
+            heapq.heappush(heap, (key, -arrivals, pair))
+        elif key > heap[0][0]:
+            heapq.heapreplace(heap, (key, -arrivals, pair))
     if arrivals < size:
         raise DomainError(f"sample size {size} exceeds corpus size {arrivals}")
-    return sorted(reservoir, key=attrgetter("index"))
+    return sorted((pair for _, _, pair in heap), key=attrgetter("index"))
 
 
 # ---------------------------------------------------------------------------

@@ -40,17 +40,15 @@ from .fitting import FitConfig, FitResult, JointFitResult, SharedFitResult
 SCHEMA_VERSION = 1
 
 
-def _provenance(input_path: str, cfg: FitConfig | McConfig | None) -> dict:
-    out = {"input": input_path, "tool_version": __version__}
+def _report(kind: str, input_path: str, cfg: FitConfig | McConfig | None,
+            fit_cfg: FitConfig | None = None, **fields) -> dict:
+    """A ``kind`` report; a fit's ``cfg`` is also its ``fit_cfg``."""
+    provenance = {"input": input_path, "tool_version": __version__}
     if cfg is not None:
-        out["seed"] = cfg.seed
-    if isinstance(cfg, FitConfig):
-        out["config"] = {k: v for k, v in asdict(cfg).items() if k != "seed"}
-    return out
-
-
-def _report(kind: str, input_path: str, cfg: FitConfig | McConfig | None, **fields) -> dict:
-    provenance = _provenance(input_path, cfg)
+        provenance["seed"] = cfg.seed
+    fit_cfg = cfg if isinstance(cfg, FitConfig) else fit_cfg
+    if fit_cfg is not None:
+        provenance["config"] = {k: v for k, v in asdict(fit_cfg).items() if k != "seed"}
     return {"schema": SCHEMA_VERSION, "kind": kind, **fields, "provenance": provenance}
 
 
@@ -123,11 +121,11 @@ def build_linear_report(fit, x, y, input_path: str, x_name: str, y_name: str) ->
                    y_column=y_name, points=[[float(a), float(b)] for a, b in zip(x, y)])
 
 
-def build_mc_report(summary: McSummary, cfg: McConfig, input_path: str) -> dict:
+def build_mc_report(summary: McSummary, cfg: McConfig, cfg_fit: FitConfig, input_path: str) -> dict:
     q05, q50, q95 = summary.quantiles
-    return _report("mc", input_path, cfg, mean_p=summary.mean_p, std_p=summary.std_p,
-                   quantiles={"q05": q05, "q50": q50, "q95": q95},
-                   n_converged=summary.n_converged, n_reps=cfg.n_reps, noise_frac=cfg.noise_frac)
+    return _report("mc", input_path, cfg, cfg_fit, mean_p=summary.mean_p, std_p=summary.std_p,
+                   quantiles={"q05": q05, "q50": q50, "q95": q95}, n_converged=summary.n_converged,
+                   n_dropped=summary.n_dropped, n_reps=cfg.n_reps, noise_frac=cfg.noise_frac)
 
 
 def dumps_report(report: dict) -> str:

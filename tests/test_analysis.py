@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import datascale as ds
-from datascale import cli, fitting
-from datascale.analysis import _replicate_draws, _replicate_losses
+from datascale import analysis, cli, fitting
+from datascale.analysis import _replicate_draws
 from datascale.fitting import _fit_laws
 
 from conftest import DOUBLING_GRID, curve_observations, law_size_sweep
@@ -135,25 +135,55 @@ class TestMcUncertainty:
         assert first == second
 
     def test_matches_manual_replication(self):
-        # independent reimplementation of the replicate loop: same streams,
-        # same refits, same summary
+        # independent reimplementation of the draw layout, point by point:
+        # the block row-major from stream (seed, 0), then round k's
+        # non-positive points row-major from stream (seed, k); same refits,
+        # same summary
         obs = self._observations()
         cfg_fit = ds.FitConfig(seed=1)
-        cfg_mc = ds.McConfig(noise_frac=0.02, n_reps=6, seed=33)
+        cfg_mc = ds.McConfig(noise_frac=0.6, n_reps=8, seed=32)
         summary = ds.mc_uncertainty(obs, cfg_fit, cfg_mc)
-        ps = []
-        for rep in range(cfg_mc.n_reps):
-            rng = np.random.default_rng([cfg_mc.seed, rep])
-            noisy = [
-                ds.Observation(o.condition, o.d_millions, rng.normal(o.loss, 0.02 * o.loss))
-                for o in obs
-            ]
-            res = ds.fit_single(noisy, cfg_fit)
-            if res.converged:
-                ps.append(res.law.p)
-        assert summary.n_converged == len(ps)
+        z = iter(np.random.default_rng([32, 0]).standard_normal(8 * len(obs)).tolist())
+        rows = [[o.loss + 0.6 * o.loss * next(z) for o in obs] for _ in range(8)]
+        rounds = 0
+        for k in range(1, analysis.MAX_REDRAWS):
+            bad = [(r, i) for r, row in enumerate(rows) for i, y in enumerate(row) if y <= 0]
+            if not bad:
+                break
+            rounds = k
+            for (r, i), zk in zip(bad, np.random.default_rng([32, k]).standard_normal(len(bad)).tolist()):
+                rows[r][i] = obs[i].loss + 0.6 * obs[i].loss * zk
+        assert rounds > 0
+        fits = [ds.fit_single([ds.Observation(o.condition, o.d_millions, y) for o, y in zip(obs, row)], cfg_fit)
+                for row in rows]
+        ps = [fit.law.p for fit in fits if fit.converged]
+        assert (summary.n_converged, summary.n_dropped) == (len(ps), 0)
         assert summary.mean_p == float(np.mean(ps))
         assert summary.std_p == float(np.std(ps, ddof=1))
+
+    def test_replicates_do_not_depend_on_n_reps(self):
+        # at noise 0.6 some replicates need redraws, and the first 50 of 200
+        # replicates are still the 50 of n_reps 50, bit for bit
+        losses = ds.eval_law(self.BASE_LAW, np.array(DOUBLING_GRID))
+        z = np.random.default_rng([8, 0]).standard_normal((50, len(losses)))
+        assert (losses + 0.6 * losses * z <= 0).any()
+        small = _replicate_draws(losses, ds.McConfig(noise_frac=0.6, n_reps=50, seed=8))
+        large = _replicate_draws(losses, ds.McConfig(noise_frac=0.6, n_reps=200, seed=8))
+        assert (len(small), len(large)) == (50, 200)
+        assert repr(small.tolist()) == repr(large[:50].tolist())
+
+    def test_replicates_left_bad_by_the_last_round_are_dropped(self, monkeypatch):
+        # with a single round, exactly the replicates holding a non-positive
+        # first draw are dropped, and the summary counts them
+        monkeypatch.setattr(analysis, "MAX_REDRAWS", 1)
+        obs = self._observations()
+        losses = np.array([o.loss for o in obs])
+        cfg_mc = ds.McConfig(noise_frac=0.6, n_reps=40, seed=8)
+        first = losses + 0.6 * losses * np.random.default_rng([8, 0]).standard_normal((40, len(losses)))
+        kept = (first > 0).all(1)
+        assert 0 < kept.sum() < 40
+        assert repr(_replicate_draws(losses, cfg_mc).tolist()) == repr(first[kept].tolist())
+        assert ds.mc_uncertainty(obs, ds.FitConfig(seed=1), cfg_mc).n_dropped == 40 - kept.sum()
 
     def test_mean_stable_when_doubling_replicates(self):
         obs = self._observations()
@@ -179,7 +209,7 @@ class TestMcUncertainty:
         # steps that fit_single gives it alone, bit for bit: across blocks of
         # any size, iteration caps that stop some rows early, a coarse
         # tolerance, a curve without and one deep in saturation, and noise
-        # that goes through the redraw loop.
+        # that goes through the redraw rounds.
         grid = np.array([1.0, 3.0, 7.0, 20.0, 50.0, 120.0, 300.0])
         curves = (ds.PowerLaw(1.9, 1e-6, 0.6), ds.PowerLaw(3.0, 50.0, 0.2), self.BASE_LAW)
         configs = [ds.FitConfig(), ds.FitConfig(max_iters=3), ds.FitConfig(rel_tol=1e-3), ds.FitConfig(max_iters=1)]
@@ -209,9 +239,8 @@ class TestMcUncertainty:
         assert reports[0] == reports[1] == reports[2]
 
     def test_redraw_keeps_replicate_losses_positive(self):
-        # even when the noise dwarfs the loss, rejected draws are retried
-        # so the replicate never carries a non-positive loss
-        rng = np.random.default_rng(0)
-        noisy = _replicate_losses([0.5] * 200, 50.0, rng)
-        assert noisy is not None
-        assert np.all(noisy > 0)
+        # even when the noise dwarfs the loss, rejected draws are retried,
+        # so no replicate is dropped and none carries a non-positive loss
+        draws = _replicate_draws(np.full(200, 0.5), ds.McConfig(noise_frac=50.0, n_reps=5, seed=0))
+        assert draws.shape == (5, 200)
+        assert np.all(draws > 0)

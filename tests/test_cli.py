@@ -630,6 +630,20 @@ class TestMc:
         assert summary["n_converged"] <= 40
         assert summary["quantiles"]["q05"] <= summary["quantiles"]["q95"]
 
+    def test_report_records_its_fit_config(self, capsys, tmp_path):
+        # the loss space changes the quantiles, so the report must say it
+        csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285, noise="0.01")
+        reports = {}
+        for space in ("log", "linear"):
+            code, out, _ = run(capsys, "mc", "--input", str(csv_path), "--seed", "3", "--n-reps", "5",
+                               "--loss-space", space, "--rel-tol", "1e-8")
+            assert code == 0
+            reports[space] = json.loads(out)
+            assert reports[space]["provenance"]["config"] == {"loss_space": space, "max_iters": 2000,
+                                                              "rel_tol": 1e-8}
+            assert reports[space]["n_dropped"] == 0
+        assert reports["log"]["quantiles"] != reports["linear"]["quantiles"]
+
     def test_huge_noise_does_not_overflow_the_seed(self, capsys, tmp_path):
         csv_path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
         code, out, err = run(capsys, "mc", "--input", str(csv_path), "--seed", "1",

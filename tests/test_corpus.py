@@ -317,6 +317,22 @@ class TestSampleSubset:
         # binomial(10000, 0.5): 5 sigma is 250, window widened to 350
         assert abs(firsts - 5000) <= 350
 
+    def test_samples_nest_across_sizes(self):
+        pairs = make_corpus(2000)
+        for seed in (1, 2, 3):
+            small, middle, large = ({p.index for p in ds.sample_subset(iter(pairs), size, seed)}
+                                    for size in (100, 200, 400))
+            assert small <= middle <= large
+
+    def test_inclusion_counts_are_uniform(self):
+        # each of 100 pairs lands in a 10-pair sample binomial(400, 0.1)
+        # times over 400 seeds: mean 40, sd 6; the window reaches 5 sd each way
+        pairs, counts = make_corpus(100), [0] * 100
+        for seed in range(400):
+            for pair in ds.sample_subset(iter(pairs), 10, seed=seed):
+                counts[pair.index] += 1
+        assert all(10 <= count <= 70 for count in counts)
+
 
 class TestPairFiles:
     def test_round_trip(self, tmp_path):
