@@ -15,7 +15,8 @@ stage, then a refinement between the neighbours of the best cell
 for :func:`fit_joint` (``c = beta * g**(1/p)``).  ``c`` lies in ``[1e-12,
 1e12]`` or is 0 (below 1e-12 it is reported as 0) and ``p`` in ``[1e-12,
 2]``.  No fit draws random numbers, and these searches use elementwise
-operations and last-axis sums only: a BLAS matmul can make a row's bits
+operations and sums only, the log-space ones over a first axis of sizes in
+numpy's own order (:func:`_size_sum`): a BLAS matmul can make a row's bits
 depend on how many rows share the call.
 
 :func:`fit_shared`, linear :func:`fit_single` and log :func:`fit_tail` search
@@ -36,14 +37,14 @@ over the exponent.
 Log :func:`fit_single` is one row of the batched search of
 :func:`_log_fits`, which Monte Carlo runs on all its replicates.  A row of
 the batch keeps the bits of a lone fit: besides taking only elementwise
-operations and last-axis sums, it stops at its own step and compares its
+operations and those sums, it stops at its own step and compares its
 refined cell with the ``c = 0`` endpoint on its own (:func:`_minimize`,
 :func:`_sections`).  The rows go ``_BLOCK`` at a time, their grid stage
 ``_CHUNK`` elements (128 kB) at a time, and each step of their refinement
-writes its 65 points a row into three arrays that every step reuses, 250 kB
-each for 48 rows of 10 sizes.  So no temporary grows with the number of
-replicates: one unblocked table of 200 replicates on 402 cells would take
-tens of MB.
+writes its 65 points a row into three ``(sizes, rows, points)`` arrays that
+every step reuses, 250 kB each for 48 rows of 10 sizes.  So no temporary
+grows with the number of replicates: one unblocked table of 200 replicates
+on 402 cells would take tens of MB.
 
 :func:`fit_tail` searches ``G * x + b`` with ``x = (d/d0)**-q`` in ``(0, 1]``,
 ``d0`` the smallest size, ``G, b >= 0`` and ``ln q`` in ``[-12, 8]``, cut
@@ -77,7 +78,7 @@ _LN_C_GRID = np.concatenate([[-np.inf], np.linspace(math.log(ZERO_CAPACITY), mat
 _P_GRID = 2.0 * np.linspace(math.sqrt(_P_MIN / 2.0), 1.0, 31) ** 2
 _CHUNK = 2**14  # most elements of one temporary array of a grid table: 128 kB
 _SECTION_POINTS = 128  # points evaluated per step of a batched refinement
-_BLOCK = 48  # rows of one batched single-curve search: 250 kB per workspace array at 10 sizes
+_BLOCK = 48  # rows of one batched single-curve search: workspace arrays (sizes, rows, points), 250 kB at 10 sizes
 # Nested searches: the grid stage's inner tolerance, the slope in the inner
 # variable per unit of the outer allowed for beside a line through two
 # optima, and the widest inner half-width tried before the whole span.
@@ -118,8 +119,8 @@ class FitConfig:
             raise DomainError(f"unknown loss space {self.loss_space!r}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -311,41 +312,65 @@ def _squares(r):
     return np.where(np.isnan(objective), np.inf, objective)
 
 
+def _size_sum(a):
+    """The sum of ``a`` over its first axis in the pairwise order (Higham,
+    SIAM J. Sci. Comput. 14, 1993) of numpy's sum over a contiguous last axis,
+    so with its bits but for the sign of a NaN, which IEEE 754 leaves open:
+    left to right below 8 terms; up to 128, eight running sums combined
+    pairwise, then the rest; above, split at half rounded down to a multiple
+    of 8.  numpy starts from +0.0, so -0.0 alone sums to +0.0."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _size_sum(a[:half]) + _size_sum(a[half:])
+    k = 1 if n < 8 else 8  # running sums
+    r = a[:k]
+    for i in range(k, n - n % k, k):
+        r = r + a[i : i + k]
+    while len(r) > 1:
+        r = r[::2] + r[1::2]
+    s = r[0] + 0.0
+    for v in a[n - n % k :]:
+        s += v
+    return s
+
+
 def _log_parts(inv_d, ln_c, out=(None, None, None)):
     """What the log-space objective takes of the sizes and of ``c``, for each
-    ``ln c``: ``ln u = ln(1/d + c)`` over the points (last axis), its centred
-    form ``x`` and ``sxx``, the sum of the squares of ``x``.  ``out`` may give
-    three arrays of their shape to hold ``ln u``, ``x`` and those squares."""
-    ln_u = np.add(inv_d, np.exp(ln_c)[..., None], out=out[0])
+    ``ln c``: ``ln u = ln(1/d + c)`` with the points on the first axis (that
+    of ``inv_d``, which broadcasts against ``ln_c``), its centred form ``x``
+    and ``sxx``, the sum of the squares of ``x``.  ``out`` may give three
+    arrays of the shape of ``ln u`` to hold ``ln u``, ``x`` and the squares."""
+    ln_u = np.add(inv_d, np.exp(ln_c), out=out[0])
     np.log(ln_u, out=ln_u)
-    x = np.subtract(ln_u, ln_u.mean(-1, keepdims=True), out=out[1])
-    return ln_u, x, np.square(x, out=out[2]).sum(-1)
+    x = np.subtract(ln_u, _size_sum(ln_u) / len(ln_u), out=out[1])
+    return ln_u, x, _size_sum(np.square(x, out=out[2]))
 
 
 def _centred_sums(ln_y, parts):
     """The sums ``(sxy, sxx, syy)`` for each row of ``ln_y`` and each ``ln c``
-    of the :func:`_log_parts` ``parts``, over the points of products of the
-    centred ``x`` and ``ln y``: the least-squares slope of ``ln y`` on ``x``
-    is ``sxy / sxx``, and at slope ``p`` the objective is ``syy - 2 p sxy +
-    p**2 sxx``."""
+    of :func:`_log_parts` ``parts`` (axes: points, ``ln_y``'s rows, cells),
+    over the points of products of the centred ``x`` and ``ln y``: the
+    least-squares slope of ``ln y`` on ``x`` is ``sxy / sxx``, and at slope
+    ``p`` the objective is ``syy - 2 p sxy + p**2 sxx``."""
     _, x, sxx = parts
     ln_y = ln_y - ln_y.mean(-1, keepdims=True)
-    return (x * ln_y[..., None, :]).sum(-1), sxx, (ln_y * ln_y).sum(-1)
+    return _size_sum(x * ln_y.T[..., None]), sxx, (ln_y * ln_y).sum(-1)
 
 
 def _log_line(ln_y, parts, out=None):
     """Least-squares ``ln y = ln alpha + p * ln(1/d + c)`` for each row of
-    ``ln_y`` and each ``ln c`` of the :func:`_log_parts` ``parts``, with ``p``
+    ``ln_y`` and each ``ln c`` of ``parts`` as in :func:`_centred_sums`, ``p``
     clipped to ``[1e-12, 2]``: ``(p, ln alpha, objective)``, a NaN objective
     as inf.  The arithmetic of :func:`_centred_sums` and :func:`_log_alpha`
-    at weight 1, in one array of shape ``(rows, cells, points)``: ``out``,
+    at weight 1, in one array of shape ``(points, rows, cells)``: ``out``,
     if given."""
     ln_u, x, sxx = parts
-    r = np.multiply(x, (ln_y - ln_y.mean(-1, keepdims=True))[..., None, :], out=out)
-    p = np.clip(r.sum(-1) / sxx, _P_MIN, 2.0)
-    np.subtract(ln_y[..., None, :], np.multiply(p[..., None], ln_u, out=r), out=r)
-    ln_alpha = r.sum(-1) / ln_y.shape[-1]
-    objective = np.square(np.subtract(r, ln_alpha[..., None], out=r), out=r).sum(-1)
+    r = np.multiply(x, (ln_y - ln_y.mean(-1, keepdims=True)).T[..., None], out=out)
+    p = np.clip(_size_sum(r) / sxx, _P_MIN, 2.0)
+    np.subtract(ln_y.T[..., None], np.multiply(p, ln_u, out=r), out=r)
+    ln_alpha = _size_sum(r) / len(r)
+    objective = _size_sum(np.square(np.subtract(r, ln_alpha, out=r), out=r))
     objective[np.isnan(objective)] = np.inf
     return p, ln_alpha, objective
 
@@ -357,7 +382,7 @@ def _log_fits(d, y, cfg: FitConfig):
     ``_BLOCK`` rows at a time, sharing the grid's :func:`_log_parts`.
     Returns each row's ``p``, ``alpha``, ``ln c``, whether its bracket
     closed, and its steps."""
-    inv_d = 1.0 / d
+    inv_d = (1.0 / d)[:, None, None]
     p, ln_alpha, ln_c = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
     closed, steps = np.empty(len(y), bool), np.empty(len(y), int)
     work = [np.empty(0)] * 3
@@ -368,11 +393,11 @@ def _log_fits(d, y, cfg: FitConfig):
         size = points.size * len(d)
         if work[0].size < size:
             work = [np.empty(size) for _ in range(3)]
-        u, x, r = (w[:size].reshape(*points.shape, len(d)) for w in work)
+        u, x, r = (w[:size].reshape(len(d), *points.shape) for w in work)
         return _log_line(ln_y[rows], _log_parts(inv_d, points, (u, x, r)), r)[2]
 
     with np.errstate(all="ignore"):
-        grid = _log_parts(inv_d, _LN_C_GRID)
+        grid = _log_parts(inv_d, _LN_C_GRID[None])
         chunk = max(1, _CHUNK // grid[0].size)  # rows of one grid table
         for start in range(0, len(y), _BLOCK):
             block = slice(start, start + _BLOCK)
@@ -456,7 +481,7 @@ def _shared_exponent(arrays, cfg: FitConfig):
         target[i, : len(d)] = np.log(y) if log_space else y
         weight[i, : len(d)] = 1.0
     if log_space:  # a group's objective on the c grid is syy - 2 p sxy + p**2 sxx
-        sums = [_centred_sums(np.log(y), _log_parts(1.0 / d, _LN_C_GRID)) for d, y in arrays]
+        sums = [_centred_sums(np.log(y), _log_parts((1.0 / d)[:, None], _LN_C_GRID)) for d, y in arrays]
         sxy, sxx, syy = (np.array(v) for v in zip(*sums))
     else:  # and here <y, y> - <y, b>**2 / <b, b> with b = (1/d + c)**p
         u_grid = inv_d[:, None] + np.exp(_LN_C_GRID)[:, None]
@@ -822,8 +847,8 @@ def _tail_log(t, y, grid, cfg: FitConfig):
     ts, ln_ys = t.tolist(), ln_y.tolist()
 
     def table(x, ln_rho):
-        """The objective at ``x`` (the last axis) for each ``ln rho``, NaN as inf."""
-        sxy, sxx, syy = _centred_sums(ln_y, _log_parts(x, ln_rho))
+        """The objective at ``x`` (the first axis) for each ``ln rho``, NaN as inf."""
+        sxy, sxx, syy = _centred_sums(ln_y[None], _log_parts(x, ln_rho))
         v = syy - 2.0 * sxy + sxx
         return np.where(np.isnan(v), np.inf, v)
 
@@ -844,12 +869,12 @@ def _tail_log(t, y, grid, cfg: FitConfig):
         return [-math.inf if f0 <= fx else ln_rho], np.float64(min(fx, f0)), closed
 
     def whole(ln_q, cfg, bound):
-        v = table(np.exp(-math.exp(ln_q) * t), _LN_RHO[1:])
+        v = table(np.exp(-math.exp(ln_q) * t)[:, None, None], _LN_RHO[1:])
         if bound is None or v.min() < bound * (1.0 - 1e-9):
-            return search(ln_q, *(c[0].tolist() for c in _brackets(v[None], _LN_RHO[1:])), cfg)
+            return search(ln_q, *(c[0].tolist() for c in _brackets(v, _LN_RHO[1:])), cfg)
 
-    x = np.exp(-np.exp(grid)[:, None, None] * t)
-    ln_rho, values, _, _ = _minimize(table(x, _LN_RHO), _LN_RHO, lambda rows, v: table(x[rows], v),
+    x = np.exp(-np.exp(grid) * t[:, None])[..., None]
+    ln_rho, values, _, _ = _minimize(table(x, _LN_RHO), _LN_RHO, lambda rows, v: table(x[:, rows], v),
                                      replace(cfg, rel_tol=_COARSE))
     ln_q, (ln_rho,), fx, converged, steps = _profiled(grid, ln_rho[:, None], values, _LN_RHO[[1, -1]], search,
                                                       whole, cfg)

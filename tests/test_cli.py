@@ -294,6 +294,17 @@ class TestFit:
         assert excinfo.value.code == 2
 
 
+class TestRelTol:
+    @pytest.mark.parametrize("command", [["fit"], ["fit-tail", "--d-min", "2"], ["fit-shared"], ["mc", "--n-reps", "2"]],
+                             ids=lambda c: c[0])
+    def test_infinite_rel_tol_exits_2(self, capsys, tmp_path, command):
+        # an infinite tolerance closes every bracket at once: a grid cell reported as converged
+        path = simulate_csv(capsys, tmp_path, "obs.csv", 1.969, 0.057, 0.285)
+        code, out, err = run(capsys, *command, "--input", str(path), "--seed", "1", "--rel-tol", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: rel_tol must be positive and finite, got inf\n"
+
+
 class TestFitShared:
     def test_two_condition_report_shape(self, capsys, tmp_path):
         path = tmp_path / "two.csv"

@@ -3,6 +3,7 @@ sweep pinning the engine's results bit for bit."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,39 +408,98 @@ class TestGridOracle:
             assert fit.objective <= grid_oracle(obs, grid).objective + 1e-12
 
 
+class TestSizeSum:
+    """``fitting._size_sum`` sums over the first axis with the bits numpy's
+    last-axis sum gives: every branch of its pairwise order, signed zeros,
+    infinities, NaN, subnormals and magnitudes over e**+-8."""
+
+    @staticmethod
+    def terms(rng, n, nan):
+        special = [0.0, -0.0, math.inf, -math.inf, nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+        a = np.exp(rng.uniform(-8.0, 8.0, (n, 48))) * rng.choice([-1.0, 1.0], (n, 48))
+        mixed = rng.random(a.shape) < 0.05
+        a[mixed] = rng.choice(special, mixed.sum())
+        a[:, 0] = -0.0  # +0.0, as numpy starts from +0.0
+        a[:, 1] = rng.choice([0.0, -0.0], n)
+        a[:, 2] = rng.choice(special[5:], n)  # subnormals and a normal near them
+        a[:, 3] = rng.choice(special[:4], n)  # signed zeros and infinities: NaN from inf - inf
+        return a
+
+    def test_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        with np.errstate(all="ignore"):
+            nan = np.float64(math.inf) - math.inf  # the NaN inf - inf makes, so every NaN has one sign
+            for n in range(1, 301):
+                a = self.terms(rng, n, nan)
+                assert fitting._size_sum(a).tobytes() == np.moveaxis(a, 0, -1).copy().sum(-1).tobytes(), n
+
+    def test_only_the_sign_of_nan_may_differ(self):
+        # IEEE 754 leaves open which NaN a sum of NaNs of both signs returns
+        rng = np.random.default_rng(30)
+        with np.errstate(all="ignore"):
+            for n in (9, 16, 130, 257):
+                a = self.terms(rng, n, math.nan)
+                got, want = fitting._size_sum(a), np.moveaxis(a, 0, -1).copy().sum(-1)
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
 class TestLogLine:
     """``fitting._log_line``, the objective of every log-space single fit,
-    keeps the bits of the formula it replaced: the clipped slope of
-    ``_centred_sums``, then ``_log_alpha`` at weight 1, on parts taken
-    without buffers."""
+    keeps the bits of the formula it replaced: with the points on the last
+    axis and numpy's sums, the clipped slope of the centred sums, then
+    ``_log_alpha`` at weight 1, on parts taken without buffers."""
 
     @staticmethod
     def reference(ln_y, inv_d, ln_c):
         ln_u = np.log(inv_d + np.exp(ln_c)[..., None])
         x = ln_u - ln_u.mean(-1, keepdims=True)
+        centred = ln_y - ln_y.mean(-1, keepdims=True)
+        p = np.clip((x * centred[..., None, :]).sum(-1) / (x * x).sum(-1), fitting._P_MIN, 2.0)
         parts = (ln_u, x, (x * x).sum(-1))
-        sxy, sxx, _ = fitting._centred_sums(ln_y, parts)
-        p = np.clip(sxy / sxx, fitting._P_MIN, 2.0)
-        return (p, *fitting._log_alpha(ln_u, p[..., None], ln_y[..., None, :], np.ones(ln_y.shape[-1])))
+        return parts, (p, *fitting._log_alpha(ln_u, p[..., None], ln_y[..., None, :], np.ones(ln_y.shape[-1])))
 
-    @pytest.mark.parametrize("n", [4, 7, 10, 33])
+    @pytest.mark.parametrize("n", [4, 7, 8, 10, 16, 33, 129])
     def test_equals_the_weighted_formula_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        d = np.sort(rng.choice(np.geomspace(0.5, 600.0, 64), n, replace=False))
+        d = np.sort(rng.choice(np.geomspace(0.5, 600.0, max(64, 2 * n)), n, replace=False))
         ln_y = np.log(ds.eval_law(ds.PowerLaw(2.5, 0.05, 0.3), d) * rng.lognormal(0.0, 0.05, (9, n)))
         ln_y[-2, 1], ln_y[-1, 0] = np.nan, np.inf  # objectives NaN, reported as inf
         points = rng.uniform(-27.6, 27.6, (9, 65))
+        inv_d = (1.0 / d)[:, None, None]
         with np.errstate(all="ignore"):
-            workspace = np.empty((3, 9, 65, n))
-            cases = [(fitting._LN_C_GRID, fitting._log_parts(1.0 / d, fitting._LN_C_GRID), None),  # c = 0 first
-                     (points, fitting._log_parts(1.0 / d, points), None),
-                     (points, fitting._log_parts(1.0 / d, points, workspace), workspace[2])]
+            workspace = np.empty((3, n, 9, 65))
+            cases = [(fitting._LN_C_GRID, fitting._log_parts(inv_d, fitting._LN_C_GRID[None]), None),  # c = 0 first
+                     (points, fitting._log_parts(inv_d, points), None),
+                     (points, fitting._log_parts(inv_d, points, workspace), workspace[2])]
             for ln_c, parts, out in cases:
-                p, alpha, objective = self.reference(ln_y, 1.0 / d, ln_c)
+                (ln_u, x, sxx), (p, alpha, objective) = self.reference(ln_y, 1.0 / d, ln_c)
+                assert [np.moveaxis(parts[0], 0, -1).tobytes(), np.moveaxis(parts[1], 0, -1).tobytes()] == \
+                    [np.broadcast_to(v, (*parts[2].shape, n)).tobytes() for v in (ln_u, x)]
+                assert parts[2].tobytes() == np.broadcast_to(sxx, parts[2].shape).tobytes()
                 got_p, ln_alpha, got = fitting._log_line(ln_y, parts, out)
                 assert [got_p.tobytes(), np.exp(ln_alpha).tobytes(), got.tobytes()] == \
                     [p.tobytes(), alpha.tobytes(), objective.tobytes()]
                 assert np.isinf(objective[-2:]).all() and np.isfinite(objective[:-2]).all()
+
+
+def test_log_fits_memory_does_not_grow_with_replicates(monkeypatch):
+    """``_log_fits`` on 2000 replicates of 10 sizes peaks at ~1.5 MB under
+    ``tracemalloc`` in blocks of ``_BLOCK`` rows, and at ~50 MB in one block."""
+    d = np.array(DOUBLING_GRID)
+    y = ds.eval_law(ds.PowerLaw(2.772, 0.323, 0.296), d) * np.random.default_rng(5).lognormal(0.0, 0.02, (2000, 10))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            fitting._log_fits(d, y, ds.FitConfig())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 4e6
+    monkeypatch.setattr(fitting, "_BLOCK", 10**6)
+    assert peak() > 4e6
 
 
 def engine_sweep():
